@@ -65,36 +65,6 @@ def config_from_dict(doc: dict) -> TrainConfig:
     )
 
 
-def config_to_dict(cfg: TrainConfig) -> dict:
-    layers = []
-    for l in cfg.layers:
-        entry = {"kind": l.kind}
-        if l.in_dim is not None:
-            entry["in"] = l.in_dim
-        if l.out_dim is not None:
-            entry["out"] = l.out_dim
-        layers.append(entry)
-    if cfg.tau_policy.kind == "fixed":
-        tau = {"policy": "fixed", "value": cfg.tau_policy.value}
-    else:
-        tau = {"policy": "adaptive", "table": dict(cfg.tau_policy.table)}
-    return {
-        "name": cfg.name,
-        "dataset": {"size": cfg.dataset_size, "dim": cfg.dim, "classes": cfg.classes},
-        "model": {"layers": layers, "loss": cfg.loss},
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "checkpoint_interval": cfg.checkpoint_interval,
-        "seed": cfg.seed,
-        "b_r": cfg.b_r,
-        "b_tr": cfg.b_tr,
-        "b_m": cfg.b_m,
-        "tau": tau,
-        "trainer_profile": cfg.trainer_profile,
-    }
-
-
 def load_config(path) -> TrainConfig:
     try:
         doc = json.loads(Path(path).read_text())

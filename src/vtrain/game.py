@@ -1,16 +1,20 @@
 """Interactive verification game over a length-prefixed JSON wire protocol.
 
 The trainer serves its Merkle tree; the auditor compares roots and, on a
-mismatch, bisects: at each level it fetches both children of the current
-disagreeing node and descends into the leftmost child whose digest
-differs from its own tree. The walk ends at the first divergent leaf,
-for which the auditor assembles authentication paths from both trees. A
+mismatch, runs ``merkle.bisect`` with a fetch that asks the trainer for
+one node per request: at each level both children of the disagreeing
+node, left first. The walk ends at the first divergent leaf with the
+trainer's authentication path, which the auditor checks against the
+announced root before it claims; its own path comes from its tree. A
 judge can check the claim with constant work. A trainer that stops
-answering within the timeout fails the audit.
+answering within the timeout fails the audit; one that sends a malformed
+or inconsistent reply raises ``GameProtocolError``.
 
 Wire format: 4-byte little-endian length prefix, then a UTF-8 JSON object
 with a "type" field. Digests travel as lowercase hex. Tree coordinates
-are (level, index) with level 0 the leaves.
+are (level, index) with level 0 the leaves. A path is its leaf index, its
+leaf and a list with one sibling per level, leaf first, ``null`` where the
+node was promoted; sides follow from the index (protocol version 2).
 """
 
 from __future__ import annotations
@@ -20,9 +24,9 @@ import socket
 import struct
 from dataclasses import dataclass, field
 
-from .merkle import MerklePath, MerkleTree, node, path, verify_path
+from .merkle import DIGEST_LEN, MerklePath, MerkleTree, bisect, node, path, verify_path
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT = 30.0
 
 TRAINING_VERIFIED = "training_verified"
@@ -55,25 +59,40 @@ def _recv(sock: socket.socket) -> dict:
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     if length > 1 << 24:
         raise GameProtocolError("oversized message")
-    msg = json.loads(_recv_exact(sock, length).decode("utf-8"))
+    data = _recv_exact(sock, length)
+    try:
+        msg = json.loads(data.decode("utf-8"))
+    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        raise GameProtocolError(f"undecodable message: {e}") from None
     if not isinstance(msg, dict) or "type" not in msg:
         raise GameProtocolError("message has no type")
     return msg
+
+
+def _digest(value, what: str) -> bytes:
+    """Decode a wire digest: a hex string of exactly 32 bytes."""
+    try:
+        digest = bytes.fromhex(value)
+    except (TypeError, ValueError):
+        digest = b""
+    if len(digest) != DIGEST_LEN or len(value) != 2 * DIGEST_LEN:
+        raise GameProtocolError(f"{what} is not a {DIGEST_LEN}-byte hex digest")
+    return digest
 
 
 def _path_to_wire(p: MerklePath) -> dict:
     return {
         "leaf_index": p.leaf_index,
         "leaf": p.leaf.hex(),
-        "siblings": [[digest.hex(), side] for digest, side in p.siblings],
+        "siblings": [None if d is None else d.hex() for d in p.siblings],
     }
 
 
 def _path_from_wire(obj: dict) -> MerklePath:
     return MerklePath(
         leaf_index=int(obj["leaf_index"]),
-        leaf=bytes.fromhex(obj["leaf"]),
-        siblings=[(bytes.fromhex(d), side) for d, side in obj["siblings"]],
+        leaf=_digest(obj["leaf"], "leaf"),
+        siblings=[None if d is None else _digest(d, "sibling") for d in obj["siblings"]],
     )
 
 
@@ -113,7 +132,7 @@ class GameServer:
             while True:
                 try:
                     msg = _recv(conn)
-                except (GameProtocolError, json.JSONDecodeError, struct.error):
+                except GameProtocolError:
                     _send(conn, {"type": "refuse", "reason": "malformed message"})
                     return
                 except ConnectionError:
@@ -217,15 +236,19 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
             return report
         if announce["type"] != "root_announce":
             raise GameProtocolError(f"expected root_announce, got {announce['type']!r}")
-        report.trainer_root = announce["root"]
-        if int(announce["leaf_count"]) != len(local_tree.leaves):
+        trainer_root = _digest(announce.get("root"), "announced root")
+        leaf_count = announce.get("leaf_count")
+        if type(leaf_count) is not int:
+            raise GameProtocolError(f"bad leaf_count {leaf_count!r}")
+        report.trainer_root = trainer_root.hex()
+        if leaf_count != len(local_tree.leaves):
             report.outcome = SCHEDULE_MISMATCH
             return report
-        if announce["root"] == local_root:
+        if trainer_root == local_tree.root:
             session.send({"type": "accept"})
             return report
 
-        def fetch(level: int, index: int) -> str:
+        def fetch(level: int, index: int) -> bytes:
             session.send({"type": "node_request", "level": level, "index": index})
             report.node_requests += 1
             try:
@@ -234,54 +257,28 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
                 raise TimeoutError
             if resp["type"] != "node_response":
                 raise GameProtocolError(f"expected node_response, got {resp['type']!r}")
-            return resp["digest"]
+            return _digest(resp.get("digest"), "node digest")
 
         try:
-            level = len(local_tree.levels) - 1
-            index = 0
-            trainer_digest = announce["root"]
-            # reversed-order sibling records: (sibling hex or None, side)
-            lineage: list[tuple[str | None, str]] = []
-            while level > 0:
-                child = level - 1
-                row = local_tree.levels[child]
-                li = 2 * index
-                if li + 1 >= len(row):
-                    # promoted node: the child digest equals the parent digest
-                    lineage.append((None, ""))
-                    index = li
-                    level = child
-                    continue
-                left = fetch(child, li)
-                right = fetch(child, li + 1)
-                if left != row[li].hex():
-                    index, trainer_digest = li, left
-                    lineage.append((right, "right"))
-                else:
-                    if right == row[li + 1].hex():
-                        raise GameProtocolError(
-                            "served children both match locally but parents differ")
-                    index, trainer_digest = li + 1, right
-                    lineage.append((left, "left"))
-                level = child
+            trainer_path = bisect(local_tree, trainer_root, fetch)
         except TimeoutError:
             report.outcome = TRAINER_UNRESPONSIVE
             return report
+        except ValueError as e:
+            raise GameProtocolError(f"served tree is inconsistent: {e}") from None
+        if not verify_path(trainer_path, trainer_root):
+            raise GameProtocolError("served nodes do not hash to the announced root")
 
-        siblings = [(bytes.fromhex(d), side) for d, side in reversed(lineage) if d is not None]
-        trainer_path = MerklePath(leaf_index=index, leaf=bytes.fromhex(trainer_digest),
-                                  siblings=siblings)
-        auditor_path = path(local_tree, index)
         report.outcome = DISPUTE_AT_LEAF
-        report.leaf_index = index
+        report.leaf_index = trainer_path.leaf_index
         report.trainer_path = trainer_path
-        report.auditor_path = auditor_path
+        report.auditor_path = path(local_tree, trainer_path.leaf_index)
         try:
             session.send({
                 "type": "verdict_claim",
-                "first_divergent_leaf": index,
+                "first_divergent_leaf": report.leaf_index,
                 "trainer_path": _path_to_wire(trainer_path),
-                "auditor_path": _path_to_wire(auditor_path),
+                "auditor_path": _path_to_wire(report.auditor_path),
             })
         except OSError:
             pass

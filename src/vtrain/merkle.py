@@ -2,10 +2,13 @@
 
 Internal nodes hash the concatenation of their children; an unpaired node
 at any level is promoted unchanged (no duplication, which avoids the
-duplicate-leaf malleability of the doubling rule). Weight hashing fixes a
-canonical serialization so two independent runs hash identically: tensors
-in declared order, row-major elements, each cast to FP32 and written as
-four little-endian bytes.
+duplicate-leaf malleability of the doubling rule). A path stores no
+sibling sides; as in RFC 6962 they follow from the leaf index. ``bisect``
+is the one descent to the first divergent leaf, for a local tree and for
+the socket game alike. Weight hashing fixes a canonical serialization so
+two independent runs hash identically: tensors in declared order,
+row-major elements, each cast to FP32 and written as four little-endian
+bytes.
 """
 
 from __future__ import annotations
@@ -41,15 +44,16 @@ class MerkleTree:
 
 @dataclass
 class MerklePath:
-    """Authentication path: the leaf digest plus sibling digests to the root.
+    """Authentication path: the leaf digest plus one sibling per level.
 
-    ``side`` is the sibling's position ("left" or "right"). Levels where
-    the on-path node was promoted contribute no sibling.
+    ``siblings`` runs from the leaf level up; ``None`` marks a level where
+    the on-path node was promoted. Each sibling's side is the parity of
+    the running index: an even index is a left child.
     """
 
     leaf_index: int
     leaf: bytes
-    siblings: list[tuple[bytes, str]]
+    siblings: list[bytes | None]
 
 
 def build(leaves: list[bytes]) -> MerkleTree:
@@ -86,56 +90,63 @@ def path(tree: MerkleTree, leaf_index: int) -> MerklePath:
     """Authentication path for one leaf."""
     if not 0 <= leaf_index < len(tree.leaves):
         raise IndexError(f"leaf index {leaf_index} out of range")
-    siblings: list[tuple[bytes, str]] = []
+    siblings: list[bytes | None] = []
     idx = leaf_index
-    for level in range(len(tree.levels) - 1):
-        row = tree.levels[level]
-        if idx % 2 == 0:
-            if idx + 1 < len(row):
-                siblings.append((row[idx + 1], "right"))
-            # else promoted: no sibling at this level
-        else:
-            siblings.append((row[idx - 1], "left"))
+    for row in tree.levels[:-1]:
+        sib = idx ^ 1
+        siblings.append(row[sib] if sib < len(row) else None)
         idx //= 2
     return MerklePath(leaf_index=leaf_index, leaf=tree.leaves[leaf_index], siblings=siblings)
 
 
 def verify_path(p: MerklePath, root: bytes) -> bool:
-    """Recompute the root from a path and compare."""
-    h = p.leaf
-    for sibling, side in p.siblings:
-        if side == "right":
-            h = _sha256(h + sibling)
-        elif side == "left":
+    """Recompute the root from a path, taking each side from the index.
+
+    Rejects a promoted level (``None``) on an odd index, where a left
+    sibling must exist, and index bits left over after the last level.
+    """
+    h, idx = p.leaf, p.leaf_index
+    for sibling in p.siblings:
+        if sibling is None:
+            if idx % 2:
+                return False
+        elif idx % 2:
             h = _sha256(sibling + h)
         else:
-            return False
-    return h == root
+            h = _sha256(h + sibling)
+        idx //= 2
+    return idx == 0 and h == root
 
 
-def _descend(a: MerkleTree, b: MerkleTree) -> tuple[int, int]:
-    """Leftmost divergent leaf index and the number of child comparisons."""
-    level = len(a.levels) - 1
-    index = 0
-    comparisons = 0
-    while level > 0:
-        child = level - 1
+def bisect(tree: MerkleTree, other_root: bytes, fetch) -> MerklePath:
+    """The other party's path to the leftmost leaf where it differs from ``tree``.
+
+    ``other_root`` must differ from ``tree.root``. At each level where the
+    disagreeing node has two children, calls ``fetch(level, index)`` for
+    both, left first, and descends into the leftmost child whose digest
+    differs from ``tree``; a promoted child carries its parent's digest
+    and is not fetched. Raises ValueError when both children match.
+    """
+    index, digest = 0, other_root
+    siblings: list[bytes | None] = []
+    for level in range(len(tree.levels) - 2, -1, -1):
+        row = tree.levels[level]
         li = 2 * index
-        row_a, row_b = a.levels[child], b.levels[child]
-        if li + 1 >= len(row_a):
-            index = li  # promoted single child carries the parent digest
-            level = child
-            continue
-        comparisons += 1
-        if row_a[li] != row_b[li]:
+        if li + 1 >= len(row):
+            siblings.append(None)
             index = li
+            continue
+        left, right = fetch(level, li), fetch(level, li + 1)
+        if left != row[li]:
+            index, digest = li, left
+            siblings.append(right)
+        elif right != row[li + 1]:
+            index, digest = li + 1, right
+            siblings.append(left)
         else:
-            comparisons += 1
-            if row_a[li + 1] == row_b[li + 1]:
-                raise RuntimeError("parent digests differ but both children match")
-            index = li + 1
-        level = child
-    return index, comparisons
+            raise ValueError("parent digests differ but both children match")
+    siblings.reverse()
+    return MerklePath(leaf_index=index, leaf=digest, siblings=siblings)
 
 
 def first_divergence(a: MerkleTree, b: MerkleTree) -> int | None:
@@ -148,8 +159,7 @@ def first_divergence(a: MerkleTree, b: MerkleTree) -> int | None:
         raise ValueError("checkpoint schedule mismatch")
     if a.root == b.root:
         return None
-    index, _ = _descend(a, b)
-    return index
+    return bisect(a, b.root, lambda level, i: b.levels[level][i]).leaf_index
 
 
 def hash_weights(tensors, b_m: int = 32) -> bytes:

@@ -10,9 +10,9 @@ accumulation orders in sync.
 
 Shared-randomness stream order is fixed and part of the protocol: the
 dataset is drawn first, then dense-layer weights in stage order, then one
-shuffle per epoch. Log write order is also fixed: per step, forward
-stages in order, then the loss gradient, then backward stages in reverse
-order, elements row-major.
+shuffle per epoch. Log write order is also fixed, and ``step_layout``
+gives it: per step, forward stages in order, then the loss gradient, then
+backward stages in reverse order, elements row-major.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class TauPolicy:
     value: float = DEFAULT_TAU
     table: dict | None = None
 
-    def lookup(self, stage_key: str, b_r: int) -> float:
+    def lookup(self, stage_key: str) -> float:
         if self.kind == "fixed":
             return self.value
         if self.table is None or stage_key not in self.table:
@@ -269,7 +269,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     if cfg.loss is None:
         raise ValueError("training requires a loss")
 
-    taus = {key: cfg.tau_policy.lookup(key, cfg.b_r) for key, _, _ in cfg.stage_dims()}
+    taus = {key: cfg.tau_policy.lookup(key) for key, _, _ in cfg.stage_dims()}
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
     per_step: list[StepStats] = []
@@ -450,23 +450,26 @@ class LogEstimate:
     file_bytes: int
 
 
-def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
-    """Upper-bound log size from the config alone.
+def step_layout(cfg: TrainConfig) -> list[tuple[str, int]]:
+    """Per-step log write order as (slot, entries) pairs.
 
-    Per step, the forward pass logs every trunk-stage output element and
-    the backward pass logs every stage's input-gradient element (the loss
-    stage included; its forward output is a scalar that is rounded but
-    never logged). Weight gradients contribute nothing.
+    Forward outputs of the trunk stages in order, then the loss gradient,
+    then each trunk stage's input gradient in reverse stage order. A slot
+    is the pass and the stage key, e.g. ``"forward:dense:4x8"`` or
+    ``"backward:loss:bce"``; the loss's forward output is a scalar that is
+    rounded but never logged, and weight gradients log nothing.
     """
-    fwd = 0
-    bwd = 0
-    for key, in_size, out_size in cfg.stage_dims():
-        if key.startswith("loss:"):
-            bwd += cfg.batch_size * in_size
-        else:
-            fwd += cfg.batch_size * out_size
-            bwd += cfg.batch_size * in_size
-    entries = cfg.steps * (fwd + bwd)
+    dims = cfg.stage_dims()
+    forward = [(f"forward:{key}", cfg.batch_size * out_size)
+               for key, _, out_size in dims if not key.startswith("loss:")]
+    backward = [(f"backward:{key}", cfg.batch_size * in_size)
+                for key, in_size, _ in reversed(dims)]
+    return forward + backward
+
+
+def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
+    """Upper-bound log size from the config alone: ``step_layout`` per step."""
+    entries = cfg.steps * sum(n for _, n in step_layout(cfg))
     return LogEstimate(
         entries=entries,
         payload_bytes=roundlog.payload_bytes_for(entries),

@@ -303,9 +303,6 @@ class DenseStage:
     def key(self) -> str:
         return f"dense:{self.in_dim}x{self.out_dim}"
 
-    def out_size(self, in_size: int) -> int:
-        return self.out_dim
-
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return dense_forward(x, self.W, self.b, profile)
 
@@ -325,9 +322,6 @@ class ReluStage:
     kind = "relu"
     key = "relu"
 
-    def out_size(self, in_size: int) -> int:
-        return in_size
-
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return relu_forward(x)
 
@@ -341,9 +335,6 @@ class ReluStage:
 class SigmoidStage:
     kind = "sigmoid"
     key = "sigmoid"
-
-    def out_size(self, in_size: int) -> int:
-        return in_size
 
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return sigmoid_forward(x)
@@ -361,18 +352,15 @@ LOSS_KINDS = ("softmax_xent", "bce")
 
 
 def build_stages(layer_specs) -> list:
-    """Instantiate trunk stages from (kind, in_dim, out_dim) specs."""
+    """Instantiate trunk stages from ``LayerSpec``s (kind, in_dim, out_dim)."""
     stages = []
     for spec in layer_specs:
-        kind = spec.kind if hasattr(spec, "kind") else spec["kind"]
-        if kind == "dense":
-            in_dim = spec.in_dim if hasattr(spec, "in_dim") else spec["in"]
-            out_dim = spec.out_dim if hasattr(spec, "out_dim") else spec["out"]
-            stages.append(DenseStage(in_dim, out_dim))
-        elif kind in _STAGE_KINDS:
-            stages.append(_STAGE_KINDS[kind]())
+        if spec.kind == "dense":
+            stages.append(DenseStage(spec.in_dim, spec.out_dim))
+        elif spec.kind in _STAGE_KINDS:
+            stages.append(_STAGE_KINDS[spec.kind]())
         else:
-            raise ValueError(f"unknown layer kind {kind!r}")
+            raise ValueError(f"unknown layer kind {spec.kind!r}")
     return stages
 
 

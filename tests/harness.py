@@ -8,21 +8,6 @@ from vtrain import protocol as pr
 from vtrain.roundlog import LogWriter
 
 
-def step_layout(cfg) -> tuple[int, tuple[int, int]]:
-    """Entries per step and the in-step offset range of the loss gradient."""
-    fwd = 0
-    loss_size = 0
-    bwd_after_loss = 0
-    for key, in_size, out_size in cfg.stage_dims():
-        if key.startswith("loss:"):
-            loss_size = cfg.batch_size * in_size
-        else:
-            fwd += cfg.batch_size * out_size
-            bwd_after_loss += cfg.batch_size * in_size
-    per_step = fwd + loss_size + bwd_after_loss
-    return per_step, (fwd, fwd + loss_size)
-
-
 def corrupt_one_entry(cfg, digits: np.ndarray, entry: int, path) -> None:
     """Write a copy of the log with one direction flipped to its opposite."""
     tampered = digits.copy()
@@ -39,7 +24,11 @@ def find_corruptible_entry(cfg, digits: np.ndarray, honest_root: bytes, path,
     the most direct weight influence). Returns (entry_index, step) and
     leaves the winning tampered log at ``path``, or None.
     """
-    per_step, (lo, hi) = step_layout(cfg)
+    layout = pr.step_layout(cfg)
+    per_step = sum(n for _, n in layout)
+    k = next(i for i, (slot, _) in enumerate(layout) if slot.startswith("backward:loss:"))
+    lo = sum(n for _, n in layout[:k])
+    hi = lo + layout[k][1]
     tries = 0
     for step in range(start_step, cfg.steps + 1):
         base = (step - 1) * per_step

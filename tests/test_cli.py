@@ -162,6 +162,56 @@ class TestServeDispute:
         assert json.loads(result.output)["outcome"] == "trainer_unresponsive"
 
 
+ANNOUNCE = {"type": "root_announce", "root": "ab" * 32, "leaf_count": 4}
+
+
+class TestMalformedTrainer:
+    """Malformed trainer replies end `dispute` with exit 4, never a traceback."""
+
+    def _fake_trainer(self, announce, node_reply):
+        # answers the hello with ``announce`` and every node_request with
+        # ``node_reply`` until the auditor hangs up
+        listener = game.listen(("127.0.0.1", 0))
+
+        def run():
+            with listener:
+                conn, _ = listener.accept()
+                with conn:
+                    try:
+                        game._recv(conn)
+                        game._send(conn, announce)
+                        while game._recv(conn)["type"] == "node_request":
+                            game._send(conn, node_reply)
+                    except OSError:
+                        pass
+
+        t = threading.Thread(target=run, daemon=True)
+        t.start()
+        return f"127.0.0.1:{listener.getsockname()[1]}", t
+
+    @pytest.mark.parametrize("announce, node_reply", [
+        ({"type": "root_announce", "root": "ab" * 32}, None),
+        (dict(ANNOUNCE, leaf_count="x"), None),
+        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0}),
+        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0, "digest": "zz" * 32}),
+        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0, "digest": "cd" * 32}),
+    ], ids=["no-leaf-count", "leaf-count-not-int", "no-digest", "digest-not-hex",
+            "nodes-miss-root"])
+    def test_protocol_error(self, runner, tmp_path, announce, node_reply):
+        tree_path = tmp_path / "local.vtmt"
+        leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
+        merkle.write_tree(merkle.build(leaves), tree_path)
+        addr, thread = self._fake_trainer(announce, node_reply)
+        result = runner.invoke(main, [
+            "dispute", str(tree_path), "--connect", addr, "--timeout", "5",
+        ])
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert result.exit_code == 4, result.output
+        assert result.output.count("protocol error:") == 1, result.output
+        assert "Traceback" not in result.output
+
+
 class TestThreshold:
     def test_bounds_respected(self, runner):
         result = runner.invoke(main, [

@@ -169,6 +169,20 @@ class TestServerBehavior:
         (resp,) = self._talk(addr, [{"type": "gibberish"}])
         assert resp["type"] == "refuse"
 
+    def test_bad_frame_then_good_challenge(self, served):
+        addr, launch = served
+        tree = tree_of(8)
+        server = launch(tree, sessions=2)
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+            s.settimeout(5)
+            s.connect(addr)
+            s.sendall((6).to_bytes(4, "little") + b"\xff\xfe\xfd\xfc\xfb\xfa")
+            assert game._recv(s)["type"] == "refuse"
+        report = game.challenge(tree, addr, timeout=5)
+        assert report.outcome == game.TRAINING_VERIFIED
+        server.thread.join(timeout=5)
+        assert not server.thread.is_alive()
+
     def test_verdict_claim_recorded(self, served):
         addr, launch = served
         trainer = tree_of(8, flips=(2,))
@@ -203,8 +217,15 @@ class TestJudge:
 
     def test_rejects_tampered_sibling(self, served):
         report, trainer, auditor = self._dispute(served)
-        digest, side = report.trainer_path.siblings[0]
-        report.trainer_path.siblings[0] = (bytes(32), side)
+        siblings = report.trainer_path.siblings
+        i = next(i for i, d in enumerate(siblings) if d is not None)
+        siblings[i] = bytes(32)
+        assert not game.judge_check(report, trainer.root, auditor.root)
+
+    def test_rejects_relabelled_leaf(self, served):
+        report, trainer, auditor = self._dispute(served, n=8, flip=5)
+        assert game.judge_check(report, trainer.root, auditor.root)
+        report.leaf_index = report.trainer_path.leaf_index = report.auditor_path.leaf_index = 2
         assert not game.judge_check(report, trainer.root, auditor.root)
 
     def test_rejects_mismatched_leaf_index(self, served):
@@ -228,11 +249,12 @@ class TestJudge:
         for _ in range(60):
             corrupted = json.loads(json.dumps(wire))
             which = rng.integers(0, 2)
-            if which == 0 and corrupted["siblings"]:
-                i = int(rng.integers(0, len(corrupted["siblings"])))
-                raw = bytearray(bytes.fromhex(corrupted["siblings"][i][0]))
+            filled = [i for i, d in enumerate(corrupted["siblings"]) if d is not None]
+            if which == 0 and filled:
+                i = filled[int(rng.integers(0, len(filled)))]
+                raw = bytearray(bytes.fromhex(corrupted["siblings"][i]))
                 raw[rng.integers(0, 32)] ^= 1 << int(rng.integers(0, 8))
-                corrupted["siblings"][i][0] = bytes(raw).hex()
+                corrupted["siblings"][i] = bytes(raw).hex()
             else:
                 raw = bytearray(bytes.fromhex(corrupted["leaf"]))
                 raw[rng.integers(0, 32)] ^= 1 << int(rng.integers(0, 8))

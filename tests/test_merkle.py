@@ -72,7 +72,7 @@ class TestNodeAndPath:
     def test_two_leaf_path(self):
         t = merkle.build([leaf(1), leaf(2)])
         p = merkle.path(t, 0)
-        assert p.siblings == [(leaf(2), "right")]
+        assert p.siblings == [leaf(2)]
         assert merkle.verify_path(p, t.root)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 31, 64])
@@ -81,10 +81,19 @@ class TestNodeAndPath:
         for i in range(n):
             assert merkle.verify_path(merkle.path(t, i), t.root)
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+    def test_path_verifies_only_at_its_index(self, n):
+        t = merkle.build([leaf(i) for i in range(n)])
+        for i in range(n):
+            p = merkle.path(t, i)
+            for j in range(-1, 2 * n):
+                p.leaf_index = j
+                assert merkle.verify_path(p, t.root) == (j == i), (i, j)
+
     def test_tampered_path_fails(self):
         t = merkle.build([leaf(i) for i in range(8)])
         p = merkle.path(t, 3)
-        p.siblings[1] = (leaf(99), p.siblings[1][1])
+        p.siblings[1] = leaf(99)
         assert not merkle.verify_path(p, t.root)
 
 
@@ -124,8 +133,14 @@ class TestFirstDivergence:
         other = list(base)
         other[n - 1] = leaf(777)
         a, b = merkle.build(base), merkle.build(other)
-        _, comparisons = merkle._descend(a, b)
-        assert comparisons <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2
+        fetches = []
+
+        def fetch(level, index):
+            fetches.append((level, index))
+            return b.levels[level][index]
+
+        merkle.bisect(a, b.root, fetch)
+        assert len(fetches) <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2
 
 
 class TestHashWeights:
