@@ -14,7 +14,8 @@ Wire format: 4-byte little-endian length prefix, then a UTF-8 JSON object
 with a "type" field. Digests travel as lowercase hex. Tree coordinates
 are (level, index) with level 0 the leaves. A path is its leaf index, its
 leaf and a list with one sibling per level, leaf first, ``null`` where the
-node was promoted; sides follow from the index (protocol version 2).
+node was promoted; sides follow from the index (protocol version 2). The
+server refuses a ``hello`` that names another version.
 """
 
 from __future__ import annotations
@@ -139,6 +140,9 @@ class GameServer:
                     return
                 kind = msg["type"]
                 if kind == "hello":
+                    if msg.get("protocol_version") != PROTOCOL_VERSION:
+                        _send(conn, {"type": "refuse", "reason": "unsupported protocol version"})
+                        return
                     _send(conn, {
                         "type": "root_announce",
                         "root": self.tree.root_hex,

@@ -17,6 +17,14 @@ parameter-gradient accumulation is pinned to exact sequential FP64 so the
 weight update is a pure function of the (already synchronized)
 activations and gradients.
 
+A dense layer's sums (output, input gradient, weight gradient) are each a
+sum of outer products, one per term of the reduced axis. Terms of 512 or
+more elements are formed one at a time and folded in the profile's order,
+so the (batch, out, in) product tensor is never built; smaller terms are
+built at once and reduced with ``reduce_last_axis``. Both ways perform the
+same IEEE products and adds in the same order, so results, logs and roots
+are bit-identical either way.
+
 Randomness is SplitMix64, specified by constants and identical on every
 platform, so two parties given the same seed draw the same datasets,
 weights, and batch orders.
@@ -135,13 +143,44 @@ def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
     return a
 
 
-def _add(x, y, b_tr: int):
-    """One accumulator add: x + y, rounded to the accumulator width."""
-    s = x + y
-    return s if b_tr == 64 else round_to_width(np.asarray(s), b_tr)
+def _add(acc: np.ndarray, y: np.ndarray, b_tr: int) -> np.ndarray:
+    """One accumulator add, in place: acc + y, rounded to the accumulator width."""
+    acc += y
+    return acc if b_tr == 64 else round_to_width(acc, b_tr)
 
 
-def _seq_last(a: np.ndarray, reverse: bool = False, b_tr: int = 64) -> np.ndarray:
+def _ordered_sum(seq, n: int, profile: DeviceProfile) -> np.ndarray:
+    """Sum n terms in the profile's association order.
+
+    ``seq(lo, hi, reverse)`` returns the one-add-at-a-time fold of terms
+    ``lo..hi-1`` (last to first when ``reverse``), each partial sum rounded
+    to ``profile.b_tr``; the profile decides how those folds combine. Folds
+    are combined in place, so ``seq`` must return an array no caller holds.
+    """
+    b_tr = profile.b_tr
+    if profile.strategy == "sequential":
+        return seq(0, n, False)
+    if profile.strategy == "reversed":
+        return seq(0, n, True)
+    if profile.strategy == "pairwise":
+
+        def pairwise(lo, hi):
+            if hi - lo == 1:
+                return seq(lo, hi, False)
+            mid = lo + (hi - lo) // 2
+            return _add(pairwise(lo, mid), pairwise(mid, hi), b_tr)
+
+        return pairwise(0, n)
+    c = profile.chunk_size
+    acc = seq(0, min(c, n), False)
+    for lo in range(c, n, c):
+        acc = _add(acc, seq(lo, min(lo + c, n), False), b_tr)
+    return acc
+
+
+def _seq_last(a: np.ndarray, reverse: bool, b_tr: int) -> np.ndarray:
+    if a.shape[-1] == 1:
+        return a[..., 0].copy()
     if reverse:
         a = a[..., ::-1]
     if b_tr == 64:
@@ -156,33 +195,6 @@ def _seq_last(a: np.ndarray, reverse: bool = False, b_tr: int = 64) -> np.ndarra
     return acc
 
 
-def seq_fold_reference(a: np.ndarray, reverse: bool = False) -> np.ndarray:
-    """Explicit one-add-at-a-time fold, for cross-checking _seq_last."""
-    n = a.shape[-1]
-    order = range(n - 1, -1, -1) if reverse else range(n)
-    it = iter(order)
-    acc = a[..., next(it)].copy()
-    for i in it:
-        acc = acc + a[..., i]
-    return acc
-
-def _pairwise_last(a: np.ndarray, b_tr: int = 64) -> np.ndarray:
-    n = a.shape[-1]
-    if n == 1:
-        return a[..., 0].copy()
-    mid = n // 2
-    return _add(_pairwise_last(a[..., :mid], b_tr), _pairwise_last(a[..., mid:], b_tr), b_tr)
-
-
-def _chunked_last(a: np.ndarray, c: int, b_tr: int = 64) -> np.ndarray:
-    n = a.shape[-1]
-    sums = [_seq_last(a[..., i : min(i + c, n)], b_tr=b_tr) for i in range(0, n, c)]
-    acc = sums[0]
-    for s in sums[1:]:
-        acc = _add(acc, s, b_tr)
-    return acc
-
-
 def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     """Sum over the last axis in the profile's association order.
 
@@ -192,16 +204,11 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     width.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.shape[-1] == 0:
+    n = a.shape[-1]
+    if n == 0:
         return np.zeros(a.shape[:-1])
-    b_tr = profile.b_tr
-    if profile.strategy == "sequential":
-        return _seq_last(a, b_tr=b_tr)
-    if profile.strategy == "reversed":
-        return _seq_last(a, reverse=True, b_tr=b_tr)
-    if profile.strategy == "pairwise":
-        return _pairwise_last(a, b_tr)
-    return _chunked_last(a, profile.chunk_size, b_tr)
+    return _ordered_sum(lambda lo, hi, rev: _seq_last(a[..., lo:hi], rev, profile.b_tr),
+                        n, profile)
 
 
 def reduce_values(values, profile: DeviceProfile) -> float:
@@ -209,13 +216,44 @@ def reduce_values(values, profile: DeviceProfile) -> float:
     return float(reduce_last_axis(np.asarray(values, dtype=np.float64), profile))
 
 
+# Below this many elements per term, building all n terms at once and
+# folding them with reduce_last_axis beats a Python loop over the terms.
+_MIN_FOLD_TERM = 512
+
+
+def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarray:
+    """Sum over k of the outer product A[k] x B[k], in the profile's order over k.
+
+    Each element is the same IEEE product and the same sequence of adds as
+    reducing the materialised (p, q, n) product tensor over its last axis.
+    Large terms are formed one at a time into a reused buffer, so that
+    tensor is never built.
+    """
+    n, p, q = A.shape[0], A.shape[1], B.shape[1]
+    if n == 0 or p * q < _MIN_FOLD_TERM:
+        return reduce_last_axis(A.T[:, None, :] * B.T[None, :, :], profile)
+    A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    b_tr = profile.b_tr
+    term = np.empty((p, q))
+
+    def seq(lo, hi, reverse):
+        ks = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
+        acc = np.multiply.outer(A[ks[0]], B[ks[0]])
+        for k in ks[1:]:
+            np.multiply.outer(A[k], B[k], out=term)
+            acc += term
+            if b_tr < 64:
+                round_to_width(acc, b_tr)
+        return acc
+
+    return _ordered_sum(seq, n, profile)
+
+
 def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     """x @ W + b with profile-ordered accumulation over the input axis."""
     if x.shape[1] != W.shape[0] or b.shape[0] != W.shape[1]:
         raise ValueError(f"dense shape mismatch: x{x.shape} W{W.shape} b{b.shape}")
-    prods = x[:, None, :] * W.T[None, :, :]  # (batch, out, in), reduce axis last
-    out = reduce_last_axis(prods, profile)
-    return out + b
+    return _outer_sum(x.T, W, profile) + b
 
 
 def dense_backward(
@@ -230,9 +268,8 @@ def dense_backward(
     """
     if grad_out.shape != (x.shape[0], W.shape[1]):
         raise ValueError(f"dense backward shape mismatch: g{grad_out.shape} x{x.shape} W{W.shape}")
-    grad_x = reduce_last_axis(grad_out[:, None, :] * W[None, :, :], profile)
-    prods_w = x.T[:, None, :] * grad_out.T[None, :, :]  # (in, out, batch), reduce axis last
-    grad_W = reduce_last_axis(prods_w, SEQUENTIAL)
+    grad_x = _outer_sum(grad_out.T, W.T, profile)
+    grad_W = _outer_sum(x, grad_out, SEQUENTIAL)
     grad_b = reduce_last_axis(np.ascontiguousarray(grad_out.T), SEQUENTIAL)
     return grad_x, grad_W, grad_b
 

@@ -2,7 +2,10 @@
 
 import importlib.util
 
+import numpy as np
 from conftest import REPO_ROOT
+
+from vtrain import simnet
 
 
 def load_spans():
@@ -24,3 +27,23 @@ def test_tracer_installs_and_restores_every_target():
         tracer.uninstall()
     for (owner, attr, name, _), original in zip(spans.TARGETS, originals):
         assert getattr(owner, attr) is original, name
+
+
+def test_dense_stage_calls_the_wrapped_kernel():
+    # bench/spans.py measures dense layers only through these two functions,
+    # so a DenseStage that bypasses them would zero the per-layer metrics
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    for batch, n_in, n_out in ((4, 3, 5), (32, 32, 64)):  # both sides of the fold size rule
+        stage = simnet.DenseStage(n_in, n_out)
+        stage.W = rng.normal(size=(n_in, n_out))
+        x, g = rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n_out))
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            y = stage.forward(x, simnet.SEQUENTIAL)
+            stage.backward(x, y, g, simnet.SEQUENTIAL)
+        finally:
+            tracer.uninstall()
+        assert [s[0] for s in tracer.spans] == ["simnet.dense_forward", "simnet.dense_backward"]
+        assert tracer.counts["simnet.madds"] == 3 * batch * n_in * n_out

@@ -136,7 +136,9 @@ class TestServerBehavior:
         addr, launch = served
         tree = tree_of(5)
         launch(tree)
-        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": 1, "run_id": "x"}])
+        (resp,) = self._talk(addr, [
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
+        ])
         assert resp["type"] == "root_announce"
         assert resp["root"] == tree.root_hex
         assert resp["leaf_count"] == 5
@@ -146,7 +148,7 @@ class TestServerBehavior:
         tree = tree_of(4)
         launch(tree)
         resps = self._talk(addr, [
-            {"type": "hello", "protocol_version": 1, "run_id": "x"},
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
             {"type": "node_request", "level": 0, "index": 0},
         ])
         assert resps[1] == {
@@ -158,10 +160,21 @@ class TestServerBehavior:
         addr, launch = served
         launch(tree_of(4))
         resps = self._talk(addr, [
-            {"type": "hello", "protocol_version": 1, "run_id": "x"},
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
             {"type": "node_request", "level": 0, "index": 9},
         ])
         assert resps[1]["type"] == "refuse"
+
+    def test_old_protocol_version_refused(self, served):
+        addr, launch = served
+        tree = tree_of(8)
+        server = launch(tree, sessions=2)
+        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": 1, "run_id": "x"}])
+        assert resp == {"type": "refuse", "reason": "unsupported protocol version"}
+        report = game.challenge(tree, addr, timeout=5)
+        assert report.outcome == game.TRAINING_VERIFIED
+        server.thread.join(timeout=5)
+        assert not server.thread.is_alive()
 
     def test_unknown_type_refused(self, served):
         addr, launch = served

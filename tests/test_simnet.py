@@ -1,6 +1,7 @@
 """Kernel: reductions, layers, gradients, PRNG, dataset, batching."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,21 @@ ALL_PROFILES = (SEQ, REV, PW, CH7)
 
 # first outputs of the reference stream for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
+
+
+def seq_fold_reference(a: np.ndarray, order=None, b_tr: int = 64) -> np.ndarray:
+    """Add a[..., i] for i in ``order`` (default left to right) one at a time.
+
+    Below 64, each partial sum is rounded to the b_tr accumulator width by
+    ``width_oracle``.
+    """
+    order = list(range(a.shape[-1]) if order is None else order)
+    acc = a[..., order[0]].copy()
+    for i in order[1:]:
+        acc = acc + a[..., i]
+        if b_tr < 64:
+            acc = np.vectorize(width_oracle, otypes=[float])(acc, b_tr)
+    return acc
 
 
 class TestRng:
@@ -87,9 +103,9 @@ class TestReduce:
     def test_sequential_matches_reference_fold(self):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(33, 257)) * np.exp2(rng.integers(-25, 25, size=(33, 257)))
-        assert np.array_equal(sn.reduce_last_axis(a, SEQ), sn.seq_fold_reference(a))
+        assert np.array_equal(sn.reduce_last_axis(a, SEQ), seq_fold_reference(a))
         assert np.array_equal(
-            sn.reduce_last_axis(a, REV), sn.seq_fold_reference(a, reverse=True)
+            sn.reduce_last_axis(a, REV), seq_fold_reference(a, order=range(256, -1, -1))
         )
 
     def test_pairwise_association(self):
@@ -277,6 +293,86 @@ class TestDense:
             _, gW, gb = sn.dense_backward(g, x, W, p)
             assert np.array_equal(gW, refs[1])
             assert np.array_equal(gb, refs[2])
+
+
+def profile_fold_reference(a: np.ndarray, profile: sn.DeviceProfile) -> np.ndarray:
+    """The profile's association order over the last axis, built from seq_fold_reference."""
+    n, b_tr = a.shape[-1], profile.b_tr
+    if profile.strategy == "sequential":
+        return seq_fold_reference(a, b_tr=b_tr)
+    if profile.strategy == "reversed":
+        return seq_fold_reference(a, order=range(n - 1, -1, -1), b_tr=b_tr)
+    if profile.strategy == "pairwise":
+        if n == 1:
+            return a[..., 0].copy()
+        halves = [profile_fold_reference(a[..., : n // 2], profile),
+                  profile_fold_reference(a[..., n // 2 :], profile)]
+        return seq_fold_reference(np.stack(halves, axis=-1), b_tr=b_tr)
+    c = profile.chunk_size
+    sums = [seq_fold_reference(a[..., i : i + c], b_tr=b_tr) for i in range(0, n, c)]
+    return seq_fold_reference(np.stack(sums, axis=-1), b_tr=b_tr)
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (batch, in, out). Terms of 512 or more elements are folded one at a time,
+# smaller ones materialised: forward terms are batch x out, input-gradient
+# terms batch x in, weight-gradient terms in x out.
+DENSE_SHAPES = [
+    (3, 5, 7),  # every sum materialised
+    (24, 9, 32),  # forward folded (768), both gradients materialised
+    (32, 33, 16),  # all three folded, forward at exactly 512, odd n = 33
+    (600, 1, 1),  # n = 1 for forward and grad_x, width-1 output
+    (640, 5, 1),  # width-1 output folded, chunk of 7 longer than n = 5
+    (1, 700, 3),  # single-sample batch, grad_W folded over n = 1
+]
+
+
+class TestDenseKernelExact:
+    """dense_forward/dense_backward against one-add-at-a-time oracles."""
+
+    @pytest.mark.parametrize("shape", DENSE_SHAPES, ids=str)
+    @pytest.mark.parametrize("b_tr", (64, 50))
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_matches_reference(self, profile, b_tr, shape):
+        batch, n_in, n_out = shape
+        rng = np.random.default_rng(batch * 1000 + n_in * 10 + n_out)
+        scale = lambda size: np.exp2(rng.integers(-20, 20, size=size))
+        x = rng.normal(size=(batch, n_in)) * scale((batch, n_in))
+        W = rng.normal(size=(n_in, n_out))
+        b = rng.normal(size=n_out)
+        g = rng.normal(size=(batch, n_out)) * scale((batch, n_out))
+        x[0, 0] = -0.0
+        p = replace(profile, b_tr=b_tr)
+
+        out = sn.dense_forward(x, W, b, p)
+        assert same_bits(out, profile_fold_reference(x[:, None, :] * W.T[None, :, :], p) + b)
+
+        grad_x, grad_W, grad_b = sn.dense_backward(g, x, W, p)
+        assert same_bits(grad_x, profile_fold_reference(g[:, None, :] * W[None, :, :], p))
+        # weight gradients are the exact FP64 sequential fold on every profile
+        assert same_bits(grad_W, seq_fold_reference(x.T[:, None, :] * g.T[None, :, :]))
+        assert same_bits(grad_b, seq_fold_reference(g.T))
+
+
+class TestDenseMemory:
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_no_product_tensor(self, profile):
+        # x (512 x 32) and W (32 x 256): the (batch, out, in) product tensor is 32 MiB
+        rng = np.random.default_rng(25)
+        x, W = rng.normal(size=(512, 32)), rng.normal(size=(32, 256))
+        b, g = np.zeros(256), rng.normal(size=(512, 256))
+        product_bytes = x.shape[0] * W.size * 8
+        tracemalloc.start()
+        try:
+            sn.dense_forward(x, W, b, profile)
+            sn.dense_backward(g, x, W, profile)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < product_bytes / 2, f"peak {peak / 2**20:.1f} MiB"
 
 
 def numeric_grad(f, x, h=1e-6):
