@@ -15,8 +15,14 @@ on the same grid point the original party chose.
 
 Everything here is implemented on the bit representation so that results
 are identical across machines. Functions come in scalar and ``*_array``
-forms; the array forms take and return ``float64`` ndarrays and are the
-ones used in hot paths.
+forms; the array forms take and return ``float64`` ndarrays.
+
+Each party splits a logged tensor into its bit fields once. The trainer's
+``round_and_code`` gives the rounded tensor and its codes; the auditor's
+``replay`` gives the replayed tensor and the number of elements the codes
+moved off nearest rounding. ``direction_array`` and ``rev_array`` are
+views of these two kernels, and ``rnd_array`` and ``grid_neighbors_array``
+use the same bit split.
 """
 
 from __future__ import annotations
@@ -37,9 +43,6 @@ MAX_B_TR = 64
 # Smallest normal FP32 magnitude; used as the exponent-scale floor so the
 # threshold test never works with a vanishing scale.
 SCALE_FLOOR = 2.0 ** -126
-
-_SIGN64 = np.uint64(1 << 63)
-_MAG64 = np.uint64((1 << 63) - 1)
 
 
 def _check_b(b_r: int) -> None:
@@ -110,54 +113,87 @@ class RoundingParams:
 
 
 def _require_finite(arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("non-finite value")
 
 
-def _prepare(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Owned float64 working copy plus its uint64 view, at least 1-d."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64)).copy()
-    bits = arr.view(np.uint64)
-    return arr, bits, bits & _MAG64
+class _GridBits:
+    """One bit split of float64 values against the b_r grid.
 
+    This is the only code that knows the bit layout. Per element it holds
+    the sign bit, the magnitude bits of the grid point truncated toward
+    zero (``toward``) and of the next one away from zero (``away``, equal
+    to ``toward`` on the grid), and ``up``, true where nearest rounding
+    (ties to the even kept bit) takes ``away``. Below 2^-126 the grid is
+    absolute (FP32-subnormal spacing), so the mantissa shift does not
+    apply there; those elements are recomputed by scaling, and only when
+    the input has one.
+    """
 
-def _rnd_bits(arr: np.ndarray, bits: np.ndarray, mag: np.ndarray, b_r: int) -> np.ndarray:
-    """Nearest-grid rounding, ties to even on the kept mantissa bits."""
-    kept = b_r - 9
-    drop = np.uint64(52 - kept)
-    sign = bits & _SIGN64
+    _MAG = np.uint64((1 << 63) - 1)
+    _EXPONENT = np.uint64(0x7FF << 52)
+    _FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
 
-    # Normal FP32 range: one rounding of the FP64 significand. Working on
-    # the magnitude bit pattern lets the mantissa carry roll into the
-    # exponent field, which is exactly the right behaviour at binade edges.
-    low_mask = np.uint64((1 << int(drop)) - 1)
-    half = np.uint64(1 << (int(drop) - 1))
-    base = mag >> drop
-    low = mag & low_mask
-    round_up = (low > half) | ((low == half) & ((base & np.uint64(1)) == np.uint64(1)))
-    norm_bits = sign | ((base + round_up.astype(np.uint64)) << drop)
-    norm_val = norm_bits.view(np.float64)
+    def __init__(self, x, b_r: int):
+        _check_b(b_r)
+        self.b_r = b_r
+        self.arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        _require_finite(self.arr)
+        bits = self.arr.view(np.uint64)
+        self.mag = bits & self._MAG
+        self.sign = bits ^ self.mag
+        self.neg = np.signbit(self.arr)
 
-    # Below 2^-126 the grid is absolute (FP32-subnormal spacing), so the
-    # mantissa-shift trick does not apply. Scaling by a power of two is
-    # exact here, as is rint on integers below 2^23.
-    in_normal = np.abs(arr) >= SCALE_FLOOR
-    q_log2 = (32 - b_r) - 149
-    tiny = np.where(in_normal, 0.0, arr)
-    sub_val = np.rint(tiny * 2.0 ** -q_log2) * 2.0 ** q_log2
+        # Normal FP32 range: one rounding of the FP64 significand. Working
+        # on the magnitude bit pattern lets the mantissa carry roll into the
+        # exponent field, which is exactly the right behaviour at binade
+        # edges.
+        drop = 52 - (b_r - 9)
+        low_mask = np.uint64((1 << drop) - 1)
+        low = self.mag & low_mask
+        self.toward = self.mag ^ low
+        self.away = (self.mag + low_mask) & ~low_mask
+        kept_lsb = (self.mag >> np.uint64(drop)) & np.uint64(1)
+        self.up = (low + kept_lsb) > np.uint64(1 << (drop - 1))
 
-    return np.where(in_normal, norm_val, sub_val)
+        tiny = (self.mag - np.uint64(1)) < self._FLOOR - np.uint64(1)  # 0 < |x| < 2^-126
+        if tiny.any():
+            # Scaling by a power of two is exact here, as are floor, ceil
+            # and rint on values below 2^23.
+            q_log2 = (32 - b_r) - 149
+            s = self.mag[tiny].view(np.float64) * 2.0 ** -q_log2
+            below = np.floor(s)
+            self.toward[tiny] = (below * 2.0 ** q_log2).view(np.uint64)
+            self.away[tiny] = (np.ceil(s) * 2.0 ** q_log2).view(np.uint64)
+            self.up[tiny] = np.rint(s) != below
+
+    def exponent_scale(self) -> np.ndarray:
+        """2^E per element (1 <= |x| / 2^E < 2), floored at 2^-126."""
+        return np.maximum(self.mag & self._EXPONENT, self._FLOOR).view(np.float64)
+
+    def values(self, mag: np.ndarray) -> np.ndarray:
+        """Signed values with the given magnitude bits; none may pass grid_max."""
+        if mag.view(np.float64).max(initial=0.0) > grid_max(self.b_r):
+            raise ValueError("out of representable range")
+        return (self.sign | mag).view(np.float64)
 
 
 def rnd_array(x, b_r: int) -> np.ndarray:
     """Round each element onto the b_r grid (nearest, ties to even)."""
-    _check_b(b_r)
-    arr, bits, mag = _prepare(x)
-    _require_finite(arr)
-    out = _rnd_bits(arr, bits, mag, b_r)
-    if np.any(np.abs(out) > grid_max(b_r)):
-        raise ValueError("out of representable range")
-    return out.reshape(np.shape(x)) if np.shape(x) else out
+    g = _GridBits(x, b_r)
+    return g.values(np.where(g.up, g.away, g.toward))
+
+
+def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """The trainer's pass: ``rnd_array`` and ``direction_array`` from one bit split."""
+    g = _GridBits(x, b_r)
+    rounded = g.values(np.where(g.up, g.away, g.toward))
+    # r - x is exact (Sterbenz), and |r - x| > t splits into r - x > t (UP)
+    # and r - x < -t (DOWN); the two comparisons sum to DOWN, IGNORE or UP.
+    d = rounded - g.arr
+    t = g.exponent_scale() * np.float64(tau)
+    codes = (d > t).view(np.uint8) + (d >= -t).view(np.uint8)
+    return rounded, codes
 
 
 def rnd(x: float, b_r: int) -> float:
@@ -192,14 +228,7 @@ def direction_array(x, b_r: int, tau: float) -> np.ndarray:
     The comparison scale is the element's exponent scale floored at
     2^-126, so FP32-subnormal values use the bottom normal binade's scale.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    r = rnd_array(arr, b_r)
-    scale = np.maximum(exponent_scale_array(arr), SCALE_FLOOR)
-    logged = np.abs(arr - r) > scale * np.float64(tau)
-    out = np.full(arr.shape, IGNORE, dtype=np.uint8)
-    out[logged & (arr < r)] = UP
-    out[logged & (arr > r)] = DOWN
-    return out.reshape(np.shape(x)) if np.shape(x) else out
+    return round_and_code(x, b_r, tau)[1]
 
 
 def direction(x: float, p: RoundingParams) -> int:
@@ -209,44 +238,34 @@ def direction(x: float, p: RoundingParams) -> int:
 
 def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest grid value <= x and smallest grid value >= x, per element."""
-    _check_b(b_r)
-    arr, bits, mag = _prepare(x)
-    _require_finite(arr)
-    if np.any(np.abs(arr) > grid_max(b_r)):
-        raise ValueError("out of representable range")
-
-    kept = b_r - 9
-    drop = np.uint64(52 - kept)
-    sign = bits & _SIGN64
-    trunc_mag = (mag >> drop) << drop
-    on_grid = trunc_mag == mag
-    step = np.uint64(1 << int(drop))
-    away_mag = trunc_mag + np.where(on_grid, np.uint64(0), step)
-    toward = (sign | trunc_mag).view(np.float64)
-    away = (sign | away_mag).view(np.float64)
-    pos = arr >= 0.0
-    below_n = np.where(pos, toward, away)
-    above_n = np.where(pos, away, toward)
-
-    in_normal = np.abs(arr) >= SCALE_FLOOR
-    q_log2 = (32 - b_r) - 149
-    tiny = np.where(in_normal, 0.0, arr)
-    scaled = tiny * 2.0 ** -q_log2
-    below_s = np.floor(scaled) * 2.0 ** q_log2
-    above_s = np.ceil(scaled) * 2.0 ** q_log2
-
-    below = np.where(in_normal, below_n, below_s)
-    above = np.where(in_normal, above_n, above_s)
-    if np.shape(x):
-        below = below.reshape(np.shape(x))
-        above = above.reshape(np.shape(x))
-    return below, above
+    g = _GridBits(x, b_r)
+    return (g.values(np.where(g.neg, g.away, g.toward)),
+            g.values(np.where(g.neg, g.toward, g.away)))
 
 
 def grid_neighbors(x: float, b_r: int) -> tuple[float, float]:
     """Scalar form of grid_neighbors_array."""
     below, above = grid_neighbors_array(x, b_r)
     return float(below[0]), float(above[0])
+
+
+def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
+    """The auditor's pass: ``rev_array`` and its correction count from one bit split.
+
+    Where the code points against nearest rounding, the result is the grid
+    neighbour the code names; everywhere else it is ``rnd``. The count is
+    the number of elements moved off their nearest grid point.
+    """
+    g = _GridBits(x, b_r)
+    c = np.atleast_1d(np.asarray(codes))
+    if c.shape != g.arr.shape:
+        raise ValueError(f"codes shape {c.shape} does not match values shape {g.arr.shape}")
+    if c.size and (c.min() < DOWN or c.max() > UP):
+        raise ValueError("invalid direction code")
+    # UP names the neighbour above x: away from zero when x is positive.
+    take_away = np.where(c == IGNORE, g.up, (c == UP) != g.neg)
+    moved = (take_away != g.up) & (g.away != g.toward)
+    return g.values(np.where(take_away, g.away, g.toward)), int(np.count_nonzero(moved))
 
 
 def rev_array(x, b_r: int, codes) -> np.ndarray:
@@ -256,20 +275,7 @@ def rev_array(x, b_r: int, codes) -> np.ndarray:
     the code is 1), this is plain ``rnd``. Where the code points the other
     way, the adjacent grid value on the coded side of x is taken instead.
     """
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    c = np.atleast_1d(np.asarray(codes))
-    if c.shape != arr.shape:
-        raise ValueError(f"codes shape {c.shape} does not match values shape {arr.shape}")
-    if c.size and (c.min() < DOWN or c.max() > UP):
-        raise ValueError("invalid direction code")
-    r = rnd_array(arr, b_r)
-    below, above = grid_neighbors_array(arr, b_r)
-    out = r.copy()
-    force_down = (c == DOWN) & (arr < r)
-    force_up = (c == UP) & (arr > r)
-    out[force_down] = below[force_down]
-    out[force_up] = above[force_up]
-    return out.reshape(np.shape(x)) if np.shape(x) else out
+    return replay(x, b_r, codes)[0]
 
 
 def rev(x: float, b_r: int, c: int) -> float:

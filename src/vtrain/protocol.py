@@ -29,13 +29,14 @@ from .fpround import (
     IGNORE,
     SCALE_FLOOR,
     check_b_tr,
-    direction_array,
     exponent_scale_array,
-    rnd,
+    replay,
     rnd_array,
-    rev_array,
+    round_and_code,
     tau_bounds,
 )
+# Not called here, but bench/spans.py traces protocol.direction_array and protocol.rev_array.
+from .fpround import direction_array, rev_array  # noqa: F401
 from .roundlog import LogExhaustedError, LogReader, LogWriter
 from .simnet import (
     SEQUENTIAL,
@@ -214,9 +215,8 @@ class _TrainerChannel:
         self.b_r = b_r
 
     def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int, int]:
-        codes = direction_array(values, self.b_r, tau)
+        rounded, codes = round_and_code(values, self.b_r, tau)
         self.writer.write_array(codes.reshape(-1))
-        rounded = rnd_array(values, self.b_r)
         return rounded, int(np.count_nonzero(codes != IGNORE)), 0
 
 
@@ -229,8 +229,7 @@ class _AuditorChannel:
 
     def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int, int]:
         codes = self.reader.read_array(values.size).reshape(values.shape)
-        replayed = rev_array(values, self.b_r, codes)
-        corrections = int(np.count_nonzero(replayed != rnd_array(values, self.b_r)))
+        replayed, corrections = replay(values, self.b_r, codes)
         return replayed, 0, corrections
 
 
@@ -292,7 +291,6 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         loss_raw, grad_raw = _loss_forward(cfg.loss, cur, yb, profile)
         if not np.isfinite(loss_raw):
             raise TrainingDiverged(f"non-finite loss at step {t}")
-        rnd(loss_raw, cfg.b_r)  # loss is rounded but never logged
 
         grad, directed, corrected = channel.process(grad_raw, taus[loss_key])
         stats.backward_directed += directed
@@ -457,7 +455,7 @@ def step_layout(cfg: TrainConfig) -> list[tuple[str, int]]:
     then each trunk stage's input gradient in reverse stage order. A slot
     is the pass and the stage key, e.g. ``"forward:dense:4x8"`` or
     ``"backward:loss:bce"``; the loss's forward output is a scalar that is
-    rounded but never logged, and weight gradients log nothing.
+    never logged, and weight gradients log nothing.
     """
     dims = cfg.stage_dims()
     forward = [(f"forward:{key}", cfg.batch_size * out_size)

@@ -76,9 +76,12 @@ class Rng:
         return (self.next_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates; swap i takes ``next_below(i + 1)``, i from n - 1 down."""
+        n = len(items)
+        if n < 2:
+            return
+        js = self.next_block(n - 1) % np.arange(n, 1, -1, dtype=np.uint64)
+        for i, j in zip(range(n - 1, 0, -1), js.tolist()):
             items[i], items[j] = items[j], items[i]
 
 

@@ -13,25 +13,19 @@ B_VALUES = (10, 26, 29, 32)
 def oracle_neighbors(x: float, b_r: int) -> tuple[float, float]:
     """Independent neighbor oracle built on FP32 bit masking and stepping.
 
-    Collect candidate grid points by masking the low mantissa bits of FP32
-    values around x, then pick the tightest bracket by comparison only.
+    Mask the low ``32 - b_r`` bits of the FP32 value nearest x, step the
+    masked bit pattern by whole grid spacings on both sides to collect
+    candidate grid points, then pick the tightest bracket by comparison
+    only.
     """
-    mask = np.uint32(0xFFFFFFFF ^ ((1 << (32 - b_r)) - 1))
-    seed = np.float32(x)
+    unit = 1 << (32 - b_r)
+    seed = int(np.abs(np.float32(x)).view(np.uint32)) & ~(unit - 1)
     candidates = set()
-    for start in (seed, -seed):
-        f = start
-        for _ in range(2 ** (32 - b_r) + 2):
-            masked = np.uint32(np.abs(f).view(np.uint32) & mask)
-            v = float(masked.view(np.float32))
+    for k in range(-2, 3):
+        pattern = seed + k * unit
+        if 0 <= pattern <= 0x7F7FFFFF:  # finite FP32 magnitudes
+            v = float(np.uint32(pattern).view(np.float32))
             candidates.update((v, -v))
-            f = np.nextafter(f, np.float32(np.inf))
-        f = start
-        for _ in range(2 ** (32 - b_r) + 2):
-            masked = np.uint32(np.abs(f).view(np.uint32) & mask)
-            v = float(masked.view(np.float32))
-            candidates.update((v, -v))
-            f = np.nextafter(f, np.float32(-np.inf))
     below = max(c for c in candidates if c <= x)
     above = min(c for c in candidates if c >= x)
     return below, above
@@ -324,3 +318,150 @@ def test_rev_hypothesis_membership(x, c, b_r):
 def test_rev_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="shape"):
         fp.rev_array(np.zeros(4), 32, np.zeros(3, dtype=np.uint8))
+
+
+def oracle_code(x: float, b_r: int, tau: float) -> int:
+    """Direction code from oracle_rnd and the frexp exponent scale."""
+    r = oracle_rnd(x, b_r)
+    scale = max(fp.exponent_scale(x), fp.SCALE_FLOOR)
+    if abs(x - r) <= tau * scale:
+        return fp.IGNORE
+    return fp.UP if x < r else fp.DOWN
+
+
+def oracle_rev(x: float, b_r: int, c: int) -> float:
+    """The neighbour the code names; nearest rounding for IGNORE."""
+    below, above = oracle_neighbors(x, b_r)
+    return {fp.DOWN: below, fp.IGNORE: oracle_rnd(x, b_r), fp.UP: above}[c]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@st.composite
+def grid_value(draw, b_r):
+    """A value within grid_max: anywhere, at exact ties on even and odd kept
+    bits, just below a binade (carries), in the FP32-subnormal range, or at
+    +-0, +-2^-126 and +-grid_max."""
+    kept = b_r - 9
+    gm = fp.grid_max(b_r)
+    frac = st.one_of(st.sampled_from((0.0, 0.5, 0.25, 0.75)),
+                     st.floats(0.0, 1.0, exclude_max=True))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    kind = draw(st.sampled_from(("any", "grid", "carry", "subnormal", "special")))
+    if kind == "any":
+        return draw(st.floats(-gm, gm, allow_nan=False))
+    if kind == "grid":
+        m = draw(st.integers(1 << kept, (2 << kept) - 1))
+        x = (m + draw(frac)) * 2.0 ** (draw(st.integers(-126, 127)) - kept)
+    elif kind == "carry":
+        x = ((2 << kept) - 1 + draw(frac)) * 2.0 ** (draw(st.integers(-126, 126)) - kept)
+    elif kind == "subnormal":
+        x = (draw(st.integers(0, (1 << kept) - 1)) + draw(frac)) * 2.0 ** (-126 - kept)
+    else:
+        x = draw(st.sampled_from((0.0, 2.0 ** -126, gm)))
+    return sign * x if abs(x) <= gm else sign * gm
+
+
+@st.composite
+def kernel_case(draw):
+    b_r = draw(st.sampled_from((10, 26, 32)))
+    xs = draw(st.lists(grid_value(b_r), min_size=1, max_size=12))
+    codes = draw(st.lists(st.sampled_from((fp.DOWN, fp.IGNORE, fp.UP)),
+                          min_size=len(xs), max_size=len(xs)))
+    lo, hi = fp.tau_bounds(b_r)
+    tau = draw(st.sampled_from((0.0, lo, hi)))
+    return b_r, xs, codes, tau
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=kernel_case())
+def test_kernels_match_oracles(case):
+    b_r, xs, codes, tau = case
+    x = np.asarray(xs)
+    # the grid point keeps the sign of x, zero included
+    nearest = np.copysign([oracle_rnd(v, b_r) for v in xs], x)
+    rounded, got_codes = fp.round_and_code(x, b_r, tau)
+    assert np.array_equal(bits(rounded), bits(nearest))
+    assert got_codes.tolist() == [oracle_code(v, b_r, tau) for v in xs]
+    p = fp.RoundingParams(b_r, tau)
+    assert got_codes.tolist() == [fp.direction(v, p) for v in xs]
+
+    replayed, corrections = fp.replay(x, b_r, np.asarray(codes, dtype=np.uint8))
+    want = np.copysign([oracle_rev(v, b_r, c) for v, c in zip(xs, codes)], x)
+    assert np.array_equal(bits(replayed), bits(want))
+    assert np.array_equal(bits(replayed), bits([fp.rev(v, b_r, c) for v, c in zip(xs, codes)]))
+    assert corrections == int(np.count_nonzero(want != nearest))
+
+    # replaying the trainer's own codes lands on its rounding, uncorrected
+    own, n = fp.replay(x, b_r, got_codes)
+    assert np.array_equal(bits(own), bits(nearest)) and n == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=kernel_case(), bad=st.sampled_from((3, 4, 255, -1)))
+def test_replay_rejects_invalid_codes(case, bad):
+    b_r, xs, codes, _ = case
+    codes[len(codes) // 2] = bad
+    with pytest.raises(ValueError, match="invalid direction code"):
+        fp.replay(np.asarray(xs), b_r, np.asarray(codes))
+
+
+def test_replay_rejects_wrong_code_shape():
+    x = np.zeros((4, 3))
+    for shape in ((12,), (3, 4), (4, 2), (4, 3, 1)):
+        with pytest.raises(ValueError, match="shape"):
+            fp.replay(x, 32, np.ones(shape, dtype=np.uint8))
+
+
+def test_kernels_keep_shape_and_checks():
+    x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    rounded, codes = fp.round_and_code(x, 26, 0.0)
+    assert rounded.shape == codes.shape == (3, 4) and codes.dtype == np.uint8
+    replayed, _ = fp.replay(x, 26, codes)
+    assert replayed.shape == (3, 4)
+    for bad_b in (9, 33):
+        with pytest.raises(ValueError, match="b_r"):
+            fp.round_and_code(x, bad_b, 0.0)
+        with pytest.raises(ValueError, match="b_r"):
+            fp.replay(x, bad_b, codes)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            fp.round_and_code(np.asarray([1.0, bad]), 32, 0.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            fp.replay(np.asarray([1.0, bad]), 32, np.ones(2, dtype=np.uint8))
+
+
+class TestRepresentableRange:
+    """Both parties check the value they keep against grid_max."""
+
+    TAU = 0.25 * 2.0**-23
+
+    def test_value_just_past_grid_max_replays_to_grid_max(self):
+        for b in (26, 32):
+            gm = fp.grid_max(b)
+            for x in (gm * (1 + 2.0**-30), -gm * (1 + 2.0**-30)):
+                rounded, codes = fp.round_and_code(x, b, self.TAU)
+                assert rounded[0] == np.copysign(gm, x)
+                replayed, corrections = fp.replay(x, b, codes)
+                assert (replayed[0], corrections) == (np.copysign(gm, x), 0)
+                assert fp.rev(x, b, int(codes[0])) == np.copysign(gm, x)
+                assert fp.rnd(x, b) == np.copysign(gm, x)
+
+    def test_kept_value_past_grid_max_rejected(self):
+        b = 32
+        gm = fp.grid_max(b)
+        near = gm * (1 + 2.0**-30)  # nearest is grid_max, the neighbour above is 2^128
+        beyond = gm + 0.75 * 2.0**104  # 3/4 of a grid step past grid_max: nearest is 2^128
+        calls = [
+            lambda: fp.rnd(beyond, b),
+            lambda: fp.round_and_code(beyond, b, self.TAU),
+            lambda: fp.replay(beyond, b, [fp.IGNORE]),
+            lambda: fp.rev(near, b, fp.UP),
+            lambda: fp.rev(-near, b, fp.DOWN),
+            lambda: fp.grid_neighbors(near, b),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="out of representable range"):
+                call()

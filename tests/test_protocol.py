@@ -4,9 +4,9 @@
 import numpy as np
 import pytest
 
-from vtrain import merkle, protocol as pr
+from vtrain import fpround, merkle, protocol as pr
 from vtrain.protocol import LayerSpec, TauPolicy, TrainConfig
-from vtrain.roundlog import LogReader
+from vtrain.roundlog import LogReader, LogWriter
 from vtrain.simnet import Rng, get_profile
 
 
@@ -177,6 +177,35 @@ class TestAudit:
         t2 = merkle.build(tampered.leaves)
         # first checkpoint at or after the tampered step (ceil(s/k), 0-based)
         assert merkle.first_divergence(t1, t2) == -(-s // cfg.checkpoint_interval) - 1
+
+
+class TestChannels:
+    def test_one_bit_pass_per_tensor(self, tmp_path, monkeypatch):
+        # each channel takes rounding, codes and corrections from its one
+        # fused kernel; a second rnd_array pass would raise here
+        ulp = 2.0**-23
+        values = np.array([[1.0 + 0.6 * ulp, 1.0 + 0.4 * ulp, -3.0 - 0.7 * 2 * ulp],
+                           [0.0, 1e-40, 2.5]])
+        seen = np.array([[1.0 + 0.4 * ulp, 1.0 + 0.4 * ulp, -3.0 - 0.4 * 2 * ulp],
+                         [0.0, 1e-40, 2.5]])
+        want_rounded, want_codes = fpround.round_and_code(values, 32, pr.DEFAULT_TAU)
+        want_replayed, want_moved = fpround.replay(seen, 32, want_codes)
+        assert want_moved == 2
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rnd_array called by a channel")
+
+        monkeypatch.setattr(fpround, "rnd_array", refuse)
+        monkeypatch.setattr(pr, "rnd_array", refuse)
+        with LogWriter(tmp_path / "c.vtrl", 32) as writer:
+            rounded, directed, _ = pr._TrainerChannel(writer, 32).process(values, pr.DEFAULT_TAU)
+        assert np.array_equal(rounded.view(np.uint64), want_rounded.view(np.uint64))
+        assert directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
+        reader = LogReader(tmp_path / "c.vtrl")
+        replayed, _, corrections = pr._AuditorChannel(reader, 32).process(seen, pr.DEFAULT_TAU)
+        assert np.array_equal(replayed.view(np.uint64), want_replayed.view(np.uint64))
+        assert np.array_equal(replayed, rounded)
+        assert corrections == 2
 
 
 class TestNegativeControlMechanics:

@@ -64,6 +64,17 @@ class TestRng:
         assert xs == ys
         assert sorted(xs) == list(range(50))
 
+    def test_shuffle_matches_next_below_loop(self):
+        for n in (1, 2, 4096):
+            a, b = sn.Rng(n), sn.Rng(n)
+            xs, ys = list(range(n)), list(range(n))
+            a.shuffle(xs)
+            for i in range(n - 1, 0, -1):
+                j = b.next_below(i + 1)
+                ys[i], ys[j] = ys[j], ys[i]
+            assert xs == ys
+            assert a.state == b.state
+
 
 class TestReduce:
     def test_ordering_effect_fp64(self):
