@@ -8,11 +8,20 @@ reading anything, which is the negative control: at a training precision
 ``b_tr`` below 64 it demonstrates that rounding alone does not keep two
 accumulation orders in sync.
 
+Only values that hardware nondeterminism can push apart are logged: the
+outputs of profile-ordered reductions (dense outputs and input gradients,
+the loss gradient) and of transcendental elementwise stages (sigmoid).
+Two kinds of stage output are never logged. A ReLU past the first stage
+maps grid values to grid values, so rounding them is the identity. The
+first stage's input gradient feeds nothing, so it is not even computed.
+``_logged`` is that rule; ``_run`` and ``step_layout`` both follow it.
+
 Shared-randomness stream order is fixed and part of the protocol: the
 dataset is drawn first, then dense-layer weights in stage order, then one
 shuffle per epoch. Log write order is also fixed, and ``step_layout``
-gives it: per step, forward stages in order, then the loss gradient, then
-backward stages in reverse order, elements row-major.
+gives it: per step, logged forward outputs in stage order, then the loss
+gradient, then logged input gradients in reverse stage order, elements
+row-major.
 """
 
 from __future__ import annotations
@@ -268,11 +277,15 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     if cfg.loss is None:
         raise ValueError("training requires a loss")
 
-    taus = {key: cfg.tau_policy.lookup(key) for key, _, _ in cfg.stage_dims()}
+    # tau per trunk stage and pass; None where the stage's output passes through
+    forward_taus = [cfg.tau_policy.lookup(s.key) if _logged(s.kind, i, backward=False) else None
+                    for i, s in enumerate(stages)]
+    backward_taus = [cfg.tau_policy.lookup(s.key) if _logged(s.kind, i, backward=True) else None
+                     for i, s in enumerate(stages)]
+    loss_tau = cfg.tau_policy.lookup(f"loss:{cfg.loss}")
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
     per_step: list[StepStats] = []
-    loss_key = f"loss:{cfg.loss}"
 
     for t in range(1, cfg.steps + 1):
         idx = schedule.next_batch()
@@ -281,25 +294,29 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
 
         values = [xb]
         cur = xb
-        for stage in stages:
-            raw = stage.forward(cur, profile)
-            cur, directed, corrected = channel.process(raw, taus[stage.key])
-            stats.forward_directed += directed
-            stats.forward_corrections += corrected
+        for stage, tau in zip(stages, forward_taus):
+            cur = stage.forward(cur, profile)
+            if tau is not None:
+                cur, directed, corrected = channel.process(cur, tau)
+                stats.forward_directed += directed
+                stats.forward_corrections += corrected
             values.append(cur)
 
         loss_raw, grad_raw = _loss_forward(cfg.loss, cur, yb, profile)
         if not np.isfinite(loss_raw):
             raise TrainingDiverged(f"non-finite loss at step {t}")
 
-        grad, directed, corrected = channel.process(grad_raw, taus[loss_key])
+        grad, directed, corrected = channel.process(grad_raw, loss_tau)
         stats.backward_directed += directed
         stats.backward_corrections += corrected
-        for i in range(len(stages) - 1, -1, -1):
-            raw = stages[i].backward(values[i], values[i + 1], grad, profile)
-            grad, directed, corrected = channel.process(raw, taus[stages[i].key])
-            stats.backward_directed += directed
-            stats.backward_corrections += corrected
+        for i in range(len(stages) - 1, 0, -1):
+            grad = stages[i].backward(values[i], values[i + 1], grad, profile)
+            if backward_taus[i] is not None:
+                grad, directed, corrected = channel.process(grad, backward_taus[i])
+                stats.backward_directed += directed
+                stats.backward_corrections += corrected
+        if stages and stages[0].kind == "dense":
+            stages[0].param_backward(values[0], grad)
 
         # Stored parameters live on the grid; the update inputs are already
         # bit-identical between honest parties (synced tensors, canonical
@@ -448,21 +465,41 @@ class LogEstimate:
     file_bytes: int
 
 
+def _logged(kind: str, index: int, backward: bool) -> bool:
+    """Whether trunk stage ``index``'s output in one pass goes through the channel.
+
+    Nothing consumes the first stage's input gradient, so it is neither
+    computed nor logged. Past the first stage a ReLU's input is on the
+    ``b_r`` grid (a channel output, or another ReLU's), and ``max(x, 0)``
+    and ``grad * (x > 0)`` keep it there, so rounding is the identity and
+    two honest parties cannot disagree: the values pass through. A first
+    stage ReLU sees the raw batch, so its forward output is logged.
+    """
+    if backward:
+        return index > 0 and kind != "relu"
+    return index == 0 or kind != "relu"
+
+
 def step_layout(cfg: TrainConfig) -> list[tuple[str, int]]:
     """Per-step log write order as (slot, entries) pairs.
 
-    Forward outputs of the trunk stages in order, then the loss gradient,
-    then each trunk stage's input gradient in reverse stage order. A slot
-    is the pass and the stage key, e.g. ``"forward:dense:4x8"`` or
-    ``"backward:loss:bce"``; the loss's forward output is a scalar that is
-    never logged, and weight gradients log nothing.
+    Logged forward outputs of the trunk stages in order, then the loss
+    gradient, then logged trunk input gradients in reverse stage order
+    (``_logged`` decides which). A slot is the pass and the stage key, e.g.
+    ``"forward:dense:4x8"`` or ``"backward:loss:bce"``; the loss's forward
+    output is a scalar that is never logged, and weight gradients log
+    nothing.
     """
     dims = cfg.stage_dims()
+    trunk = list(zip(cfg.layers, dims))
     forward = [(f"forward:{key}", cfg.batch_size * out_size)
-               for key, _, out_size in dims if not key.startswith("loss:")]
+               for i, (spec, (key, _, out_size)) in enumerate(trunk)
+               if _logged(spec.kind, i, backward=False)]
+    loss = [(f"backward:{key}", cfg.batch_size * in_size) for key, in_size, _ in dims[len(trunk):]]
     backward = [(f"backward:{key}", cfg.batch_size * in_size)
-                for key, in_size, _ in reversed(dims)]
-    return forward + backward
+                for i, (spec, (key, in_size, _)) in reversed(list(enumerate(trunk)))
+                if _logged(spec.kind, i, backward=True)]
+    return forward + loss + backward
 
 
 def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:

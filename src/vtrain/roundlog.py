@@ -5,11 +5,15 @@ Five ternary entries go into one byte in little-endian base 3
 
     offset  size  field
     0       4     magic "VTRL"
-    4       1     version (1)
+    4       1     version (2)
     5       1     b_r
     6       1     flags (bit 0: payload is DEFLATE-compressed)
     7       8     entry count, little-endian unsigned
     15      ...   payload
+
+Version 2 entry streams hold only the slots ``protocol.step_layout``
+lists: no ReLU outputs past the first stage and no first-stage input
+gradient. Version 1 logs had both, so readers reject them.
 
 The final partial group is padded with 1 (ignore), which a reader can
 never surface because it stops at the recorded entry count. The header
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 MAGIC = b"VTRL"
-VERSION = 1
+VERSION = 2
 HEADER_LEN = 15
 FLAG_DEFLATE = 0x01
 

@@ -17,6 +17,12 @@ parameter-gradient accumulation is pinned to exact sequential FP64 so the
 weight update is a pure function of the (already synchronized)
 activations and gradients.
 
+A dense layer's backward is two parts: ``dense_input_grad``, the
+profile-ordered sum that flows on to the previous stage, and
+``dense_param_grads``, the sequential sums the weight update reads.
+``dense_backward`` runs both; the first trunk stage runs only the second,
+because nothing consumes its input gradient.
+
 A dense layer's sums (output, input gradient, weight gradient) are each a
 sum of outer products, one per term of the reduced axis. Terms of 512 or
 more elements are formed one at a time and folded in the profile's order,
@@ -259,22 +265,35 @@ def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, profile: DevicePr
     return _outer_sum(x.T, W, profile) + b
 
 
+def dense_input_grad(grad_out: np.ndarray, W: np.ndarray, profile: DeviceProfile) -> np.ndarray:
+    """grad_out @ W.T, accumulated over the output axis in the profile's order.
+
+    Its values flow on through the graph and get the log-and-round
+    treatment, so this is the one backward sum that can diverge.
+    """
+    if grad_out.shape[1] != W.shape[1]:
+        raise ValueError(f"dense backward shape mismatch: g{grad_out.shape} W{W.shape}")
+    return _outer_sum(grad_out.T, W.T, profile)
+
+
+def dense_param_grads(grad_out: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """grad_W and grad_b, accumulated over the batch in exact sequential order.
+
+    Weight-gradient sums are not logged, so they must not be a source of
+    divergence: they ignore the profile and its accumulator width.
+    """
+    if grad_out.shape[0] != x.shape[0]:
+        raise ValueError(f"dense backward shape mismatch: g{grad_out.shape} x{x.shape}")
+    grad_W = _outer_sum(x, grad_out, SEQUENTIAL)
+    grad_b = reduce_last_axis(np.ascontiguousarray(grad_out.T), SEQUENTIAL)
+    return grad_W, grad_b
+
+
 def dense_backward(
     grad_out: np.ndarray, x: np.ndarray, W: np.ndarray, profile: DeviceProfile
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Linear-layer gradients.
-
-    grad_x accumulates in the active profile's order (its values flow on
-    through the graph and get the log-and-round treatment). grad_W and
-    grad_b accumulate sequentially regardless of profile: weight-gradient
-    sums are not logged, so they must not be a source of divergence.
-    """
-    if grad_out.shape != (x.shape[0], W.shape[1]):
-        raise ValueError(f"dense backward shape mismatch: g{grad_out.shape} x{x.shape} W{W.shape}")
-    grad_x = _outer_sum(grad_out.T, W.T, profile)
-    grad_W = _outer_sum(x, grad_out, SEQUENTIAL)
-    grad_b = reduce_last_axis(np.ascontiguousarray(grad_out.T), SEQUENTIAL)
-    return grad_x, grad_W, grad_b
+    """Linear-layer gradients: ``dense_input_grad`` then ``dense_param_grads``."""
+    return (dense_input_grad(grad_out, W, profile), *dense_param_grads(grad_out, x))
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -350,6 +369,10 @@ class DenseStage:
                  profile: DeviceProfile) -> np.ndarray:
         grad_x, self.grad_W, self.grad_b = dense_backward(grad_out, x, self.W, profile)
         return grad_x
+
+    def param_backward(self, x: np.ndarray, grad_out: np.ndarray) -> None:
+        """Parameter gradients only, for a stage whose input gradient feeds nothing."""
+        self.grad_W, self.grad_b = dense_param_grads(grad_out, x)
 
     def parameters(self) -> list[np.ndarray]:
         return [self.W, self.b]

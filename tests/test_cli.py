@@ -100,6 +100,41 @@ class TestAudit:
         assert result.exit_code == 4
 
 
+def version_1_log(path):
+    """A log in the version-1 layout: tiny's 7680 entries, ReLU slots included."""
+    from vtrain.roundlog import LogWriter
+
+    with LogWriter(path, 32) as w:
+        w.write_array(np.ones(7680, dtype=np.uint8))
+    raw = bytearray(path.read_bytes())
+    raw[4] = 1
+    path.write_bytes(bytes(raw))
+
+
+class TestOldLogVersion:
+    def test_audit_rejects_version_1(self, runner, tmp_path):
+        root = train_tiny(runner, tmp_path)
+        old = tmp_path / "v1.vtrl"
+        version_1_log(old)
+        result = runner.invoke(main, [
+            "audit", TINY, "--profile", "pairwise",
+            "--log", str(old), "--expect-root", root, "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        failed = [line for line in result.output.splitlines() if line.startswith("audit failed:")]
+        assert failed == ["audit failed: unsupported log version 1"]
+
+    def test_inspect_log_rejects_version_1(self, runner, tmp_path):
+        old = tmp_path / "v1.vtrl"
+        version_1_log(old)
+        result = runner.invoke(main, ["inspect-log", str(old)])
+        assert result.exit_code == 4
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("bad log:")
+
+
 class TestServeDispute:
     def _serve_in_thread(self, tree_path, sessions=1):
         # bind here, so the listener is ready before any client connects,

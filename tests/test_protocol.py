@@ -208,6 +208,90 @@ class TestChannels:
         assert corrections == 2
 
 
+SHIPPED = ("tiny", "mlp", "logreg", "trend", "divergence")
+
+# tiny_config with a ReLU in front; pinned from a build that logged every ReLU output
+RELU_FIRST_ROOT = "7185d6feb9bc284e2280a90372e9f9e1632643f35627b382204707121dab0483"
+
+
+class _Recording:
+    """A channel wrapper that records the size of every tensor it is handed."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.sizes = []
+
+    def process(self, values, tau):
+        self.sizes.append(values.size)
+        return self.inner.process(values, tau)
+
+
+def two_steps(cfg):
+    """The config cut to two steps; the per-step layout does not depend on the count."""
+    return pr.config_with(cfg, dataset_size=2 * cfg.batch_size, epochs=1, checkpoint_interval=1)
+
+
+class TestLogLayout:
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_every_channel_gets_exactly_step_layout(self, shipped_config, tmp_path, name):
+        cfg = two_steps(shipped_config(name))
+        want = [n for _, n in pr.step_layout(cfg)] * cfg.steps
+        log = tmp_path / "run.vtrl"
+        with LogWriter(log, cfg.b_r) as writer:
+            trainer = _Recording(pr._TrainerChannel(writer, cfg.b_r))
+            pr._run(cfg, get_profile(cfg.trainer_profile), trainer, False)
+        reader = LogReader(log)
+        auditor = _Recording(pr._AuditorChannel(reader, cfg.b_r))
+        plain = _Recording(pr._PlainChannel(cfg.b_r))
+        for channel in (auditor, plain):
+            pr._run(cfg, get_profile("pairwise"), channel, False)
+        assert trainer.sizes == want
+        assert auditor.sizes == want
+        assert plain.sizes == want
+        assert reader.remaining == 0
+
+    def test_first_stage_input_gradient_never_computed(self, shipped_config, tmp_path,
+                                                       monkeypatch):
+        from vtrain import simnet
+
+        shapes = []
+        real = simnet.dense_input_grad
+
+        def recording(grad_out, W, profile):
+            shapes.append(W.shape)
+            return real(grad_out, W, profile)
+
+        monkeypatch.setattr(simnet, "dense_input_grad", recording)
+        cfg = two_steps(shipped_config("trend"))
+        pr.train(cfg, tmp_path / "trend.vtrl")
+        assert shapes == [(256, 4)] * cfg.steps
+
+        def refuse(*args):
+            raise AssertionError("first stage's input gradient computed")
+
+        # logreg's one dense layer is its first stage
+        monkeypatch.setattr(simnet, "dense_input_grad", refuse)
+        cfg = two_steps(shipped_config("logreg"))
+        pr.audit(cfg, "chunked7", pr.train(cfg, tmp_path / "logreg.vtrl").log_path)
+
+    def test_first_stage_relu_keeps_its_forward_slot(self, tmp_path):
+        # it sees the raw batch, which is off the grid
+        cfg = tiny_config(layers=(LayerSpec("relu"),) + tiny_config().layers)
+        assert [slot for slot, _ in pr.step_layout(cfg)] == [
+            "forward:relu", "forward:dense:8x12", "forward:dense:12x2",
+            "backward:loss:softmax_xent", "backward:dense:12x2", "backward:dense:8x12"]
+        out = pr.train(cfg, tmp_path / "r.vtrl")
+        assert out.root_hex == RELU_FIRST_ROOT
+        assert pr.audit(cfg, "pairwise", tmp_path / "r.vtrl").root == out.root
+
+    def test_adaptive_table_needs_no_entry_for_unlogged_stages(self, tmp_path):
+        table = {key: pr.DEFAULT_TAU for key in ("dense:8x12", "dense:12x2", "loss:softmax_xent")}
+        cfg = tiny_config(tau_policy=TauPolicy(kind="adaptive", table=table))
+        out = pr.train(cfg, tmp_path / "adaptive.vtrl")
+        assert out.root == pr.train(tiny_config(), tmp_path / "fixed.vtrl").root
+        assert pr.audit(cfg, "pairwise", tmp_path / "adaptive.vtrl").root == out.root
+
+
 class TestNegativeControlMechanics:
     def test_same_profile_no_corrections_agrees(self, tmp_path):
         cfg = tiny_config()
@@ -256,8 +340,8 @@ class TestEstimate:
             checkpoint_interval=1, seed=0, name="bare",
         )
         est = pr.estimate_log_entries(cfg)
-        assert est.entries == 20  # 12 forward + 8 backward
-        assert est.payload_bytes == 4
+        assert est.entries == 12  # 12 forward; the only input gradient is the first stage's
+        assert est.payload_bytes == 3
 
     def test_doubling_epochs_doubles_entries(self):
         one = pr.estimate_log_entries(tiny_config(epochs=2))

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtrain import simnet as sn
+from vtrain.fpround import grid_max, rnd_array
 from vtrain.protocol import LayerSpec
 
 SEQ = sn.get_profile("sequential")
@@ -486,6 +489,40 @@ class TestElementwise:
         for p in ALL_PROFILES:
             assert np.array_equal(sn.relu_forward(x), np.maximum(x, 0))
             assert np.array_equal(sn.sigmoid_forward(x), 1 / (1 + np.exp(-x)))
+
+
+@st.composite
+def grid_arrays(draw):
+    """A b_r and 1-12 values on its grid: normal, FP32-subnormal, +-0 and +-grid_max."""
+    b_r = draw(st.sampled_from((26, 32)))
+    kept = b_r - 9
+
+    def value():
+        sign = st.sampled_from((1.0, -1.0))
+        normal = st.builds(lambda m, e, s: s * m * 2.0 ** (e - kept),
+                           st.integers(1 << kept, (2 << kept) - 1), st.integers(-126, 127), sign)
+        subnormal = st.builds(lambda m, s: s * m * 2.0 ** (-126 - kept),
+                              st.integers(0, (1 << kept) - 1), sign)
+        special = st.sampled_from((0.0, -0.0, grid_max(b_r), -grid_max(b_r)))
+        return st.one_of(normal, subnormal, special)
+
+    n = draw(st.integers(1, 12))
+    xs, gs = (np.array(draw(st.lists(value(), min_size=n, max_size=n))) for _ in range(2))
+    return b_r, xs, gs
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_arrays())
+def test_relu_keeps_grid_values_on_the_grid(case):
+    # why protocol lets ReLU outputs past the first stage pass through unrounded
+    b_r, x, g = case
+
+    def same(a):
+        return np.array_equal(rnd_array(a, b_r).view(np.uint64), a.view(np.uint64))
+
+    assert same(x) and same(g)
+    assert same(sn.relu_forward(x))
+    assert same(sn.relu_backward(x, g))
 
 
 class TestInitAndData:
