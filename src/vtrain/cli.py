@@ -13,6 +13,7 @@ Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import time
@@ -142,13 +143,15 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             get_profile(profile)
         except ValueError as e:
             raise click.UsageError(str(e)) from e
-        cfg = protocol.config_with(cfg, trainer_profile=profile)
+        cfg = dataclasses.replace(cfg, trainer_profile=profile)
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         paths = _artifact_paths(cfg, out)
+        start = time.perf_counter()
         result = protocol.train(cfg, paths["log"], keep_checkpoints=keep_checkpoints,
                                 compress_log=compress_log)
+        train_seconds = time.perf_counter() - start
         tree = merkle.build(result.leaves)
         merkle.write_tree(tree, paths["tree"])
         save_weights(paths["weights"], result.final_weights)
@@ -170,11 +173,10 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             "estimated_file_bytes": estimate.file_bytes,
             "final_loss": result.final_loss,
             "train_accuracy": result.train_accuracy,
-            "train_seconds": result.seconds,
+            "train_seconds": train_seconds,
             "per_step": [
-                {"step": i + 1, "forward_directed": s.forward_directed,
-                 "backward_directed": s.backward_directed}
-                for i, s in enumerate(result.per_step)
+                {"step": i + 1, "forward_directed": f, "backward_directed": b}
+                for i, (f, b) in enumerate(result.per_step)
             ],
         }
         paths["report"].write_text(json.dumps(report, indent=2) + "\n")
@@ -219,12 +221,11 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
         "root": result.root_hex,
         "expected_root": expect_root.lower(),
         "match": match,
-        "corrections_forward_total": sum(result.corrections_forward),
-        "corrections_backward_total": sum(result.corrections_backward),
+        "corrections_forward_total": sum(f for f, _ in result.per_step),
+        "corrections_backward_total": sum(b for _, b in result.per_step),
         "per_step": [
             {"step": i + 1, "forward": f, "backward": b}
-            for i, (f, b) in enumerate(zip(result.corrections_forward,
-                                           result.corrections_backward))
+            for i, (f, b) in enumerate(result.per_step)
         ],
         "log_bytes": Path(log_path).stat().st_size,
         "audit_seconds": time.perf_counter() - start,

@@ -8,6 +8,11 @@ reading anything, which is the negative control: at a training precision
 ``b_tr`` below 64 it demonstrates that rounding alone does not keep two
 accumulation orders in sync.
 
+A channel's ``process(values, tau)`` returns the values that flow on and
+one count: directed entries for the trainer, corrections for the auditor,
+0 for the control. ``_run`` keeps one (forward, backward) pair of those
+counts per step, and both outputs carry that list as ``per_step``.
+
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
 the loss gradient) and of transcendental elementwise stages (sigmoid).
@@ -27,7 +32,6 @@ row-major.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -101,7 +105,7 @@ class TrainConfig:
     dim: int
     classes: int
     layers: tuple[LayerSpec, ...]
-    loss: str | None
+    loss: str
     epochs: int
     batch_size: int
     learning_rate: float
@@ -119,10 +123,24 @@ class TrainConfig:
             raise ValueError("supported model precision is b_m=32")
         if not 26 <= self.b_r <= self.b_m:
             raise ValueError("b_r must lie in [26, 32]")
+        if self.loss not in ("softmax_xent", "bce"):
+            raise ValueError(f"unknown loss {self.loss!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch size must be >= 1")
+        if not isinstance(self.learning_rate, (int, float)):
+            raise ValueError(f"learning rate must be a number, got {self.learning_rate!r}")
+        width = self.stage_dims()[-1][1]
+        want = self.classes if self.loss == "softmax_xent" else 1
+        if width != want:
+            raise ValueError(f"final width {width!r} does not fit {self.loss}, which needs {want}")
         if self.tau_policy.kind == "fixed":
             taus = [self.tau_policy.value]
         else:
             taus = [float(v) for v in (self.tau_policy.table or {}).values()]
+        lo, hi = tau_bounds(self.b_r)
+        for tau in taus:
+            if not (tau == 0.0 or lo <= tau <= hi):
+                raise ValueError(f"tau {tau!r} is neither 0.0 nor in [{lo!r}, {hi!r}]")
         check_b_tr(self.b_tr, self.b_r, min(taus, default=math.inf), self.max_fan_in())
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
@@ -132,12 +150,6 @@ class TrainConfig:
             raise ValueError("config yields no training steps")
         if self.checkpoint_interval > self.steps:
             raise ValueError("checkpoint interval exceeds step count")
-        if self.loss is not None and self.loss not in ("softmax_xent", "bce"):
-            raise ValueError(f"unknown loss {self.loss!r}")
-        if self.tau_policy.kind == "fixed" and self.tau_policy.value != 0.0:
-            lo, hi = tau_bounds(self.b_r)
-            if not lo <= self.tau_policy.value <= hi:
-                raise ValueError(f"tau {self.tau_policy.value!r} outside [{lo!r}, {hi!r}]")
         get_profile(self.trainer_profile)
 
     @property
@@ -155,26 +167,25 @@ class TrainConfig:
         return max(widths)
 
     def stage_dims(self) -> list[tuple[str, int, int]]:
-        """(stage_key, in_size, out_size) for each trunk stage, then the loss."""
+        """(stage_key, in_size, out_size) for each trunk stage, then the loss.
+
+        ``ValueError`` on an unknown layer kind or a dense input that is not the incoming width.
+        """
         dims = []
         cur = self.dim
         for spec in self.layers:
             if spec.kind == "dense":
+                if spec.in_dim != cur:
+                    raise ValueError(f"dense layer input {spec.in_dim!r} does not match "
+                                     f"incoming width {cur!r}")
                 dims.append((f"dense:{spec.in_dim}x{spec.out_dim}", spec.in_dim, spec.out_dim))
                 cur = spec.out_dim
-            else:
+            elif spec.kind in ("relu", "sigmoid"):
                 dims.append((spec.kind, cur, cur))
-        if self.loss is not None:
-            dims.append((f"loss:{self.loss}", cur, 0))
+            else:
+                raise ValueError(f"unknown layer kind {spec.kind!r}")
+        dims.append((f"loss:{self.loss}", cur, 0))
         return dims
-
-
-@dataclass
-class StepStats:
-    forward_directed: int = 0
-    backward_directed: int = 0
-    forward_corrections: int = 0
-    backward_corrections: int = 0
 
 
 @dataclass
@@ -184,11 +195,10 @@ class TrainOutput:
     log_path: Path | None
     final_weights: list[np.ndarray]
     final_digest: bytes
-    per_step: list[StepStats]
+    per_step: list[tuple[int, int]]  # (forward, backward) directed entries
     entries_logged: int
     final_loss: float
     train_accuracy: float
-    seconds: float
     checkpoints: list[list[np.ndarray]] | None = None
 
     @property
@@ -201,10 +211,7 @@ class AuditOutput:
     root: bytes
     leaves: list[bytes]
     final_digest: bytes
-    corrections_forward: list[int]
-    corrections_backward: list[int]
-    entries_consumed: int
-    seconds: float
+    per_step: list[tuple[int, int]]  # (forward, backward) replay corrections
     checkpoints: list[list[np.ndarray]] | None = None
 
     @property
@@ -213,43 +220,41 @@ class AuditOutput:
 
     @property
     def total_corrections(self) -> int:
-        return sum(self.corrections_forward) + sum(self.corrections_backward)
+        return sum(f + b for f, b in self.per_step)
 
 
 class _TrainerChannel:
-    """Classify, record, round."""
+    """Classify, record, round; counts directed entries."""
 
     def __init__(self, writer: LogWriter, b_r: int):
         self.writer = writer
         self.b_r = b_r
 
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int, int]:
+    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
         rounded, codes = round_and_code(values, self.b_r, tau)
         self.writer.write_array(codes.reshape(-1))
-        return rounded, int(np.count_nonzero(codes != IGNORE)), 0
+        return rounded, int(np.count_nonzero(codes != IGNORE))
 
 
 class _AuditorChannel:
-    """Read, replay."""
+    """Read, replay; counts corrections."""
 
     def __init__(self, reader: LogReader, b_r: int):
         self.reader = reader
         self.b_r = b_r
 
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int, int]:
-        codes = self.reader.read_array(values.size).reshape(values.shape)
-        replayed, corrections = replay(values, self.b_r, codes)
-        return replayed, 0, corrections
+    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+        return replay(values, self.b_r, self.reader.read_array(values.size).reshape(values.shape))
 
 
 class _PlainChannel:
-    """Round only; the negative control."""
+    """Round only; the negative control. Counts nothing."""
 
     def __init__(self, b_r: int):
         self.b_r = b_r
 
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int, int]:
-        return rnd_array(values, self.b_r), 0, 0
+    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+        return rnd_array(values, self.b_r), 0
 
 
 def _loss_forward(loss_kind: str, output, labels, profile):
@@ -262,8 +267,21 @@ def _snapshot(stages) -> list[np.ndarray]:
     return [p.astype(np.float32) for s in stages for p in s.parameters()]
 
 
+@dataclass
+class _Run:
+    """What one pass of the replay engine leaves behind."""
+
+    root: bytes
+    leaves: list[bytes]
+    stages: list
+    final_digest: bytes
+    per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
+    checkpoints: list[list[np.ndarray]] | None
+    data: tuple[np.ndarray, np.ndarray]
+
+
 def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bool,
-         tamper_after_step: int | None = None, tamper=None):
+         tamper_after_step: int | None = None, tamper=None) -> _Run:
     profile = replace(profile, b_tr=cfg.b_tr)
     rng = Rng(cfg.seed)
     X, y = make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
@@ -274,8 +292,6 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
             stage.W = rnd_array(stage.W, cfg.b_r)
             stage.b = rnd_array(stage.b, cfg.b_r)
     schedule = BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
-    if cfg.loss is None:
-        raise ValueError("training requires a loss")
 
     # tau per trunk stage and pass; None where the stage's output passes through
     forward_taus = [cfg.tau_policy.lookup(s.key) if _logged(s.kind, i, backward=False) else None
@@ -285,36 +301,32 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     loss_tau = cfg.tau_policy.lookup(f"loss:{cfg.loss}")
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
-    per_step: list[StepStats] = []
+    per_step: list[tuple[int, int]] = []
 
     for t in range(1, cfg.steps + 1):
         idx = schedule.next_batch()
         xb, yb = X[idx], y[idx]
-        stats = StepStats()
 
         values = [xb]
         cur = xb
+        forward = 0
         for stage, tau in zip(stages, forward_taus):
             cur = stage.forward(cur, profile)
             if tau is not None:
-                cur, directed, corrected = channel.process(cur, tau)
-                stats.forward_directed += directed
-                stats.forward_corrections += corrected
+                cur, n = channel.process(cur, tau)
+                forward += n
             values.append(cur)
 
         loss_raw, grad_raw = _loss_forward(cfg.loss, cur, yb, profile)
         if not np.isfinite(loss_raw):
             raise TrainingDiverged(f"non-finite loss at step {t}")
 
-        grad, directed, corrected = channel.process(grad_raw, loss_tau)
-        stats.backward_directed += directed
-        stats.backward_corrections += corrected
+        grad, backward = channel.process(grad_raw, loss_tau)
         for i in range(len(stages) - 1, 0, -1):
             grad = stages[i].backward(values[i], values[i + 1], grad, profile)
             if backward_taus[i] is not None:
-                grad, directed, corrected = channel.process(grad, backward_taus[i])
-                stats.backward_directed += directed
-                stats.backward_corrections += corrected
+                grad, n = channel.process(grad, backward_taus[i])
+                backward += n
         if stages and stages[0].kind == "dense":
             stages[0].param_backward(values[0], grad)
 
@@ -330,15 +342,23 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         if tamper_after_step is not None and t == tamper_after_step:
             tamper(stages)
 
-        per_step.append(stats)
+        per_step.append((forward, backward))
         if t % cfg.checkpoint_interval == 0:
             params = [p for s in stages for p in s.parameters()]
             leaves.append(merkle.hash_weights(params, cfg.b_m))
             if keep_checkpoints:
                 checkpoints.append(_snapshot(stages))
 
-    tree = merkle.build(leaves)
-    return tree, leaves, stages, per_step, (checkpoints if keep_checkpoints else None), (X, y)
+    params = [p for s in stages for p in s.parameters()]
+    return _Run(
+        root=merkle.build(leaves).root,
+        leaves=leaves,
+        stages=stages,
+        final_digest=merkle.hash_weights(params, cfg.b_m),
+        per_step=per_step,
+        checkpoints=checkpoints if keep_checkpoints else None,
+        data=(X, y),
+    )
 
 
 def evaluate(cfg: TrainConfig, stages, profile: DeviceProfile, X, y) -> tuple[float, float]:
@@ -365,29 +385,24 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
     a chosen step; they exist for dispute-game demonstrations and tests.
     """
     profile = get_profile(cfg.trainer_profile)
-    start = time.perf_counter()
     writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
     try:
-        tree, leaves, stages, per_step, checkpoints, (X, y) = _run(
-            cfg, profile, _TrainerChannel(writer, cfg.b_r), keep_checkpoints,
-            tamper_after_step=tamper_after_step, tamper=tamper,
-        )
+        run = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r), keep_checkpoints,
+                   tamper_after_step=tamper_after_step, tamper=tamper)
     finally:
         writer.close()
-    final_loss, accuracy = evaluate(cfg, stages, profile, X, y)
-    params = [p for s in stages for p in s.parameters()]
+    final_loss, accuracy = evaluate(cfg, run.stages, profile, *run.data)
     return TrainOutput(
-        root=tree.root,
-        leaves=leaves,
+        root=run.root,
+        leaves=run.leaves,
         log_path=Path(log_path),
-        final_weights=_snapshot(stages),
-        final_digest=merkle.hash_weights(params, cfg.b_m),
-        per_step=per_step,
+        final_weights=_snapshot(run.stages),
+        final_digest=run.final_digest,
+        per_step=run.per_step,
         entries_logged=writer.entry_count,
         final_loss=final_loss,
         train_accuracy=accuracy,
-        seconds=time.perf_counter() - start,
-        checkpoints=checkpoints,
+        checkpoints=run.checkpoints,
     )
 
 
@@ -398,47 +413,25 @@ def audit(cfg: TrainConfig, auditor_profile: DeviceProfile | str, log,
     reader = log if isinstance(log, LogReader) else LogReader(log)
     if reader.b_r != cfg.b_r:
         raise AuditFailure(f"log b_r {reader.b_r} does not match config b_r {cfg.b_r}")
-    start = time.perf_counter()
     try:
-        tree, leaves, stages, per_step, checkpoints, _ = _run(
-            cfg, profile, _AuditorChannel(reader, cfg.b_r), keep_checkpoints
-        )
+        run = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), keep_checkpoints)
     except LogExhaustedError as e:
         raise AuditFailure("operation-count mismatch") from e
     if reader.remaining != 0:
         raise AuditFailure("operation-count mismatch")
-    params = [p for s in stages for p in s.parameters()]
-    return AuditOutput(
-        root=tree.root,
-        leaves=leaves,
-        final_digest=merkle.hash_weights(params, cfg.b_m),
-        corrections_forward=[s.forward_corrections for s in per_step],
-        corrections_backward=[s.backward_corrections for s in per_step],
-        entries_consumed=reader.entry_count,
-        seconds=time.perf_counter() - start,
-        checkpoints=checkpoints,
-    )
+    return _audit_output(run)
 
 
 def audit_without_corrections(cfg: TrainConfig, auditor_profile: DeviceProfile | str,
                               keep_checkpoints: bool = False) -> AuditOutput:
     """Replay with plain rounding and no log: the negative control."""
     profile = get_profile(auditor_profile) if isinstance(auditor_profile, str) else auditor_profile
-    start = time.perf_counter()
-    tree, leaves, stages, per_step, checkpoints, _ = _run(
-        cfg, profile, _PlainChannel(cfg.b_r), keep_checkpoints
-    )
-    params = [p for s in stages for p in s.parameters()]
-    return AuditOutput(
-        root=tree.root,
-        leaves=leaves,
-        final_digest=merkle.hash_weights(params, cfg.b_m),
-        corrections_forward=[0] * len(per_step),
-        corrections_backward=[0] * len(per_step),
-        entries_consumed=0,
-        seconds=time.perf_counter() - start,
-        checkpoints=checkpoints,
-    )
+    return _audit_output(_run(cfg, profile, _PlainChannel(cfg.b_r), keep_checkpoints))
+
+
+def _audit_output(run: _Run) -> AuditOutput:
+    return AuditOutput(root=run.root, leaves=run.leaves, final_digest=run.final_digest,
+                       per_step=run.per_step, checkpoints=run.checkpoints)
 
 
 def weight_l2_distance(a, b) -> float:
@@ -572,8 +565,3 @@ def threshold_search(layer: LayerSpec, b_r: int,
         raise ValueError("n_samples and iters must be >= 1")
     samples = collect_divergence_samples(layer, b_r, profiles, n_samples, rng)
     return search_tau(samples, b_r, iters)
-
-
-def config_with(cfg: TrainConfig, **kwargs) -> TrainConfig:
-    """Copy a config with some fields replaced."""
-    return replace(cfg, **kwargs)

@@ -18,6 +18,9 @@ gradient. Version 1 logs had both, so readers reject them.
 The final partial group is padded with 1 (ignore), which a reader can
 never surface because it stops at the recorded entry count. The header
 stays uncompressed either way so counts are readable without inflating.
+
+Entries go in and come out as flat ``uint8`` arrays: ``LogWriter.write_array``
+appends, ``LogReader.read_array`` takes the next ``n`` in write order.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fpround import IGNORE
+
 MAGIC = b"VTRL"
 VERSION = 2
 HEADER_LEN = 15
@@ -34,6 +39,8 @@ FLAG_DEFLATE = 0x01
 
 _WEIGHTS = np.array([1, 3, 9, 27, 81], dtype=np.uint8)
 _MAX_BYTE = 242  # 3^5 - 1
+# row b holds the five base-3 digits of byte b, lowest first
+_DIGITS = (np.arange(_MAX_BYTE + 1)[:, None] // _WEIGHTS.astype(np.int64) % 3).astype(np.uint8)
 
 
 class LogFormatError(ValueError):
@@ -42,30 +49,6 @@ class LogFormatError(ValueError):
 
 class LogExhaustedError(RuntimeError):
     """More directions were requested than the log contains."""
-
-
-def pack5(d) -> int:
-    """Pack five direction codes into one byte."""
-    d = list(d)
-    if len(d) != 5:
-        raise ValueError(f"pack5 needs exactly 5 entries, got {len(d)}")
-    value = 0
-    for i, digit in enumerate(d):
-        if digit not in (0, 1, 2):
-            raise ValueError(f"direction out of range: {digit!r}")
-        value += digit * 3**i
-    return value
-
-
-def unpack5(b: int) -> list[int]:
-    """Inverse of pack5."""
-    if not 0 <= b <= _MAX_BYTE:
-        raise LogFormatError("corrupt log byte")
-    out = []
-    for _ in range(5):
-        out.append(b % 3)
-        b //= 3
-    return out
 
 
 def _pack_block(digits: np.ndarray) -> bytes:
@@ -78,12 +61,7 @@ def _unpack_block(raw: bytes) -> np.ndarray:
     data = np.frombuffer(raw, dtype=np.uint8)
     if data.size and data.max() > _MAX_BYTE:
         raise LogFormatError("corrupt log byte")
-    rest = data.astype(np.uint16)
-    out = np.empty((data.size, 5), dtype=np.uint8)
-    for i in range(5):
-        out[:, i] = rest % 3
-        rest //= 3
-    return out.reshape(-1)
+    return _DIGITS[data].reshape(-1)
 
 
 class LogWriter:
@@ -94,7 +72,7 @@ class LogWriter:
         self.b_r = int(b_r)
         self.compress = compress
         self.entry_count = 0
-        self._pending: list[int] = []
+        self._tail = np.empty(0, dtype=np.uint8)  # at most four entries
         self._file = open(self.path, "wb")
         self._compressor = zlib.compressobj() if compress else None
         flags = FLAG_DEFLATE if compress else 0
@@ -110,44 +88,32 @@ class LogWriter:
         except OSError as e:
             raise OSError(f"log write failed at byte offset {self._file.tell()}: {e}") from e
 
-    def write(self, d: int) -> None:
-        """Append one direction."""
-        if d not in (0, 1, 2):
-            raise ValueError(f"direction out of range: {d!r}")
-        self._pending.append(d)
-        self.entry_count += 1
-        if len(self._pending) == 5:
-            self._emit(bytes([pack5(self._pending)]))
-            self._pending.clear()
-
     def write_array(self, directions: np.ndarray) -> None:
-        """Append a flat uint8 array of directions."""
+        """Append an array of directions, in row-major order."""
         d = np.asarray(directions, dtype=np.uint8).reshape(-1)
         if d.size == 0:
             return
         if d.max() > 2:
             raise ValueError("direction out of range")
         self.entry_count += int(d.size)
-        if self._pending:
-            take = min(5 - len(self._pending), d.size)
-            self._pending.extend(int(v) for v in d[:take])
+        if self._tail.size:
+            take = 5 - self._tail.size
+            self._tail = np.concatenate((self._tail, d[:take]))
             d = d[take:]
-            if len(self._pending) == 5:
-                self._emit(bytes([pack5(self._pending)]))
-                self._pending.clear()
-        full = (d.size // 5) * 5
+            if self._tail.size < 5:
+                return
+            self._emit(_pack_block(self._tail))
+        full = d.size - d.size % 5
         if full:
             self._emit(_pack_block(d[:full]))
-        self._pending.extend(int(v) for v in d[full:])
+        self._tail = d[full:].copy()
 
     def close(self) -> None:
         if self._closed:
             return
-        if self._pending:
-            while len(self._pending) < 5:
-                self._pending.append(1)
-            self._emit(bytes([pack5(self._pending)]))
-            self._pending.clear()
+        if self._tail.size:
+            pad = np.full(5 - self._tail.size, IGNORE, dtype=np.uint8)
+            self._emit(_pack_block(np.concatenate((self._tail, pad))))
         if self._compressor is not None:
             self._file.write(self._compressor.flush())
         self._file.seek(7)
@@ -178,7 +144,10 @@ class LogReader:
             self.entry_count = int.from_bytes(header[7:15], "little")
             payload = f.read()
         if self.flags & FLAG_DEFLATE:
-            payload = zlib.decompress(payload)
+            try:
+                payload = zlib.decompress(payload)
+            except zlib.error as e:
+                raise LogFormatError(f"corrupt compressed payload: {e}") from e
         if len(payload) < (self.entry_count + 4) // 5:
             raise LogFormatError("truncated rounding log")
         self._digits = _unpack_block(payload)
@@ -187,14 +156,6 @@ class LogReader:
     @property
     def remaining(self) -> int:
         return self.entry_count - self._pos
-
-    def read(self) -> int:
-        """Next direction, in write order."""
-        if self._pos >= self.entry_count:
-            raise LogExhaustedError("log exhausted")
-        v = int(self._digits[self._pos])
-        self._pos += 1
-        return v
 
     def read_array(self, n: int) -> np.ndarray:
         """Next n directions as a uint8 array."""

@@ -61,10 +61,6 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
 
-    def next_float(self) -> float:
-        """Uniform in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def next_below(self, n: int) -> int:
         return self.next_u64() % n
 
@@ -411,7 +407,6 @@ class SigmoidStage:
 
 
 _STAGE_KINDS = {"relu": ReluStage, "sigmoid": SigmoidStage}
-LOSS_KINDS = ("softmax_xent", "bce")
 
 
 def build_stages(layer_specs) -> list:

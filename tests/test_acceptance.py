@@ -8,6 +8,7 @@ import json
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,9 +34,9 @@ def get_train(cache, shipped_config, name, profile=None, b_r=None,
     """Train a shipped config once per (name, profile, b_r) and cache it."""
     cfg = shipped_config(name)
     if profile is not None:
-        cfg = pr.config_with(cfg, trainer_profile=profile)
+        cfg = replace(cfg, trainer_profile=profile)
     if b_r is not None:
-        cfg = pr.config_with(cfg, b_r=b_r)
+        cfg = replace(cfg, b_r=b_r)
     key = ("train", name, cfg.trainer_profile, cfg.b_r, keep_checkpoints)
     if key not in cache["results"]:
         log = cache["dir"] / f"{name}-{cfg.trainer_profile}-{cfg.b_r}.vtrl"
@@ -205,7 +206,7 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
         case += 1
         k = int(rng.integers(1, 5))
         epochs = int(rng.integers(2, 5))
-        cfg = pr.config_with(
+        cfg = replace(
             base, checkpoint_interval=k, epochs=epochs, seed=int(rng.integers(0, 10_000)),
             name=f"fuzz{case}",
         )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vtrain import cli, game, merkle
+from vtrain import cli, game, merkle, protocol
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -98,6 +98,104 @@ class TestAudit:
             "--log", str(bad), "--expect-root", "00" * 32, "--out", str(tmp_path),
         ])
         assert result.exit_code == 4
+
+
+class TestDamagedCompressedLog:
+    @pytest.mark.parametrize("command", ["audit", "inspect-log"])
+    @pytest.mark.parametrize("damage", ["truncated", "flipped"])
+    def test_is_protocol_error(self, runner, tmp_path, damage, command):
+        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path), "--compress-log"])
+        assert result.exit_code == 0, result.output
+        root = result.output.split()[-1]
+        log = tmp_path / "tiny.vtrl"
+        raw = bytearray(log.read_bytes())
+        if damage == "truncated":
+            del raw[-20:]
+        else:
+            raw[20] ^= 0xFF
+        log.write_bytes(bytes(raw))
+        if command == "audit":
+            args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
+                    "--expect-root", root, "--out", str(tmp_path)]
+            prefix = "audit failed:"
+        else:
+            args = ["inspect-log", str(log)]
+            prefix = "bad log:"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert len([l for l in result.output.splitlines() if l.startswith(prefix)]) == 1
+
+
+def _tiny_with(edit):
+    doc = json.loads((CONFIG_DIR / "tiny.json").read_text())
+    edit(doc)
+    return doc
+
+
+def _set(path, value):
+    """An edit that sets ``doc[path[0]][path[1]]...`` to ``value``."""
+    def edit(doc):
+        for key in path[:-1]:
+            doc = doc[key]
+        doc[path[-1]] = value
+    return edit
+
+
+BAD_CONFIGS = {
+    "batch-size-zero": _set(("batch_size",), 0),
+    "dim-not-first-dense-in": _set(("dataset", "dim"), 7),
+    "dense-in-not-incoming-width": _set(("model", "layers", 2, "in"), 11),
+    "unknown-layer-kind": _set(("model", "layers", 1, "kind"), "tanh"),
+    "no-loss": _set(("model", "loss"), None),
+    "string-learning-rate": _set(("learning_rate",), "0.4"),
+    "final-width-not-classes": _set(("dataset", "classes"), 3),
+    "bce-final-width-not-1": _set(("model", "loss"), "bce"),
+    "adaptive-tau-one": _set(("tau",), {"policy": "adaptive", "table": {"dense:8x12": 1.0}}),
+    "adaptive-tau-negative": _set(("tau",), {"policy": "adaptive",
+                                             "table": {"dense:8x12": -1e-8}}),
+    "adaptive-tau-nan": _set(("tau",), {"policy": "adaptive",
+                                        "table": {"dense:8x12": float("nan")}}),
+}
+
+
+class TestBadConfig:
+    """Configs that used to validate and then crash; each is a usage error now."""
+
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    @pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+    def test_usage_error(self, runner, tmp_path, case, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_tiny_with(BAD_CONFIGS[case])))
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "train" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len([l for l in result.output.splitlines() if "bad config" in l]) == 1
+
+
+class TestBenchReportContract:
+    """``bench/run.py`` reads the two correction totals from ``.audit.json``."""
+
+    def test_correction_totals_are_ints_that_sum_to_the_audit(self, runner, tmp_path):
+        # tiny at b_tr = 41 makes reversed correct a few forward entries
+        config = tmp_path / "tiny41.json"
+        config.write_text(json.dumps(_tiny_with(_set(("b_tr",), 41))))
+        result = runner.invoke(main, ["train", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        root = result.output.split()[-1]
+        log = tmp_path / "tiny.vtrl"
+        result = runner.invoke(main, ["audit", str(config), "--profile", "reversed",
+                                      "--log", str(log), "--expect-root", root,
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / "tiny.audit.json").read_text())
+        keys = ("corrections_forward_total", "corrections_backward_total")
+        for key in keys:
+            assert type(report[key]) is int, key
+        audited = protocol.audit(cli.load_config(config), "reversed", log)
+        assert sum(report[k] for k in keys) == audited.total_corrections > 0
 
 
 def version_1_log(path):

@@ -7,6 +7,8 @@ the trainer's root with no corrections; ``divergence`` at ``b_tr = 50`` is
 the case that drives ``rev``'s correction path.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from vtrain import protocol as pr
@@ -30,7 +32,7 @@ DIVERGENCE_UNCORRECTED_ROOT = "0f067625c3889d3002244080bb7644a2e54608b34b1b059b1
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_small_config_roots(shipped_config, tmp_path, name, trainer):
     root, entries = SMALL[name]
-    cfg = pr.config_with(shipped_config(name), trainer_profile=trainer)
+    cfg = replace(shipped_config(name), trainer_profile=trainer)
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)

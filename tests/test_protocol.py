@@ -1,5 +1,6 @@
 """Trainer/auditor loops, estimator, threshold search, weight distance."""
 
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,11 +62,20 @@ class TestConfigValidation:
         # must stay under tau = 2^-25, which b_tr = 45 does and 44 does not
         cfg = load_config(CONFIG_DIR / "divergence.json")
         assert cfg.b_tr == 50 and cfg.max_fan_in() == 256
-        assert pr.config_with(cfg, b_tr=45).b_tr == 45
+        assert replace(cfg, b_tr=45).b_tr == 45
         with pytest.raises(ValueError):
-            pr.config_with(cfg, b_tr=44)
+            replace(cfg, b_tr=44)
         with pytest.raises(ValueError):
-            pr.config_with(cfg, tau_policy=TauPolicy(value=0.0))
+            replace(cfg, tau_policy=TauPolicy(value=0.0))
+
+    @pytest.mark.parametrize("bad", [1.0, -1e-8, float("nan"), float("inf")])
+    def test_every_tau_is_range_checked(self, bad):
+        # one check for a fixed tau and for every entry of an adaptive table
+        with pytest.raises(ValueError, match="tau"):
+            tiny_config(tau_policy=TauPolicy(value=bad))
+        table = {"dense:8x12": pr.DEFAULT_TAU, "dense:12x2": bad}
+        with pytest.raises(ValueError, match="tau"):
+            tiny_config(tau_policy=TauPolicy(kind="adaptive", table=table))
 
     def test_adaptive_requires_table(self, tmp_path):
         cfg = tiny_config(tau_policy=TauPolicy(kind="adaptive", table={}))
@@ -198,11 +208,11 @@ class TestChannels:
         monkeypatch.setattr(fpround, "rnd_array", refuse)
         monkeypatch.setattr(pr, "rnd_array", refuse)
         with LogWriter(tmp_path / "c.vtrl", 32) as writer:
-            rounded, directed, _ = pr._TrainerChannel(writer, 32).process(values, pr.DEFAULT_TAU)
+            rounded, directed = pr._TrainerChannel(writer, 32).process(values, pr.DEFAULT_TAU)
         assert np.array_equal(rounded.view(np.uint64), want_rounded.view(np.uint64))
         assert directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
         reader = LogReader(tmp_path / "c.vtrl")
-        replayed, _, corrections = pr._AuditorChannel(reader, 32).process(seen, pr.DEFAULT_TAU)
+        replayed, corrections = pr._AuditorChannel(reader, 32).process(seen, pr.DEFAULT_TAU)
         assert np.array_equal(replayed.view(np.uint64), want_replayed.view(np.uint64))
         assert np.array_equal(replayed, rounded)
         assert corrections == 2
@@ -228,7 +238,7 @@ class _Recording:
 
 def two_steps(cfg):
     """The config cut to two steps; the per-step layout does not depend on the count."""
-    return pr.config_with(cfg, dataset_size=2 * cfg.batch_size, epochs=1, checkpoint_interval=1)
+    return replace(cfg, dataset_size=2 * cfg.batch_size, epochs=1, checkpoint_interval=1)
 
 
 class TestLogLayout:
@@ -332,16 +342,17 @@ class TestWeightL2:
 
 
 class TestEstimate:
-    def test_single_dense_layer_no_loss(self):
+    def test_single_dense_layer(self):
         cfg = TrainConfig(
-            dataset_size=4, dim=2, classes=2,
-            layers=(LayerSpec("dense", 2, 3),), loss=None,
+            dataset_size=4, dim=2, classes=3,
+            layers=(LayerSpec("dense", 2, 3),), loss="softmax_xent",
             epochs=1, batch_size=4, learning_rate=0.1,
             checkpoint_interval=1, seed=0, name="bare",
         )
         est = pr.estimate_log_entries(cfg)
-        assert est.entries == 12  # 12 forward; the only input gradient is the first stage's
-        assert est.payload_bytes == 3
+        # 12 forward and 12 loss gradient; the only input gradient is the first stage's
+        assert est.entries == 24
+        assert est.payload_bytes == 5
 
     def test_doubling_epochs_doubles_entries(self):
         one = pr.estimate_log_entries(tiny_config(epochs=2))
@@ -401,7 +412,7 @@ def test_replication_all_profiles_small_shipped_configs(tmp_path, b_r):
     from conftest import CONFIG_DIR
 
     for name in ("tiny", "logreg"):
-        cfg = pr.config_with(load_config(CONFIG_DIR / f"{name}.json"), b_r=b_r)
+        cfg = replace(load_config(CONFIG_DIR / f"{name}.json"), b_r=b_r)
         log = tmp_path / f"{name}-{b_r}.vtrl"
         out = pr.train(cfg, log)
         for auditor in ("reversed", "pairwise", "chunked7"):

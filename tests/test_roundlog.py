@@ -10,46 +10,77 @@ from hypothesis import strategies as st
 from vtrain import roundlog as rl
 
 
+def pack5(digits) -> int:
+    """Oracle for the format: five entries, little-endian base 3, one group at a time."""
+    assert len(digits) == 5
+    return sum(int(d) * 3**i for i, d in enumerate(digits))
+
+
+def oracle_payload(digits) -> bytes:
+    """The payload the format specifies: groups of five, the last padded with 1."""
+    digits = list(digits) + [1] * (-len(digits) % 5)
+    return bytes(pack5(digits[i : i + 5]) for i in range(0, len(digits), 5))
+
+
+def written(path, digits) -> bytes:
+    """Write ``digits`` with one ``write_array`` call; return the payload."""
+    with rl.LogWriter(path, 32) as w:
+        w.write_array(np.array(digits, dtype=np.uint8))
+    return path.read_bytes()[rl.HEADER_LEN :]
+
+
+def hand_made_log(path, payload: bytes) -> rl.LogReader:
+    """A reader over a log whose payload bytes are given directly."""
+    header = rl.MAGIC + bytes([rl.VERSION, 32, 0]) + (5 * len(payload)).to_bytes(8, "little")
+    path.write_bytes(header + payload)
+    return rl.LogReader(path)
+
+
 class TestPack5:
-    def test_all_zero(self):
-        assert rl.pack5([0, 0, 0, 0, 0]) == 0
+    def test_all_zero(self, tmp_path):
+        assert written(tmp_path / "a.vtrl", [0, 0, 0, 0, 0]) == bytes([0])
 
-    def test_all_ignore(self):
-        assert rl.pack5([1, 1, 1, 1, 1]) == 121
+    def test_all_ignore(self, tmp_path):
+        assert written(tmp_path / "a.vtrl", [1, 1, 1, 1, 1]) == bytes([121])
 
-    def test_mixed(self):
-        assert rl.pack5([2, 0, 0, 0, 1]) == 83
+    def test_mixed(self, tmp_path):
+        assert written(tmp_path / "a.vtrl", [2, 0, 0, 0, 1]) == bytes([83])
 
-    def test_max(self):
-        assert rl.pack5([2, 2, 2, 2, 2]) == 242
+    def test_max(self, tmp_path):
+        assert written(tmp_path / "a.vtrl", [2, 2, 2, 2, 2]) == bytes([242])
 
-    def test_bad_digit(self):
-        with pytest.raises(ValueError):
-            rl.pack5([0, 0, 3, 0, 0])
+    def test_bad_digit(self, tmp_path):
+        with rl.LogWriter(tmp_path / "a.vtrl", 32) as w:
+            with pytest.raises(ValueError, match="direction out of range"):
+                w.write_array(np.array([0, 0, 3, 0, 0], dtype=np.uint8))
+            assert w.entry_count == 0
 
-    def test_bad_length(self):
-        with pytest.raises(ValueError):
-            rl.pack5([0, 1])
+    def test_unpack_examples(self, tmp_path):
+        reader = hand_made_log(tmp_path / "a.vtrl", bytes([0, 121, 83]))
+        assert reader.read_array(15).tolist() == [0] * 5 + [1] * 5 + [2, 0, 0, 0, 1]
 
-    def test_unpack_examples(self):
-        assert rl.unpack5(0) == [0, 0, 0, 0, 0]
-        assert rl.unpack5(121) == [1, 1, 1, 1, 1]
-
-    def test_unpack_out_of_range(self):
+    def test_unpack_out_of_range(self, tmp_path):
         with pytest.raises(rl.LogFormatError, match="corrupt log byte"):
-            rl.unpack5(243)
+            hand_made_log(tmp_path / "a.vtrl", bytes([242, 243]))
 
+    def test_every_byte_decodes(self, tmp_path):
+        reader = hand_made_log(tmp_path / "a.vtrl", bytes(range(243)))
+        digits = reader.read_array(5 * 243).reshape(243, 5)
+        assert [pack5(row) for row in digits.tolist()] == list(range(243))
+
+    @settings(deadline=None)
     @given(st.lists(st.sampled_from((0, 1, 2)), min_size=5, max_size=5))
-    def test_bijection(self, digits):
-        assert rl.unpack5(rl.pack5(digits)) == digits
+    def test_bijection(self, tmp_path_factory, digits):
+        path = tmp_path_factory.mktemp("b") / "b.vtrl"
+        assert written(path, digits) == bytes([pack5(digits)])
+        assert rl.LogReader(path).read_array(5).tolist() == digits
 
 
 class TestWriterReader:
     def test_five_entries_single_byte(self, tmp_path):
         path = tmp_path / "a.vtrl"
         with rl.LogWriter(path, 32) as w:
-            for _ in range(5):
-                w.write(1)
+            w.write_array(np.ones(5, dtype=np.uint8))
         raw = path.read_bytes()
         assert raw[: rl.HEADER_LEN][:4] == b"VTRL"
         assert raw[rl.HEADER_LEN :] == bytes([121])
@@ -58,15 +89,12 @@ class TestWriterReader:
 
     def test_padding_with_ignore(self, tmp_path):
         path = tmp_path / "b.vtrl"
-        with rl.LogWriter(path, 32) as w:
-            for d in (0, 0, 0, 0, 0, 2):
-                w.write(d)
-        payload = path.read_bytes()[rl.HEADER_LEN :]
+        payload = written(path, [0, 0, 0, 0, 0, 2])
         # 2 followed by four pad-1s: 2 + 3 + 9 + 27 + 81
         assert list(payload) == [0, 122]
         reader = rl.LogReader(path)
         assert reader.entry_count == 6
-        assert [reader.read() for _ in range(6)] == [0, 0, 0, 0, 0, 2]
+        assert reader.read_array(6).tolist() == [0, 0, 0, 0, 0, 2]
 
     def test_empty_log(self, tmp_path):
         path = tmp_path / "c.vtrl"
@@ -77,12 +105,11 @@ class TestWriterReader:
 
     def test_exhaustion(self, tmp_path):
         path = tmp_path / "d.vtrl"
-        with rl.LogWriter(path, 32) as w:
-            w.write(2)
+        written(path, [2])
         reader = rl.LogReader(path)
-        assert reader.read() == 2
+        assert reader.read_array(1).tolist() == [2]
         with pytest.raises(rl.LogExhaustedError, match="log exhausted"):
-            reader.read()
+            reader.read_array(1)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "e.bin"
@@ -91,17 +118,16 @@ class TestWriterReader:
             rl.LogReader(path)
 
     def test_write_array_matches_scalar_writes(self, tmp_path):
+        # split writes, some shorter than a group, against the oracle's
+        # one-group-at-a-time packing
         rng = np.random.default_rng(0)
         digits = rng.integers(0, 3, size=2003).astype(np.uint8)
-        p1, p2 = tmp_path / "s.vtrl", tmp_path / "v.vtrl"
-        with rl.LogWriter(p1, 32) as w:
-            for d in digits:
-                w.write(int(d))
-        with rl.LogWriter(p2, 32) as w:
-            w.write_array(digits[:7])
-            w.write_array(digits[7:1500])
-            w.write_array(digits[1500:])
-        assert p1.read_bytes() == p2.read_bytes()
+        path = tmp_path / "v.vtrl"
+        with rl.LogWriter(path, 32) as w:
+            for lo, hi in ((0, 2), (2, 3), (3, 7), (7, 1500), (1500, 1501), (1501, 2003)):
+                w.write_array(digits[lo:hi])
+        assert path.read_bytes()[rl.HEADER_LEN :] == oracle_payload(digits)
+        assert rl.LogReader(path).entry_count == 2003
 
     def test_roundtrip_various_lengths(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -157,9 +183,10 @@ def test_roundtrip_property(tmp_path_factory, digits):
     path = tmp_path_factory.mktemp("rt") / "p.vtrl"
     with rl.LogWriter(path, 32) as w:
         for d in digits:
-            w.write(d)
+            w.write_array(np.array([d], dtype=np.uint8))
+    assert path.read_bytes()[rl.HEADER_LEN :] == oracle_payload(digits)
     reader = rl.LogReader(path)
-    assert [reader.read() for _ in range(len(digits))] == digits
+    assert reader.read_array(len(digits)).tolist() == digits
     assert reader.remaining == 0
 
 
@@ -177,8 +204,7 @@ def test_compressibility_monotonic(tmp_path):
 
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "v9.vtrl"
-    with rl.LogWriter(path, 32) as w:
-        w.write(1)
+    written(path, [1])
     raw = bytearray(path.read_bytes())
     raw[4] = 9
     path.write_bytes(bytes(raw))
