@@ -152,8 +152,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
         result = protocol.train(cfg, paths["log"], keep_checkpoints=keep_checkpoints,
                                 compress_log=compress_log)
         train_seconds = time.perf_counter() - start
-        tree = merkle.build(result.leaves)
-        merkle.write_tree(tree, paths["tree"])
+        merkle.write_tree(result.tree, paths["tree"])
         save_weights(paths["weights"], result.final_weights)
         if keep_checkpoints and result.checkpoints is not None:
             for i, snap in enumerate(result.checkpoints):
@@ -166,7 +165,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             "steps": cfg.steps,
             "root": result.root_hex,
             "final_weights_digest": result.final_digest.hex(),
-            "leaf_count": len(result.leaves),
+            "leaf_count": len(result.tree.leaves),
             "entries_logged": result.entries_logged,
             "log_file_bytes": paths["log"].stat().st_size,
             "estimated_entries": estimate.entries,

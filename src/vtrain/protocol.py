@@ -19,12 +19,13 @@ the loss gradient) and of transcendental elementwise stages (sigmoid).
 Two kinds of stage output are never logged. A ReLU past the first stage
 maps grid values to grid values, so rounding them is the identity. The
 first stage's input gradient feeds nothing, so it is not even computed.
-``_logged`` is that rule; ``_run`` and ``step_layout`` both follow it.
+``TrainConfig.log_slots`` walks the layers once to list what is logged;
+config validation, ``_run`` and ``step_layout`` all read that list.
 
 Shared-randomness stream order is fixed and part of the protocol: the
 dataset is drawn first, then dense-layer weights in stage order, then one
-shuffle per epoch. Log write order is also fixed, and ``step_layout``
-gives it: per step, logged forward outputs in stage order, then the loss
+shuffle per epoch. Log write order is also fixed, and ``log_slots`` gives
+it: per step, logged forward outputs in stage order, then the loss
 gradient, then logged input gradients in reverse stage order, elements
 row-major.
 """
@@ -100,6 +101,16 @@ class TauPolicy:
 
 
 @dataclass(frozen=True)
+class Slot:
+    """One tensor logged per step. ``stage`` indexes the layers, ``len(layers)`` for the loss."""
+
+    pass_: str  # "forward" | "backward"
+    stage: int
+    key: str
+    entries: int
+
+
+@dataclass(frozen=True)
 class TrainConfig:
     dataset_size: int
     dim: int
@@ -129,7 +140,8 @@ class TrainConfig:
             raise ValueError("batch size must be >= 1")
         if not isinstance(self.learning_rate, (int, float)):
             raise ValueError(f"learning rate must be a number, got {self.learning_rate!r}")
-        width = self.stage_dims()[-1][1]
+        slots = self.log_slots()
+        width = next(s.entries for s in slots if s.stage == len(self.layers)) // self.batch_size
         want = self.classes if self.loss == "softmax_xent" else 1
         if width != want:
             raise ValueError(f"final width {width!r} does not fit {self.loss}, which needs {want}")
@@ -141,6 +153,8 @@ class TrainConfig:
         for tau in taus:
             if not (tau == 0.0 or lo <= tau <= hi):
                 raise ValueError(f"tau {tau!r} is neither 0.0 nor in [{lo!r}, {hi!r}]")
+        for slot in slots:
+            self.tau_policy.lookup(slot.key)
         check_b_tr(self.b_tr, self.b_r, min(taus, default=math.inf), self.max_fan_in())
         if self.checkpoint_interval < 1:
             raise ValueError("checkpoint interval must be >= 1")
@@ -166,32 +180,57 @@ class TrainConfig:
         widths += [max(s.in_dim, s.out_dim) for s in self.layers if s.kind == "dense"]
         return max(widths)
 
-    def stage_dims(self) -> list[tuple[str, int, int]]:
-        """(stage_key, in_size, out_size) for each trunk stage, then the loss.
+    def log_slots(self) -> list[Slot]:
+        """The tensors one step logs, in log write order; checks the chain of widths.
 
-        ``ValueError`` on an unknown layer kind or a dense input that is not the incoming width.
+        Forward outputs in stage order, the loss gradient, then input
+        gradients in reverse stage order. The first stage's input gradient
+        feeds nothing and has no slot. Past the first stage a ReLU's input
+        is on the ``b_r`` grid (a channel output, or another ReLU's), and
+        ``max(x, 0)`` and ``grad * (x > 0)`` keep it there, so it has no
+        slot either; a first-stage ReLU sees the raw batch and keeps its
+        forward slot. ReLU and sigmoid take the incoming width.
         """
-        dims = []
-        cur = self.dim
-        for spec in self.layers:
+        forward, backward = [], []
+        width = self.dim
+        for i, spec in enumerate(self.layers):
+            in_width = width
             if spec.kind == "dense":
-                if spec.in_dim != cur:
+                if spec.in_dim != width:
                     raise ValueError(f"dense layer input {spec.in_dim!r} does not match "
-                                     f"incoming width {cur!r}")
-                dims.append((f"dense:{spec.in_dim}x{spec.out_dim}", spec.in_dim, spec.out_dim))
-                cur = spec.out_dim
+                                     f"incoming width {width!r}")
+                if spec.in_dim < 1 or spec.out_dim < 1:
+                    raise ValueError(f"dense layer {spec.in_dim!r}x{spec.out_dim!r} "
+                                     "needs widths >= 1")
+                key = f"dense:{spec.in_dim}x{spec.out_dim}"
+                width = spec.out_dim
             elif spec.kind in ("relu", "sigmoid"):
-                dims.append((spec.kind, cur, cur))
+                key = spec.kind
             else:
                 raise ValueError(f"unknown layer kind {spec.kind!r}")
-        dims.append((f"loss:{self.loss}", cur, 0))
-        return dims
+            if i == 0 or spec.kind != "relu":
+                forward.append(Slot("forward", i, key, self.batch_size * width))
+            if i > 0 and spec.kind != "relu":
+                backward.append(Slot("backward", i, key, self.batch_size * in_width))
+        loss = Slot("backward", len(self.layers), f"loss:{self.loss}", self.batch_size * width)
+        return forward + [loss] + backward[::-1]
 
 
 @dataclass
-class TrainOutput:
-    root: bytes
-    leaves: list[bytes]
+class _Output:
+    tree: merkle.MerkleTree  # over the checkpoint digests
+
+    @property
+    def root(self) -> bytes:
+        return self.tree.root
+
+    @property
+    def root_hex(self) -> str:
+        return self.tree.root_hex
+
+
+@dataclass
+class TrainOutput(_Output):
     log_path: Path | None
     final_weights: list[np.ndarray]
     final_digest: bytes
@@ -201,22 +240,12 @@ class TrainOutput:
     train_accuracy: float
     checkpoints: list[list[np.ndarray]] | None = None
 
-    @property
-    def root_hex(self) -> str:
-        return self.root.hex()
-
 
 @dataclass
-class AuditOutput:
-    root: bytes
-    leaves: list[bytes]
+class AuditOutput(_Output):
     final_digest: bytes
     per_step: list[tuple[int, int]]  # (forward, backward) replay corrections
     checkpoints: list[list[np.ndarray]] | None = None
-
-    @property
-    def root_hex(self) -> str:
-        return self.root.hex()
 
     @property
     def total_corrections(self) -> int:
@@ -271,8 +300,7 @@ def _snapshot(stages) -> list[np.ndarray]:
 class _Run:
     """What one pass of the replay engine leaves behind."""
 
-    root: bytes
-    leaves: list[bytes]
+    tree: merkle.MerkleTree
     stages: list
     final_digest: bytes
     per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
@@ -293,12 +321,8 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
             stage.b = rnd_array(stage.b, cfg.b_r)
     schedule = BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
 
-    # tau per trunk stage and pass; None where the stage's output passes through
-    forward_taus = [cfg.tau_policy.lookup(s.key) if _logged(s.kind, i, backward=False) else None
-                    for i, s in enumerate(stages)]
-    backward_taus = [cfg.tau_policy.lookup(s.key) if _logged(s.kind, i, backward=True) else None
-                     for i, s in enumerate(stages)]
-    loss_tau = cfg.tau_policy.lookup(f"loss:{cfg.loss}")
+    # a stage output goes through the channel iff it has a slot
+    taus = {(s.pass_, s.stage): cfg.tau_policy.lookup(s.key) for s in cfg.log_slots()}
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
     per_step: list[tuple[int, int]] = []
@@ -310,8 +334,9 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         values = [xb]
         cur = xb
         forward = 0
-        for stage, tau in zip(stages, forward_taus):
+        for i, stage in enumerate(stages):
             cur = stage.forward(cur, profile)
+            tau = taus.get(("forward", i))
             if tau is not None:
                 cur, n = channel.process(cur, tau)
                 forward += n
@@ -321,11 +346,12 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         if not np.isfinite(loss_raw):
             raise TrainingDiverged(f"non-finite loss at step {t}")
 
-        grad, backward = channel.process(grad_raw, loss_tau)
+        grad, backward = channel.process(grad_raw, taus["backward", len(stages)])
         for i in range(len(stages) - 1, 0, -1):
             grad = stages[i].backward(values[i], values[i + 1], grad, profile)
-            if backward_taus[i] is not None:
-                grad, n = channel.process(grad, backward_taus[i])
+            tau = taus.get(("backward", i))
+            if tau is not None:
+                grad, n = channel.process(grad, tau)
                 backward += n
         if stages and stages[0].kind == "dense":
             stages[0].param_backward(values[0], grad)
@@ -351,8 +377,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
 
     params = [p for s in stages for p in s.parameters()]
     return _Run(
-        root=merkle.build(leaves).root,
-        leaves=leaves,
+        tree=merkle.build(leaves),
         stages=stages,
         final_digest=merkle.hash_weights(params, cfg.b_m),
         per_step=per_step,
@@ -393,8 +418,7 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
         writer.close()
     final_loss, accuracy = evaluate(cfg, run.stages, profile, *run.data)
     return TrainOutput(
-        root=run.root,
-        leaves=run.leaves,
+        tree=run.tree,
         log_path=Path(log_path),
         final_weights=_snapshot(run.stages),
         final_digest=run.final_digest,
@@ -430,7 +454,7 @@ def audit_without_corrections(cfg: TrainConfig, auditor_profile: DeviceProfile |
 
 
 def _audit_output(run: _Run) -> AuditOutput:
-    return AuditOutput(root=run.root, leaves=run.leaves, final_digest=run.final_digest,
+    return AuditOutput(tree=run.tree, final_digest=run.final_digest,
                        per_step=run.per_step, checkpoints=run.checkpoints)
 
 
@@ -458,41 +482,13 @@ class LogEstimate:
     file_bytes: int
 
 
-def _logged(kind: str, index: int, backward: bool) -> bool:
-    """Whether trunk stage ``index``'s output in one pass goes through the channel.
-
-    Nothing consumes the first stage's input gradient, so it is neither
-    computed nor logged. Past the first stage a ReLU's input is on the
-    ``b_r`` grid (a channel output, or another ReLU's), and ``max(x, 0)``
-    and ``grad * (x > 0)`` keep it there, so rounding is the identity and
-    two honest parties cannot disagree: the values pass through. A first
-    stage ReLU sees the raw batch, so its forward output is logged.
-    """
-    if backward:
-        return index > 0 and kind != "relu"
-    return index == 0 or kind != "relu"
-
-
 def step_layout(cfg: TrainConfig) -> list[tuple[str, int]]:
-    """Per-step log write order as (slot, entries) pairs.
+    """Per-step log write order as (slot, entries) pairs, from ``log_slots``.
 
-    Logged forward outputs of the trunk stages in order, then the loss
-    gradient, then logged trunk input gradients in reverse stage order
-    (``_logged`` decides which). A slot is the pass and the stage key, e.g.
-    ``"forward:dense:4x8"`` or ``"backward:loss:bce"``; the loss's forward
-    output is a scalar that is never logged, and weight gradients log
-    nothing.
+    A slot is the pass and the stage key, e.g. ``"forward:dense:4x8"`` or
+    ``"backward:loss:bce"``.
     """
-    dims = cfg.stage_dims()
-    trunk = list(zip(cfg.layers, dims))
-    forward = [(f"forward:{key}", cfg.batch_size * out_size)
-               for i, (spec, (key, _, out_size)) in enumerate(trunk)
-               if _logged(spec.kind, i, backward=False)]
-    loss = [(f"backward:{key}", cfg.batch_size * in_size) for key, in_size, _ in dims[len(trunk):]]
-    backward = [(f"backward:{key}", cfg.batch_size * in_size)
-                for i, (spec, (key, in_size, _)) in reversed(list(enumerate(trunk)))
-                if _logged(spec.kind, i, backward=True)]
-    return forward + loss + backward
+    return [(f"{s.pass_}:{s.key}", s.entries) for s in cfg.log_slots()]
 
 
 def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:

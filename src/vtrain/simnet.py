@@ -354,10 +354,6 @@ class DenseStage:
         self.grad_W = None
         self.grad_b = None
 
-    @property
-    def key(self) -> str:
-        return f"dense:{self.in_dim}x{self.out_dim}"
-
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return dense_forward(x, self.W, self.b, profile)
 
@@ -379,7 +375,6 @@ class DenseStage:
 
 class ReluStage:
     kind = "relu"
-    key = "relu"
 
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return relu_forward(x)
@@ -393,7 +388,6 @@ class ReluStage:
 
 class SigmoidStage:
     kind = "sigmoid"
-    key = "sigmoid"
 
     def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         return sigmoid_forward(x)

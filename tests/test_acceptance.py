@@ -75,9 +75,7 @@ def test_criterion_2_negative_control(run_cache, shipped_config):
             plain = pr.audit_without_corrections(cfg, auditor_profile, keep_checkpoints=True)
             if plain.root != out.root:
                 diverged_on = (name, auditor_profile)
-                first = merkle.first_divergence(
-                    merkle.build(out.leaves), merkle.build(plain.leaves)
-                )
+                first = merkle.first_divergence(out.tree, plain.tree)
                 series = [
                     pr.weight_l2_distance(a, b)
                     for a, b in zip(out.checkpoints, plain.checkpoints)
@@ -212,7 +210,7 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
         )
         honest_log = tmp_path / f"h{case}.vtrl"
         honest = pr.train(cfg, honest_log)
-        honest_tree = merkle.build(honest.leaves)
+        honest_tree = honest.tree
 
         use_log_corruption = checked % 5 == 4
         if use_log_corruption:
@@ -225,7 +223,7 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             entry, s = hit
             auditor = pr.audit(cfg, cfg.trainer_profile, tmp_path / f"c{case}.vtrl")
             trainer_tree = honest_tree
-            auditor_tree = merkle.build(auditor.leaves)
+            auditor_tree = auditor.tree
             # corruption is read at step s; divergence cannot precede it
             min_leaf = (s - 1) // k
             expected = merkle.first_divergence(trainer_tree, auditor_tree)
@@ -241,7 +239,7 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             tampered = pr.train(
                 cfg, tmp_path / f"t{case}.vtrl", tamper_after_step=s, tamper=flip
             )
-            trainer_tree = merkle.build(tampered.leaves)
+            trainer_tree = tampered.tree
             auditor_tree = honest_tree
             expected = -(-s // k) - 1  # first checkpoint index at/after step s
             oracle = next(

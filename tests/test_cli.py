@@ -65,6 +65,18 @@ class TestTrain:
         tree = merkle.read_tree(tmp_path / "tiny.vtmt")
         assert tree.root_hex == root
 
+    def test_builds_the_tree_once(self, runner, tmp_path, monkeypatch):
+        built = []
+        real = merkle.build
+
+        def counting(leaves):
+            built.append(len(leaves))
+            return real(leaves)
+
+        monkeypatch.setattr(merkle, "build", counting)
+        train_tiny(runner, tmp_path)
+        assert built == [4]  # 16 steps, a checkpoint every 4
+
 
 class TestAudit:
     def test_honest_audit_exits_zero(self, runner, tmp_path):
@@ -143,6 +155,11 @@ def _set(path, value):
     return edit
 
 
+def _zero_hidden_width(doc):
+    doc["model"]["layers"][0]["out"] = 0
+    doc["model"]["layers"][2]["in"] = 0
+
+
 BAD_CONFIGS = {
     "batch-size-zero": _set(("batch_size",), 0),
     "dim-not-first-dense-in": _set(("dataset", "dim"), 7),
@@ -157,6 +174,9 @@ BAD_CONFIGS = {
                                              "table": {"dense:8x12": -1e-8}}),
     "adaptive-tau-nan": _set(("tau",), {"policy": "adaptive",
                                         "table": {"dense:8x12": float("nan")}}),
+    "adaptive-table-misses-loss": _set(("tau",), {"policy": "adaptive", "table": {
+        "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU}}),
+    "zero-hidden-width": _zero_hidden_width,
 }
 
 

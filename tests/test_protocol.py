@@ -77,10 +77,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="tau"):
             tiny_config(tau_policy=TauPolicy(kind="adaptive", table=table))
 
-    def test_adaptive_requires_table(self, tmp_path):
-        cfg = tiny_config(tau_policy=TauPolicy(kind="adaptive", table={}))
+    def test_adaptive_requires_table(self):
         with pytest.raises(ValueError, match="no entry"):
-            pr.train(cfg, tmp_path / "never.vtrl")
+            tiny_config(tau_policy=TauPolicy(kind="adaptive", table={}))
 
 
 class TestTrain:
@@ -89,13 +88,13 @@ class TestTrain:
                           learning_rate=0.1)
         assert cfg.steps == 1
         out = pr.train(cfg, tmp_path / "one.vtrl")
-        assert len(out.leaves) == 1
-        assert out.root == out.leaves[0]
+        assert len(out.tree.leaves) == 1
+        assert out.root == out.tree.leaves[0]
 
     def test_zero_learning_rate_freezes_checkpoints(self, tmp_path):
         cfg = tiny_config(learning_rate=0.0)
         out = pr.train(cfg, tmp_path / "zero.vtrl")
-        assert len(set(out.leaves)) == 1
+        assert len(set(out.tree.leaves)) == 1
         # with frozen weights even a profile change without corrections agrees
         for profile in ("pairwise", "reversed", "chunked7"):
             nr = pr.audit_without_corrections(cfg, profile)
@@ -183,10 +182,9 @@ class TestAudit:
 
         s = 6
         tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper_after_step=s, tamper=flip)
-        t1 = merkle.build(honest.leaves)
-        t2 = merkle.build(tampered.leaves)
         # first checkpoint at or after the tampered step (ceil(s/k), 0-based)
-        assert merkle.first_divergence(t1, t2) == -(-s // cfg.checkpoint_interval) - 1
+        want = -(-s // cfg.checkpoint_interval) - 1
+        assert merkle.first_divergence(honest.tree, tampered.tree) == want
 
 
 class TestChannels:
@@ -225,15 +223,31 @@ RELU_FIRST_ROOT = "7185d6feb9bc284e2280a90372e9f9e1632643f35627b382204707121dab0
 
 
 class _Recording:
-    """A channel wrapper that records the size of every tensor it is handed."""
+    """A channel wrapper that records the size and tau of every tensor it is handed."""
 
     def __init__(self, inner):
         self.inner = inner
         self.sizes = []
+        self.taus = []
 
     def process(self, values, tau):
         self.sizes.append(values.size)
+        self.taus.append(tau)
         return self.inner.process(values, tau)
+
+
+def _record_all_channels(cfg, log):
+    """Run the trainer, then the auditor and the plain channel on pairwise; their recordings."""
+    with LogWriter(log, cfg.b_r) as writer:
+        trainer = _Recording(pr._TrainerChannel(writer, cfg.b_r))
+        pr._run(cfg, get_profile(cfg.trainer_profile), trainer, False)
+    reader = LogReader(log)
+    auditor = _Recording(pr._AuditorChannel(reader, cfg.b_r))
+    plain = _Recording(pr._PlainChannel(cfg.b_r))
+    for channel in (auditor, plain):
+        pr._run(cfg, get_profile("pairwise"), channel, False)
+    assert reader.remaining == 0
+    return trainer, auditor, plain
 
 
 def two_steps(cfg):
@@ -246,19 +260,18 @@ class TestLogLayout:
     def test_every_channel_gets_exactly_step_layout(self, shipped_config, tmp_path, name):
         cfg = two_steps(shipped_config(name))
         want = [n for _, n in pr.step_layout(cfg)] * cfg.steps
-        log = tmp_path / "run.vtrl"
-        with LogWriter(log, cfg.b_r) as writer:
-            trainer = _Recording(pr._TrainerChannel(writer, cfg.b_r))
-            pr._run(cfg, get_profile(cfg.trainer_profile), trainer, False)
-        reader = LogReader(log)
-        auditor = _Recording(pr._AuditorChannel(reader, cfg.b_r))
-        plain = _Recording(pr._PlainChannel(cfg.b_r))
-        for channel in (auditor, plain):
-            pr._run(cfg, get_profile("pairwise"), channel, False)
-        assert trainer.sizes == want
-        assert auditor.sizes == want
-        assert plain.sizes == want
-        assert reader.remaining == 0
+        for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
+            assert channel.sizes == want
+
+    def test_every_channel_call_gets_its_slots_tau(self, tmp_path):
+        lo, hi = fpround.tau_bounds(32)
+        keys = ("dense:8x12", "dense:12x2", "loss:softmax_xent")
+        table = {key: lo + (k + 1) * (hi - lo) / 4 for k, key in enumerate(keys)}
+        cfg = two_steps(tiny_config(tau_policy=TauPolicy(kind="adaptive", table=table)))
+        assert len(set(table.values())) == len(keys)
+        want = [table[slot.split(":", 1)[1]] for slot, _ in pr.step_layout(cfg)] * cfg.steps
+        for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
+            assert channel.taus == want
 
     def test_first_stage_input_gradient_never_computed(self, shipped_config, tmp_path,
                                                        monkeypatch):
@@ -313,13 +326,13 @@ class TestNegativeControlMechanics:
         cfg = tiny_config()
         out = pr.train(cfg, tmp_path / "log.vtrl", keep_checkpoints=True)
         assert out.checkpoints is not None
-        assert len(out.checkpoints) == len(out.leaves)
+        assert len(out.checkpoints) == len(out.tree.leaves)
         nr = pr.audit_without_corrections(cfg, "pairwise", keep_checkpoints=True)
         series = [
             pr.weight_l2_distance(a, b)
             for a, b in zip(out.checkpoints, nr.checkpoints)
         ]
-        assert len(series) == len(out.leaves)
+        assert len(series) == len(out.tree.leaves)
 
 
 class TestWeightL2:
