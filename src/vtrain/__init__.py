@@ -8,7 +8,7 @@ a SHA-256 Merkle tree. Disagreements are localized to a single checkpoint
 through an interactive bisection game over a socket.
 """
 
-from .fpround import DOWN, IGNORE, UP, RoundingParams, rnd, rev, direction
+from .fpround import DOWN, IGNORE, UP
 from .simnet import DeviceProfile, PROFILES, Rng, get_profile
 from .protocol import (
     TrainConfig,
@@ -30,10 +30,6 @@ __all__ = [
     "DOWN",
     "IGNORE",
     "UP",
-    "RoundingParams",
-    "rnd",
-    "rev",
-    "direction",
     "DeviceProfile",
     "PROFILES",
     "Rng",

@@ -44,7 +44,7 @@ def config_from_dict(doc: dict) -> TrainConfig:
     if tau_doc["policy"] == "fixed":
         tau = TauPolicy(kind="fixed", value=float(tau_doc["value"]))
     else:
-        tau = TauPolicy(kind="adaptive", table=dict(tau_doc["table"]))
+        tau = TauPolicy(kind=tau_doc["policy"], table=dict(tau_doc["table"]))
     ds = doc["dataset"]
     return TrainConfig(
         dataset_size=ds["size"],
@@ -316,27 +316,25 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
 @click.option("--profiles", default="sequential,pairwise",
               help="Comma-separated pair of profiles to compare.")
 @click.option("--samples", default=1000, type=int)
-@click.option("--iters", default=30, type=int)
 @click.option("--seed", default=0, type=int)
-def cmd_threshold(layer_kind, shape, b_r, profiles, samples, iters, seed):
+def cmd_threshold(layer_kind, shape, b_r, profiles, samples, seed):
     """Search the largest safe logging threshold for one layer."""
-    if layer_kind == "dense":
-        if not shape:
-            raise click.UsageError("dense layers need --shape INxOUT")
-        try:
+    if layer_kind == "dense" and not shape:
+        raise click.UsageError("dense layers need --shape INxOUT")
+    try:
+        if layer_kind == "dense":
             in_dim, out_dim = (int(v) for v in shape.lower().split("x"))
-        except ValueError as e:
-            raise click.UsageError(f"bad --shape {shape!r}") from e
-        layer = LayerSpec("dense", in_dim, out_dim)
-    else:
-        dim = int(shape.split("x")[0]) if shape else 16
-        layer = LayerSpec(layer_kind, dim, dim)
+        else:
+            in_dim = out_dim = int(shape.split("x")[0]) if shape else 16
+        layer = LayerSpec(layer_kind, in_dim, out_dim)
+    except ValueError as e:
+        raise click.UsageError(f"bad --shape {shape!r}: {e}") from e
     names = profiles.split(",")
     if len(names) != 2:
         raise click.UsageError("--profiles needs exactly two names")
     try:
         pair = (get_profile(names[0]), get_profile(names[1]))
-        tau = protocol.threshold_search(layer, b_r, pair, samples, iters, Rng(seed))
+        tau = protocol.threshold_search(layer, b_r, pair, samples, Rng(seed))
     except ValueError as e:
         raise click.UsageError(str(e)) from e
     click.echo(repr(tau))

@@ -4,18 +4,20 @@ All persistent training state lives on a "grid": the finite FP32 values
 whose low ``32 - b`` mantissa bits are zero, re-expressed exactly as FP64.
 ``b`` (the rounding amount) ranges from 10 to 32; ``b = 32`` is the full
 FP32 value set and smaller ``b`` coarsens the grid by a factor of two per
-step. Values are computed in FP64 and pulled onto the grid with ``rnd``.
+step. Values are computed in FP64 and pulled onto the grid with
+``rnd_array``.
 
-``direction`` classifies how a value relates to its grid point: a ternary
-code (0 = rounded down, 1 = ignore, 2 = rounded up) is produced only when
-the value sits further than ``tau`` (relative to its binary exponent) from
-the grid point. ``rev`` is the replay half: given a second, slightly
-perturbed computation of the same value plus the recorded code, it lands
-on the same grid point the original party chose.
+``direction_array`` classifies how a value relates to its grid point: a
+ternary code (0 = rounded down, 1 = ignore, 2 = rounded up) is produced
+only when the value sits further than ``tau`` (relative to its binary
+exponent) from the grid point. ``rev_array`` is the replay half: given a
+second, slightly perturbed computation of the same value plus the
+recorded code, it lands on the same grid point the original party chose.
 
 Everything here is implemented on the bit representation so that results
-are identical across machines. Functions come in scalar and ``*_array``
-forms; the array forms take and return ``float64`` ndarrays.
+are identical across machines. The grid operations are array-only: they
+take anything ``np.asarray`` accepts and return ``float64`` ndarrays
+(codes as ``uint8``).
 
 Each party splits a logged tensor into its bit fields once. The trainer's
 ``round_and_code`` gives the rounded tensor and its codes; the auditor's
@@ -26,8 +28,6 @@ use the same bit split.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,7 @@ def _check_b(b_r: int) -> None:
         raise ValueError(f"b_r must be an integer in [{MIN_B}, {MAX_B}], got {b_r!r}")
 
 
-def check_b_tr(b_tr: int, b_r: int, tau: float, fan_in: int = 2) -> None:
+def check_b_tr(b_tr: int, b_r: int, tau: float, fan_in: int) -> None:
     """Reject a training precision that the replay cannot keep in sync.
 
     ``b_tr`` is the accumulator width: FP64 with the low ``64 - b_tr``
@@ -59,7 +59,7 @@ def check_b_tr(b_tr: int, b_r: int, tau: float, fan_in: int = 2) -> None:
     association orders of an ``n``-term sum differ by up to
     ``(n - 1) * 2^-(b_tr - 12)`` relative to ``sum |x|`` (Higham's
     ``gamma(n - 1)`` bound, once per order), and that must stay under
-    ``tau``. The bound is necessary, not sufficient: ``rev`` resyncs
+    ``tau``. The bound is necessary, not sufficient: ``rev_array`` resyncs
     relative to each output's own exponent scale, and cancellation puts
     ``sum |x|`` far above the output.
     """
@@ -84,32 +84,6 @@ def grid_max(b_r: int) -> float:
     _check_b(b_r)
     kept = b_r - 9
     return (2.0 - 2.0 ** -kept) * 2.0 ** 127
-
-
-@dataclass(frozen=True)
-class RoundingParams:
-    """Rounding amount, threshold, and working precision for one run.
-
-    ``tau`` is relative: the logging test compares a value's distance from
-    its grid point against ``tau * exponent_scale(value)``. ``tau = 0``
-    disables the ignore band entirely (every off-grid value gets a code).
-    ``b_tr`` is the accumulator width (see ``check_b_tr``); without a
-    model to take a fan-in from, it is checked for a single add.
-    """
-
-    b_r: int
-    tau: float
-    b_tr: int = 64
-
-    def __post_init__(self) -> None:
-        _check_b(self.b_r)
-        check_b_tr(self.b_tr, self.b_r, self.tau)
-        if self.tau != 0.0:
-            lo, hi = tau_bounds(self.b_r)
-            if not lo <= self.tau <= hi:
-                raise ValueError(
-                    f"tau {self.tau!r} outside [{lo!r}, {hi!r}] for b_r={self.b_r}"
-                )
 
 
 def _require_finite(arr: np.ndarray) -> None:
@@ -196,11 +170,6 @@ def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
     return rounded, codes
 
 
-def rnd(x: float, b_r: int) -> float:
-    """Scalar form of rnd_array."""
-    return float(rnd_array(x, b_r)[0])
-
-
 def epsilon(b_r: int, exponent_scale: float) -> float:
     """Grid spacing at the given exponent scale: exponent_scale * 2^(9 - b_r)."""
     _check_b(b_r)
@@ -217,11 +186,6 @@ def exponent_scale_array(x) -> np.ndarray:
     return out.reshape(np.shape(x)) if np.shape(x) else out
 
 
-def exponent_scale(x: float) -> float:
-    """Scalar form of exponent_scale_array."""
-    return float(exponent_scale_array(x)[0])
-
-
 def direction_array(x, b_r: int, tau: float) -> np.ndarray:
     """Ternary code per element: 2 up, 0 down, 1 within tau of the grid.
 
@@ -231,11 +195,6 @@ def direction_array(x, b_r: int, tau: float) -> np.ndarray:
     return round_and_code(x, b_r, tau)[1]
 
 
-def direction(x: float, p: RoundingParams) -> int:
-    """Scalar form of direction_array."""
-    return int(direction_array(x, p.b_r, p.tau)[0])
-
-
 def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest grid value <= x and smallest grid value >= x, per element."""
     g = _GridBits(x, b_r)
@@ -243,17 +202,11 @@ def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
             g.values(np.where(g.neg, g.toward, g.away)))
 
 
-def grid_neighbors(x: float, b_r: int) -> tuple[float, float]:
-    """Scalar form of grid_neighbors_array."""
-    below, above = grid_neighbors_array(x, b_r)
-    return float(below[0]), float(above[0])
-
-
 def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
     """The auditor's pass: ``rev_array`` and its correction count from one bit split.
 
     Where the code points against nearest rounding, the result is the grid
-    neighbour the code names; everywhere else it is ``rnd``. The count is
+    neighbour the code names; everywhere else it is ``rnd_array``. The count is
     the number of elements moved off their nearest grid point.
     """
     g = _GridBits(x, b_r)
@@ -272,15 +225,10 @@ def rev_array(x, b_r: int, codes) -> np.ndarray:
     """Replay rounding with recorded codes.
 
     Where the natural nearest rounding already agrees with the code (or
-    the code is 1), this is plain ``rnd``. Where the code points the other
+    the code is 1), this is plain ``rnd_array``. Where the code points the other
     way, the adjacent grid value on the coded side of x is taken instead.
     """
     return replay(x, b_r, codes)[0]
-
-
-def rev(x: float, b_r: int, c: int) -> float:
-    """Scalar form of rev_array."""
-    return float(rev_array(x, b_r, np.asarray([c]))[0])
 
 
 def is_on_grid(x, b_r: int) -> np.ndarray:

@@ -77,11 +77,26 @@ class TrainingDiverged(RuntimeError):
     """Loss became non-finite during a run."""
 
 
+def _check_count(name: str, value, minimum: int | None = None) -> None:
+    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LayerSpec:
+    """One layer; a dense layer's widths, and any width given, are integers >= 1."""
+
     kind: str
     in_dim: int | None = None
     out_dim: int | None = None
+
+    def __post_init__(self):
+        for name, width in (("in", self.in_dim), ("out", self.out_dim)):
+            if self.kind == "dense" or width is not None:
+                _check_count(f"{self.kind} layer {name}", width, 1)
 
 
 @dataclass(frozen=True)
@@ -91,6 +106,10 @@ class TauPolicy:
     kind: str = "fixed"  # "fixed" | "adaptive"
     value: float = DEFAULT_TAU
     table: dict | None = None
+
+    def __post_init__(self):
+        if self.kind not in ("fixed", "adaptive"):
+            raise ValueError(f"unknown tau policy {self.kind!r}, want 'fixed' or 'adaptive'")
 
     def lookup(self, stage_key: str) -> float:
         if self.kind == "fixed":
@@ -129,15 +148,19 @@ class TrainConfig:
     trainer_profile: str = "sequential"
     name: str = "run"
 
+    # Integer fields, each with its least value (None: any integer).
+    _COUNTS = {"dataset_size": 1, "dim": 1, "classes": 1, "epochs": None,
+               "batch_size": 1, "checkpoint_interval": 1, "seed": None}
+
     def __post_init__(self):
+        for name, minimum in self._COUNTS.items():
+            _check_count(name, getattr(self, name), minimum)
         if self.b_m != 32:
             raise ValueError("supported model precision is b_m=32")
         if not 26 <= self.b_r <= self.b_m:
             raise ValueError("b_r must lie in [26, 32]")
         if self.loss not in ("softmax_xent", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
         if not isinstance(self.learning_rate, (int, float)):
             raise ValueError(f"learning rate must be a number, got {self.learning_rate!r}")
         slots = self.log_slots()
@@ -156,8 +179,6 @@ class TrainConfig:
         for slot in slots:
             self.tau_policy.lookup(slot.key)
         check_b_tr(self.b_tr, self.b_r, min(taus, default=math.inf), self.max_fan_in())
-        if self.checkpoint_interval < 1:
-            raise ValueError("checkpoint interval must be >= 1")
         if self.dataset_size % self.batch_size != 0:
             raise ValueError("dataset size must be a multiple of batch size")
         if self.steps < 1:
@@ -199,9 +220,6 @@ class TrainConfig:
                 if spec.in_dim != width:
                     raise ValueError(f"dense layer input {spec.in_dim!r} does not match "
                                      f"incoming width {width!r}")
-                if spec.in_dim < 1 or spec.out_dim < 1:
-                    raise ValueError(f"dense layer {spec.in_dim!r}x{spec.out_dim!r} "
-                                     "needs widths >= 1")
                 key = f"dense:{spec.in_dim}x{spec.out_dim}"
                 width = spec.out_dim
             elif spec.kind in ("relu", "sigmoid"):
@@ -538,26 +556,26 @@ def collect_divergence_samples(layer: LayerSpec, b_r: int,
     return samples
 
 
-def search_tau(samples, b_r: int, iters: int) -> float:
-    """Binary-search the largest threshold no recorded straddle undercuts."""
+def search_tau(samples, b_r: int) -> float:
+    """The largest threshold below every recorded straddle, clipped to ``tau_bounds``.
+
+    The code test is strict (``d > t``), so a straddle at distance ``d``
+    is directed only under a tau below ``d``: the result is the double
+    just below ``min(samples)``. With no samples it is the upper bound;
+    when the smallest sample is at or below the lower bound, it is the
+    lower bound.
+    """
     lower, upper = tau_bounds(b_r)
     if not samples:
         return upper
-    tau = lower
-    for _ in range(iters):
-        tau = (lower + upper) / 2.0
-        if all(p >= tau for p in samples):
-            lower = tau
-        else:
-            upper = tau
-    return tau
+    return min(upper, max(lower, math.nextafter(min(samples), 0.0)))
 
 
 def threshold_search(layer: LayerSpec, b_r: int,
                      profiles: tuple[DeviceProfile, DeviceProfile],
-                     n_samples: int, iters: int, rng: Rng) -> float:
+                     n_samples: int, rng: Rng) -> float:
     """Per-layer adaptive threshold from observed cross-profile straddles."""
-    if n_samples < 1 or iters < 1:
-        raise ValueError("n_samples and iters must be >= 1")
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     samples = collect_divergence_samples(layer, b_r, profiles, n_samples, rng)
-    return search_tau(samples, b_r, iters)
+    return search_tau(samples, b_r)

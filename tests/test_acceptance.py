@@ -166,7 +166,7 @@ def test_criterion_5_threshold_bounds_and_ordering():
             (LayerSpec("relu", 64, 64), "relu"),
             (LayerSpec("sigmoid", 64, 64), "sigmoid"),
         ):
-            tau = pr.threshold_search(layer, b_r, pair, 1200, 30, Rng(b_r * 7 + 1))
+            tau = pr.threshold_search(layer, b_r, pair, 1200, Rng(b_r * 7 + 1))
             results[(label, b_r)] = tau
             in_bracket = in_bracket and lo <= tau <= hi
     ordering = all(

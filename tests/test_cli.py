@@ -7,6 +7,7 @@ import socket
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ def _zero_hidden_width(doc):
     doc["model"]["layers"][2]["in"] = 0
 
 
+def _no_features(doc):
+    """dim and classes 0 with a lone ReLU: the walk finds no mismatched width."""
+    doc["dataset"]["dim"] = 0
+    doc["dataset"]["classes"] = 0
+    doc["model"]["layers"] = [{"kind": "relu"}]
+
+
+def _float_hidden_width(doc):
+    doc["model"]["layers"][0]["out"] = 12.0
+    doc["model"]["layers"][2]["in"] = 12.0
+
+
 BAD_CONFIGS = {
     "batch-size-zero": _set(("batch_size",), 0),
     "dim-not-first-dense-in": _set(("dataset", "dim"), 7),
@@ -177,6 +190,20 @@ BAD_CONFIGS = {
     "adaptive-table-misses-loss": _set(("tau",), {"policy": "adaptive", "table": {
         "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU}}),
     "zero-hidden-width": _zero_hidden_width,
+    "no-features": _no_features,
+    "float-dim": _set(("dataset", "dim"), 8.0),
+    "float-size": _set(("dataset", "size"), 64.0),
+    "float-classes": _set(("dataset", "classes"), 2.0),
+    "float-seed": _set(("seed",), 2024.0),
+    "float-batch-size": _set(("batch_size",), 8.0),
+    "float-epochs": _set(("epochs",), 2.0),
+    "float-checkpoint-interval": _set(("checkpoint_interval",), 4.0),
+    "float-dense-in": _set(("model", "layers", 0, "in"), 8.0),
+    "float-hidden-width": _float_hidden_width,
+    "bool-epochs": _set(("epochs",), True),
+    "unknown-tau-policy": _set(("tau",), {"policy": "bogus", "table": {
+        "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU,
+        "loss:softmax_xent": protocol.DEFAULT_TAU}}),
 }
 
 
@@ -369,8 +396,7 @@ class TestThreshold:
     def test_bounds_respected(self, runner):
         result = runner.invoke(main, [
             "threshold", "--layer", "dense", "--shape", "16x16", "--b-r", "32",
-            "--profiles", "sequential,pairwise", "--samples", "200", "--iters", "15",
-            "--seed", "3",
+            "--profiles", "sequential,pairwise", "--samples", "200", "--seed", "3",
         ])
         assert result.exit_code == 0, result.output
         tau = float(result.output.strip())
@@ -378,14 +404,26 @@ class TestThreshold:
 
     def test_deterministic(self, runner):
         args = ["threshold", "--layer", "relu", "--b-r", "29", "--samples", "50",
-                "--iters", "10", "--seed", "11"]
-        out1 = runner.invoke(main, args).output
-        out2 = runner.invoke(main, args).output
-        assert out1 == out2
+                "--seed", "11"]
+        first = runner.invoke(main, args)
+        second = runner.invoke(main, args)
+        assert first.exit_code == second.exit_code == 0, first.output
+        assert first.output == second.output
 
     def test_dense_needs_shape(self, runner):
         result = runner.invoke(main, ["threshold", "--layer", "dense"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("layer,shape", [("relu", "abc"), ("dense", "0x4"),
+                                             ("dense", "4x0"), ("sigmoid", "0")])
+    def test_bad_shape_is_usage_error(self, runner, layer, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["threshold", "--layer", layer, "--shape", shape,
+                                          "--samples", "20"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "bad --shape" in result.output
 
 
 class TestInspectEstimate:

@@ -49,16 +49,16 @@ def oracle_rnd(x: float, b_r: int) -> float:
 class TestRnd:
     def test_zero_on_every_grid(self):
         for b in B_VALUES:
-            assert fp.rnd(0.0, b) == 0.0
+            assert fp.rnd_array(0.0, b).tolist() == [0.0]
 
     def test_fp32_values_are_fixed_points(self):
         # bit pattern 00111110010011001100110011001101 is float32(0.2)
         x = float(np.uint32(0b00111110010011001100110011001101).view(np.float32))
-        assert fp.rnd(x, 32) == x
+        assert fp.rnd_array(x, 32).tolist() == [x]
 
     def test_tie_rounds_to_even(self):
         # 1 + 2^-24 sits exactly between 1.0 and 1 + 2^-23; 1.0 has the even bit
-        assert fp.rnd(1.0 + 2.0**-24, 32) == 1.0
+        assert fp.rnd_array(1.0 + 2.0**-24, 32).tolist() == [1.0]
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(7)
@@ -82,22 +82,22 @@ class TestRnd:
             rng.normal(size=50) * 1e-40,  # FP32-subnormal region
         ])
         for b in (26, 29, 32):
-            for x in xs:
-                assert fp.rnd(float(x), b) == oracle_rnd(float(x), b), (x, b)
+            want = [oracle_rnd(float(x), b) for x in xs]
+            assert fp.rnd_array(xs, b).tolist() == want, b
 
     def test_non_finite_rejected(self):
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="non-finite"):
-                fp.rnd(bad, 32)
+                fp.rnd_array(bad, 32)
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError, match="out of representable range"):
-            fp.rnd(1e39, 32)
+            fp.rnd_array(1e39, 32)
 
     def test_bad_b_rejected(self):
         for b in (9, 33, 0):
             with pytest.raises(ValueError):
-                fp.rnd(1.0, b)
+                fp.rnd_array(1.0, b)
 
     def test_monotone_coarsening(self):
         # the coarse grid is a subset of every finer grid
@@ -124,10 +124,8 @@ class TestEpsilonAndScale:
         assert fp.epsilon(32, 2.0) == 2.0**-22
 
     def test_exponent_scale_examples(self):
-        assert fp.exponent_scale(1.5) == 1.0
-        assert fp.exponent_scale(0.2) == 0.125
-        assert fp.exponent_scale(-6.0) == 4.0
-        assert fp.exponent_scale(0.0) == 2.0**-126
+        got = fp.exponent_scale_array([1.5, 0.2, -6.0, 0.0])
+        assert got.tolist() == [1.0, 0.125, 4.0, 2.0**-126]
 
     def test_exponent_scale_bracket(self):
         rng = np.random.default_rng(12)
@@ -139,48 +137,44 @@ class TestEpsilonAndScale:
 
 
 class TestDirection:
+    TAU = 0.25 * 2.0**-23
+
     def test_on_grid_is_ignore(self):
-        p = fp.RoundingParams(b_r=32, tau=0.25 * 2.0**-23)
-        for v in (0.0, 1.0, -2.5, float(np.float32(0.1))):
-            assert fp.direction(v, p) == fp.IGNORE
+        values = [0.0, 1.0, -2.5, float(np.float32(0.1))]
+        assert fp.direction_array(values, 32, self.TAU).tolist() == [fp.IGNORE] * 4
 
     def test_distance_exactly_tau_is_ignore(self):
         # the logging test is strict: a value exactly tau from its grid
         # point stays in the ignore band
-        p = fp.RoundingParams(b_r=32, tau=0.25 * 2.0**-23)
-        assert fp.direction(1.0 + 0.75 * 2.0**-23, p) == fp.IGNORE
+        assert fp.direction_array(1.0 + 0.75 * 2.0**-23, 32, self.TAU).tolist() == [fp.IGNORE]
 
     def test_up_and_down(self):
-        p = fp.RoundingParams(b_r=32, tau=0.25 * 2.0**-23)
-        assert fp.direction(1.0 + 0.6 * 2.0**-23, p) == fp.UP
-        assert fp.direction(1.0 + 0.4 * 2.0**-23, p) == fp.DOWN
+        values = [1.0 + 0.6 * 2.0**-23, 1.0 + 0.4 * 2.0**-23]
+        assert fp.direction_array(values, 32, self.TAU).tolist() == [fp.UP, fp.DOWN]
 
     def test_zero_is_ignore(self):
-        p = fp.RoundingParams(b_r=26, tau=0.25 * 2.0**-23)
-        assert fp.direction(0.0, p) == fp.IGNORE
+        assert fp.direction_array(0.0, 26, self.TAU).tolist() == [fp.IGNORE]
 
     def test_params_validation(self):
+        # the tau range is checked through TrainConfig (test_protocol)
         with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=0.6 * 2.0**-23)  # above upper bound
-        with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=0.1 * 2.0**-23)  # below lower bound
-        with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=0.25 * 2.0**-23, b_tr=32)
+            fp.check_b_tr(32, 32, self.TAU, fan_in=2)
 
     def test_training_precision_validation(self):
-        tau = 0.25 * 2.0**-23
-        assert fp.RoundingParams(b_r=32, tau=tau, b_tr=50).b_tr == 50
+        # one add: fan-in 2
+        tau = self.TAU
+        fp.check_b_tr(50, 32, tau, fan_in=2)
         # the kept mantissa (b_tr - 12 bits) must be wider than the grid's 23
         with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=tau, b_tr=35)
-        assert fp.RoundingParams(b_r=26, tau=tau, b_tr=38).b_tr == 38
+            fp.check_b_tr(35, 32, tau, fan_in=2)
+        fp.check_b_tr(38, 26, tau, fan_in=2)
         # one add's noise, 2^-(b_tr - 12), must stay under tau = 2^-25
         with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=26, tau=tau, b_tr=37)
+            fp.check_b_tr(37, 26, tau, fan_in=2)
         with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=0.0, b_tr=50)
+            fp.check_b_tr(50, 32, 0.0, fan_in=2)
         with pytest.raises(ValueError):
-            fp.RoundingParams(b_r=32, tau=tau, b_tr=65)
+            fp.check_b_tr(65, 32, tau, fan_in=2)
 
     def test_check_b_tr_fan_in(self):
         tau = 0.25 * 2.0**-23
@@ -193,13 +187,14 @@ class TestDirection:
 
 class TestNeighbors:
     def test_grid_point_brackets_itself(self):
-        g = fp.rnd(0.37, 30)
-        assert fp.grid_neighbors(g, 30) == (g, g)
+        g = fp.rnd_array(0.37, 30)
+        below, above = fp.grid_neighbors_array(g, 30)
+        assert below.tolist() == above.tolist() == g.tolist()
 
     def test_midpoint_example(self):
-        below, above = fp.grid_neighbors(1.0 + 0.5 * 2.0**-23, 32)
-        assert below == 1.0
-        assert above == 1.0 + 2.0**-23
+        below, above = fp.grid_neighbors_array(1.0 + 0.5 * 2.0**-23, 32)
+        assert below.tolist() == [1.0]
+        assert above.tolist() == [1.0 + 2.0**-23]
 
     def test_sign_symmetry(self):
         rng = np.random.default_rng(13)
@@ -214,8 +209,9 @@ class TestNeighbors:
         rng = np.random.default_rng(14)
         xs = rng.normal(size=200) * np.exp2(rng.integers(-30, 30, size=200))
         for b in (26, 32):
-            for x in xs:
-                assert fp.grid_neighbors(float(x), b) == oracle_neighbors(float(x), b)
+            below, above = fp.grid_neighbors_array(xs, b)
+            got = list(zip(below.tolist(), above.tolist()))
+            assert got == [oracle_neighbors(float(x), b) for x in xs]
 
     def test_bracket_and_membership(self):
         rng = np.random.default_rng(15)
@@ -238,18 +234,18 @@ class TestRev:
 
     def test_forced_up_example(self):
         # naturally rounds down to 1.0; the recorded direction overrides
-        assert fp.rev(1.0 + 0.4 * 2.0**-23, 32, fp.UP) == 1.0 + 2.0**-23
+        assert fp.rev_array(1.0 + 0.4 * 2.0**-23, 32, fp.UP).tolist() == [1.0 + 2.0**-23]
 
     def test_agreeing_up_example(self):
-        assert fp.rev(1.0 + 0.6 * 2.0**-23, 32, fp.UP) == 1.0 + 2.0**-23
+        assert fp.rev_array(1.0 + 0.6 * 2.0**-23, 32, fp.UP).tolist() == [1.0 + 2.0**-23]
 
     def test_forced_down(self):
-        assert fp.rev(1.0 + 0.6 * 2.0**-23, 32, fp.DOWN) == 1.0
+        assert fp.rev_array(1.0 + 0.6 * 2.0**-23, 32, fp.DOWN).tolist() == [1.0]
 
     def test_on_grid_never_corrected(self):
-        g = fp.rnd(3.7, 28)
-        for c in (fp.DOWN, fp.IGNORE, fp.UP):
-            assert fp.rev(g, 28, c) == g
+        g = fp.rnd_array(3.7, 28)[0]
+        codes = np.asarray([fp.DOWN, fp.IGNORE, fp.UP])
+        assert fp.rev_array([g] * 3, 28, codes).tolist() == [g] * 3
 
     def test_output_is_bracketing_grid_point(self):
         rng = np.random.default_rng(17)
@@ -262,7 +258,7 @@ class TestRev:
 
     def test_bad_code_rejected(self):
         with pytest.raises(ValueError, match="direction"):
-            fp.rev(1.5, 32, 3)
+            fp.rev_array(1.5, 32, 3)
 
 
 def _sync_check(b_r: int, tau: float, n: int, seed: int) -> None:
@@ -297,10 +293,10 @@ def test_sync_property(b_r):
     b_r=st.sampled_from(B_VALUES),
 )
 def test_rnd_hypothesis_invariants(x, b_r):
-    r = fp.rnd(x, b_r)
-    assert fp.rnd(r, b_r) == r
-    assert bool(fp.is_on_grid(np.asarray([r]), b_r)[0])
-    assert fp.rnd(-x, b_r) == -r
+    r = fp.rnd_array(x, b_r)
+    assert np.array_equal(fp.rnd_array(r, b_r), r)
+    assert fp.is_on_grid(r, b_r).all()
+    assert np.array_equal(fp.rnd_array(-x, b_r), -r)
 
 
 @settings(max_examples=200, deadline=None)
@@ -310,9 +306,9 @@ def test_rnd_hypothesis_invariants(x, b_r):
     b_r=st.sampled_from(B_VALUES),
 )
 def test_rev_hypothesis_membership(x, c, b_r):
-    out = fp.rev(x, b_r, c)
-    below, above = fp.grid_neighbors(x, b_r)
-    assert out in (below, above)
+    out = fp.rev_array(x, b_r, c)
+    below, above = fp.grid_neighbors_array(x, b_r)
+    assert out[0] in (below[0], above[0])
 
 
 def test_rev_shape_mismatch_rejected():
@@ -323,7 +319,7 @@ def test_rev_shape_mismatch_rejected():
 def oracle_code(x: float, b_r: int, tau: float) -> int:
     """Direction code from oracle_rnd and the frexp exponent scale."""
     r = oracle_rnd(x, b_r)
-    scale = max(fp.exponent_scale(x), fp.SCALE_FLOOR)
+    scale = max(fp.exponent_scale_array(x)[0], fp.SCALE_FLOOR)
     if abs(x - r) <= tau * scale:
         return fp.IGNORE
     return fp.UP if x < r else fp.DOWN
@@ -385,13 +381,10 @@ def test_kernels_match_oracles(case):
     rounded, got_codes = fp.round_and_code(x, b_r, tau)
     assert np.array_equal(bits(rounded), bits(nearest))
     assert got_codes.tolist() == [oracle_code(v, b_r, tau) for v in xs]
-    p = fp.RoundingParams(b_r, tau)
-    assert got_codes.tolist() == [fp.direction(v, p) for v in xs]
 
     replayed, corrections = fp.replay(x, b_r, np.asarray(codes, dtype=np.uint8))
     want = np.copysign([oracle_rev(v, b_r, c) for v, c in zip(xs, codes)], x)
     assert np.array_equal(bits(replayed), bits(want))
-    assert np.array_equal(bits(replayed), bits([fp.rev(v, b_r, c) for v, c in zip(xs, codes)]))
     assert corrections == int(np.count_nonzero(want != nearest))
 
     # replaying the trainer's own codes lands on its rounding, uncorrected
@@ -446,8 +439,8 @@ class TestRepresentableRange:
                 assert rounded[0] == np.copysign(gm, x)
                 replayed, corrections = fp.replay(x, b, codes)
                 assert (replayed[0], corrections) == (np.copysign(gm, x), 0)
-                assert fp.rev(x, b, int(codes[0])) == np.copysign(gm, x)
-                assert fp.rnd(x, b) == np.copysign(gm, x)
+                assert fp.rev_array(x, b, codes).tolist() == [np.copysign(gm, x)]
+                assert fp.rnd_array(x, b).tolist() == [np.copysign(gm, x)]
 
     def test_kept_value_past_grid_max_rejected(self):
         b = 32
@@ -455,12 +448,12 @@ class TestRepresentableRange:
         near = gm * (1 + 2.0**-30)  # nearest is grid_max, the neighbour above is 2^128
         beyond = gm + 0.75 * 2.0**104  # 3/4 of a grid step past grid_max: nearest is 2^128
         calls = [
-            lambda: fp.rnd(beyond, b),
+            lambda: fp.rnd_array(beyond, b),
             lambda: fp.round_and_code(beyond, b, self.TAU),
             lambda: fp.replay(beyond, b, [fp.IGNORE]),
-            lambda: fp.rev(near, b, fp.UP),
-            lambda: fp.rev(-near, b, fp.DOWN),
-            lambda: fp.grid_neighbors(near, b),
+            lambda: fp.rev_array(near, b, fp.UP),
+            lambda: fp.rev_array(-near, b, fp.DOWN),
+            lambda: fp.grid_neighbors_array(near, b),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="out of representable range"):

@@ -1,9 +1,12 @@
 """Trainer/auditor loops, estimator, threshold search, weight distance."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vtrain import fpround, merkle, protocol as pr
 from vtrain.protocol import LayerSpec, TauPolicy, TrainConfig
@@ -68,7 +71,9 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             replace(cfg, tau_policy=TauPolicy(value=0.0))
 
-    @pytest.mark.parametrize("bad", [1.0, -1e-8, float("nan"), float("inf")])
+    # 0.1 ulp is below tau_bounds(32), 0.6 ulp above it
+    @pytest.mark.parametrize("bad", [1.0, -1e-8, float("nan"), float("inf"),
+                                     0.1 * 2.0**-23, 0.6 * 2.0**-23])
     def test_every_tau_is_range_checked(self, bad):
         # one check for a fixed tau and for every entry of an adaptive table
         with pytest.raises(ValueError, match="tau"):
@@ -383,16 +388,22 @@ class TestEstimate:
 class TestThresholdSearch:
     def test_empty_samples_returns_upper(self):
         for b_r in (26, 32):
-            assert pr.search_tau([], b_r, 30) == 0.5 * 2.0 ** (9 - b_r)
+            assert pr.search_tau([], b_r) == 0.5 * 2.0 ** (9 - b_r)
 
-    def test_single_sample_convergence(self):
-        lo, hi = 0.25 * 2.0**-23, 0.5 * 2.0**-23
+    def test_single_sample_is_undercut_by_one_ulp(self):
+        lo, hi = fpround.tau_bounds(32)
         d = 0.4 * 2.0**-23
-        tau = pr.search_tau([d], 32, 40)
-        assert abs(tau - d) <= (hi - lo) * 2.0**-39
+        assert pr.search_tau([d], 32) == math.nextafter(d, 0.0)
+        assert pr.search_tau([hi], 32) == math.nextafter(hi, 0.0)
         # a sample above the bracket pins the search at the upper end
-        tau = pr.search_tau([1.0], 32, 40)
-        assert abs(tau - hi) <= (hi - lo) * 2.0**-39
+        assert pr.search_tau([1.0], 32) == hi
+        # at or below the lower end the search returns the lower end
+        for d in (lo, 0.5 * lo, 0.0):
+            assert pr.search_tau([d], 32) == lo
+
+    def test_smallest_sample_decides(self):
+        d = 0.3 * 2.0**-23
+        assert pr.search_tau([0.45 * 2.0**-23, d, 1.0], 32) == math.nextafter(d, 0.0)
 
     def test_bracket_always_respected(self):
         rng = np.random.default_rng(1)
@@ -400,14 +411,14 @@ class TestThresholdSearch:
             lo, hi = 0.25 * 2.0**-23, 0.5 * 2.0 ** (9 - b_r)
             for _ in range(20):
                 samples = rng.uniform(0, 2 * hi, size=rng.integers(0, 6)).tolist()
-                tau = pr.search_tau(samples, b_r, 25)
+                tau = pr.search_tau(samples, b_r)
                 assert lo <= tau <= hi
 
     def test_search_deterministic(self):
         layer = LayerSpec("dense", 16, 16)
         pair = (get_profile("sequential"), get_profile("pairwise"))
-        t1 = pr.threshold_search(layer, 32, pair, 200, 20, Rng(5))
-        t2 = pr.threshold_search(layer, 32, pair, 200, 20, Rng(5))
+        t1 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
+        t2 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
         assert t1 == t2
 
     def test_elementwise_layer_sees_no_divergence(self):
@@ -415,7 +426,31 @@ class TestThresholdSearch:
         pair = (get_profile("sequential"), get_profile("pairwise"))
         samples = pr.collect_divergence_samples(layer, 32, pair, 300, Rng(6))
         assert samples == []
-        assert pr.threshold_search(layer, 32, pair, 300, 10, Rng(6)) == 0.5 * 2.0**-23
+        assert pr.threshold_search(layer, 32, pair, 300, Rng(6)) == 0.5 * 2.0**-23
+
+
+@st.composite
+def straddle_samples(draw):
+    """A rounding amount and 1-20 distances around and inside its tau bracket."""
+    b_r = draw(st.sampled_from((26, 29, 32)))
+    lo, hi = fpround.tau_bounds(b_r)
+    edges = (0.0, lo, hi, math.nextafter(lo, 0.0), math.nextafter(lo, 1.0),
+             math.nextafter(hi, 0.0), math.nextafter(hi, 1.0))
+    distance = st.one_of(st.sampled_from(edges), st.floats(0.0, 2.0 * hi), st.floats(lo, hi))
+    return b_r, draw(st.lists(distance, min_size=1, max_size=20))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=straddle_samples())
+def test_search_tau_undercuts_every_straddle(case):
+    """The tau is in the bracket and codes every recorded straddle (``d > tau``),
+    unless the smallest sits at or below the bracket; no larger double does that."""
+    b_r, samples = case
+    lo, hi = fpround.tau_bounds(b_r)
+    tau = pr.search_tau(samples, b_r)
+    assert lo <= tau <= hi
+    assert tau < min(samples) or tau == lo
+    assert tau == hi or math.nextafter(tau, 1.0) >= min(samples)
 
 
 @pytest.mark.parametrize("b_r", (26, 29, 32))
