@@ -9,6 +9,12 @@ the socket game alike. Weight hashing fixes a canonical serialization so
 two independent runs hash identically: tensors in declared order,
 row-major elements, each cast to FP32 and written as four little-endian
 bytes.
+
+A tree of n leaves costs its n - 1 SHA-256 calls and little else:
+``build`` checks every leaf is a 32-byte ``bytes`` in one pass, and
+``read_tree`` checks the magic, the version, a nonzero leaf count and a
+body of exactly 32 bytes per leaf, which proves the same of every leaf,
+so both hand the leaf row straight to the one level loop.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import numpy as np
 TREE_MAGIC = b"VTMT"
 TREE_VERSION = 1
 DIGEST_LEN = 32
+_HEADER_LEN = 13  # magic, version byte, 8-byte little-endian leaf count
 
 
 def _sha256(data: bytes) -> bytes:
@@ -30,8 +37,11 @@ def _sha256(data: bytes) -> bytes:
 
 @dataclass
 class MerkleTree:
-    leaves: list[bytes]
     levels: list[list[bytes]] = field(repr=False)
+
+    @property
+    def leaves(self) -> list[bytes]:
+        return self.levels[0]
 
     @property
     def root(self) -> bytes:
@@ -58,22 +68,30 @@ class MerklePath:
 
 def build(leaves: list[bytes]) -> MerkleTree:
     """Build a tree over the given ordered leaf digests."""
-    if not leaves:
+    row = list(leaves)
+    if not row:
         raise ValueError("cannot build a Merkle tree with no leaves")
-    for i, leaf in enumerate(leaves):
-        if not isinstance(leaf, bytes) or len(leaf) != DIGEST_LEN:
-            raise ValueError(f"leaf {i} is not a 32-byte digest")
-    levels = [list(leaves)]
-    while len(levels[-1]) > 1:
-        cur = levels[-1]
-        nxt = []
-        for i in range(0, len(cur), 2):
-            if i + 1 < len(cur):
-                nxt.append(_sha256(cur[i] + cur[i + 1]))
-            else:
-                nxt.append(cur[i])
+    if not all(isinstance(leaf, bytes) and len(leaf) == DIGEST_LEN for leaf in row):
+        bad = next(i for i, leaf in enumerate(row)
+                   if not isinstance(leaf, bytes) or len(leaf) != DIGEST_LEN)
+        raise ValueError(f"leaf {bad} is not a 32-byte digest")
+    return _build(row)
+
+
+def _build(row: list[bytes]) -> MerkleTree:
+    """Hash a nonempty row of checked 32-byte leaves up to the root.
+
+    ``row`` itself becomes the leaf level, uncopied.
+    """
+    sha256 = hashlib.sha256
+    levels = [row]
+    while len(row) > 1:
+        nxt = [sha256(left + right).digest() for left, right in zip(row[::2], row[1::2])]
+        if len(row) % 2:
+            nxt.append(row[-1])
         levels.append(nxt)
-    return MerkleTree(leaves=list(leaves), levels=levels)
+        row = nxt
+    return MerkleTree(levels)
 
 
 def node(tree: MerkleTree, level: int, index: int) -> bytes:
@@ -185,13 +203,17 @@ def write_tree(tree: MerkleTree, path_out) -> None:
 def read_tree(path_in) -> MerkleTree:
     """Load a sidecar file and rebuild the tree from its leaves."""
     raw = Path(path_in).read_bytes()
-    if len(raw) < 13 or raw[:4] != TREE_MAGIC:
+    if len(raw) < _HEADER_LEN or raw[:4] != TREE_MAGIC:
         raise ValueError("not a checkpoint tree file")
     if raw[4] != TREE_VERSION:
         raise ValueError(f"unsupported tree version {raw[4]}")
-    count = int.from_bytes(raw[5:13], "little")
-    body = raw[13:]
-    if len(body) != count * DIGEST_LEN:
+    count = int.from_bytes(raw[5:_HEADER_LEN], "little")
+    if count == 0:
+        raise ValueError("checkpoint tree file has no leaves")
+    extra = len(raw) - _HEADER_LEN - count * DIGEST_LEN
+    if extra < 0:
         raise ValueError("checkpoint tree file is truncated")
-    leaves = [bytes(body[i * DIGEST_LEN : (i + 1) * DIGEST_LEN]) for i in range(count)]
-    return build(leaves)
+    if extra > 0:
+        raise ValueError("checkpoint tree file length does not match its leaf count "
+                         f"({extra} bytes after the last digest)")
+    return _build([raw[i : i + DIGEST_LEN] for i in range(_HEADER_LEN, len(raw), DIGEST_LEN)])

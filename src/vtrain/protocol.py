@@ -161,8 +161,9 @@ class TrainConfig:
             raise ValueError("b_r must lie in [26, 32]")
         if self.loss not in ("softmax_xent", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        if not isinstance(self.learning_rate, (int, float)):
-            raise ValueError(f"learning rate must be a number, got {self.learning_rate!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr):
+            raise ValueError(f"learning rate must be a finite number, got {lr!r}")
         slots = self.log_slots()
         width = next(s.entries for s in slots if s.stage == len(self.layers)) // self.batch_size
         want = self.classes if self.loss == "softmax_xent" else 1

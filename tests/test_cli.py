@@ -180,6 +180,9 @@ BAD_CONFIGS = {
     "unknown-layer-kind": _set(("model", "layers", 1, "kind"), "tanh"),
     "no-loss": _set(("model", "loss"), None),
     "string-learning-rate": _set(("learning_rate",), "0.4"),
+    "learning-rate-bool": _set(("learning_rate",), True),
+    "learning-rate-nan": _set(("learning_rate",), float("nan")),
+    "learning-rate-inf": _set(("learning_rate",), float("inf")),
     "final-width-not-classes": _set(("dataset", "classes"), 3),
     "bce-final-width-not-1": _set(("model", "loss"), "bce"),
     "adaptive-tau-one": _set(("tau",), {"policy": "adaptive", "table": {"dense:8x12": 1.0}}),
@@ -340,6 +343,36 @@ class TestServeDispute:
             listener.close()
         assert result.exit_code == 4
         assert json.loads(result.output)["outcome"] == "trainer_unresponsive"
+
+
+def zero_leaf_tree(path):
+    path.write_bytes(merkle.TREE_MAGIC + bytes([merkle.TREE_VERSION]) + bytes(8))
+
+
+def trailing_bytes_tree(path):
+    leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
+    merkle.write_tree(merkle.build(leaves), path)
+    path.write_bytes(path.read_bytes() + b"\0")
+
+
+class TestMalformedTree:
+    """A malformed ``.vtmt`` ends `serve` and `dispute` with exit 3 and one line."""
+
+    @pytest.mark.parametrize("command", [
+        ["serve", "--listen", "127.0.0.1:0", "--sessions", "1"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "1"],
+    ], ids=["serve", "dispute"])
+    @pytest.mark.parametrize("make", [zero_leaf_tree, trailing_bytes_tree],
+                             ids=["zero-leaves", "trailing-bytes"])
+    def test_io_error(self, runner, tmp_path, command, make):
+        tree_path = tmp_path / "bad.vtmt"
+        make(tree_path)
+        result = runner.invoke(main, command[:1] + [str(tree_path)] + command[1:])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith("cannot load tree: ")
 
 
 ANNOUNCE = {"type": "root_announce", "root": "ab" * 32, "leaf_count": 4}

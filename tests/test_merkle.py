@@ -14,6 +14,52 @@ def leaf(i: int) -> bytes:
     return hashlib.sha256(f"leaf-{i}".encode()).digest()
 
 
+def reference_levels(leaves):
+    """Levels by one hash per pair, left to right, an odd last node promoted."""
+    levels = [list(leaves)]
+    while len(levels[-1]) > 1:
+        cur = levels[-1]
+        nxt = []
+        for i in range(0, len(cur), 2):
+            if i + 1 < len(cur):
+                nxt.append(hashlib.sha256(cur[i] + cur[i + 1]).digest())
+            else:
+                nxt.append(cur[i])
+        levels.append(nxt)
+    return levels
+
+
+class TestBuildOracle:
+    @pytest.mark.parametrize("n", list(range(1, 71)) + [4095, 4096, 4097])
+    def test_levels_match_reference(self, tmp_path, n):
+        leaves = [leaf(i) for i in range(n)]
+        want = reference_levels(leaves)
+        t = merkle.build(leaves)
+        assert t.levels == want
+        p = tmp_path / "t.vtmt"
+        merkle.write_tree(t, p)
+        assert merkle.read_tree(p).levels == want
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 4096])
+    def test_hash_calls_are_one_per_internal_node(self, tmp_path, monkeypatch, n):
+        leaves = [leaf(i) for i in range(n)]
+        p = tmp_path / "t.vtmt"
+        merkle.write_tree(merkle.build(leaves), p)
+        calls = []
+        real = hashlib.sha256
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        merkle.build(leaves)
+        assert len(calls) == n - 1
+        calls.clear()
+        merkle.read_tree(p)
+        assert len(calls) == n - 1
+
+
 class TestBuild:
     def test_single_leaf_is_root(self):
         h = leaf(0)
@@ -39,6 +85,23 @@ class TestBuild:
     def test_deterministic(self):
         leaves = [leaf(i) for i in range(13)]
         assert merkle.build(leaves).root == merkle.build(leaves).root
+
+    def test_leaves_are_the_first_level(self):
+        given = [leaf(i) for i in range(5)]
+        t = merkle.build(given)
+        assert t.leaves is t.levels[0]
+        given[0] = leaf(99)  # the tree keeps its own row, not the caller's list
+        assert t.leaves[0] == leaf(0)
+
+    @pytest.mark.parametrize("bad", [
+        bytearray(leaf(0)), leaf(0)[:31], leaf(0) + b"\0", "x" * 32,
+    ], ids=["bytearray", "31-bytes", "33-bytes", "str"])
+    def test_bad_leaf_named_by_index(self, bad):
+        leaves = [leaf(i) for i in range(9)]
+        leaves[5] = bad
+        leaves[7] = bad
+        with pytest.raises(ValueError, match=r"^leaf 5 is not a 32-byte digest$"):
+            merkle.build(leaves)
 
     def test_single_leaf_substitution_changes_root(self):
         leaves = [leaf(i) for i in range(16)]
@@ -198,6 +261,22 @@ class TestSidecar:
         p.write_bytes(p.read_bytes()[:-5])
         with pytest.raises(ValueError, match="truncated"):
             merkle.read_tree(p)
+
+    def test_zero_leaf_count(self, tmp_path):
+        p = tmp_path / "empty.vtmt"
+        p.write_bytes(merkle.TREE_MAGIC + bytes([merkle.TREE_VERSION]) + bytes(8))
+        with pytest.raises(ValueError, match="no leaves"):
+            merkle.read_tree(p)
+
+    @pytest.mark.parametrize("extra", [1, 31, 32])
+    def test_trailing_bytes(self, tmp_path, extra):
+        t = merkle.build([leaf(0), leaf(1)])
+        p = tmp_path / "long.vtmt"
+        merkle.write_tree(t, p)
+        p.write_bytes(p.read_bytes() + bytes(extra))
+        with pytest.raises(ValueError, match="does not match its leaf count") as err:
+            merkle.read_tree(p)
+        assert "truncated" not in str(err.value)
 
     def test_root_prints_lowercase_hex(self):
         t = merkle.build([leaf(0)])
