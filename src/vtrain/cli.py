@@ -23,8 +23,8 @@ import click
 import numpy as np
 
 from . import game, merkle, protocol, roundlog
-from .protocol import LayerSpec, TauPolicy, TrainConfig
-from .simnet import Rng, get_profile
+from .protocol import TauPolicy, TrainConfig
+from .simnet import LAYER_KINDS, Rng, get_profile, layer_from_entry
 
 EXIT_OK = 0
 EXIT_DISPUTE = 1
@@ -36,10 +36,9 @@ WEIGHTS_MAGIC = b"VTWT"
 
 
 def config_from_dict(doc: dict) -> TrainConfig:
-    layers = tuple(
-        LayerSpec(kind=l["kind"], in_dim=l.get("in"), out_dim=l.get("out"))
-        for l in doc["model"]["layers"]
-    )
+    layers = tuple(layer_from_entry(entry) for entry in doc["model"]["layers"])
+    if doc.get("b_m", 32) != 32:
+        raise ValueError(f"supported model precision is b_m=32, got {doc['b_m']!r}")
     tau_doc = doc.get("tau", {"policy": "fixed", "value": protocol.DEFAULT_TAU})
     if tau_doc["policy"] == "fixed":
         tau = TauPolicy(kind="fixed", value=float(tau_doc["value"]))
@@ -59,7 +58,6 @@ def config_from_dict(doc: dict) -> TrainConfig:
         seed=doc["seed"],
         b_r=doc.get("b_r", 32),
         b_tr=doc.get("b_tr", 64),
-        b_m=doc.get("b_m", 32),
         tau_policy=tau,
         trainer_profile=doc.get("trainer_profile", "sequential"),
         name=doc.get("name", "run"),
@@ -309,9 +307,9 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
 
 
 @main.command("threshold")
-@click.option("--layer", "layer_kind", required=True,
-              type=click.Choice(["dense", "relu", "sigmoid"]))
-@click.option("--shape", default=None, help="INxOUT for dense layers, e.g. 64x64.")
+@click.option("--layer", "layer_kind", required=True, type=click.Choice(sorted(LAYER_KINDS)))
+@click.option("--shape", default=None,
+              help="INxOUT for dense layers, e.g. 64x64; the width of others (default 16).")
 @click.option("--b-r", "b_r", default=32, type=int)
 @click.option("--profiles", default="sequential,pairwise",
               help="Comma-separated pair of profiles to compare.")
@@ -319,14 +317,11 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
 @click.option("--seed", default=0, type=int)
 def cmd_threshold(layer_kind, shape, b_r, profiles, samples, seed):
     """Search the largest safe logging threshold for one layer."""
-    if layer_kind == "dense" and not shape:
-        raise click.UsageError("dense layers need --shape INxOUT")
     try:
-        if layer_kind == "dense":
-            in_dim, out_dim = (int(v) for v in shape.lower().split("x"))
-        else:
-            in_dim = out_dim = int(shape.split("x")[0]) if shape else 16
-        layer = LayerSpec(layer_kind, in_dim, out_dim)
+        widths = [int(v) for v in shape.lower().split("x")] if shape else []
+        if len(widths) > 2:
+            raise ValueError("want IN or INxOUT")
+        layer = layer_from_entry({"kind": layer_kind, **dict(zip(("in", "out"), widths))})
     except ValueError as e:
         raise click.UsageError(f"bad --shape {shape!r}: {e}") from e
     names = profiles.split(",")

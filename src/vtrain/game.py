@@ -56,14 +56,19 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return buf
 
 
+def _reject_constant(name: str):
+    # Python's json reads NaN and Infinity, which JSON does not have
+    raise ValueError(f"{name} is not JSON")
+
+
 def _recv(sock: socket.socket) -> dict:
     (length,) = struct.unpack("<I", _recv_exact(sock, 4))
     if length > 1 << 24:
         raise GameProtocolError("oversized message")
     data = _recv_exact(sock, length)
     try:
-        msg = json.loads(data.decode("utf-8"))
-    except ValueError as e:  # UnicodeDecodeError or JSONDecodeError
+        msg = json.loads(data.decode("utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, a constant, deep nesting
         raise GameProtocolError(f"undecodable message: {e}") from None
     if not isinstance(msg, dict) or "type" not in msg:
         raise GameProtocolError("message has no type")
@@ -129,14 +134,13 @@ class GameServer:
         self.last_claim: dict | None = None
 
     def handle_session(self, conn: socket.socket) -> None:
+        """Answer one client; no frame it sends and no disconnect stops ``serve_forever``."""
         try:
             while True:
                 try:
                     msg = _recv(conn)
                 except GameProtocolError:
                     _send(conn, {"type": "refuse", "reason": "malformed message"})
-                    return
-                except ConnectionError:
                     return
                 kind = msg["type"]
                 if kind == "hello":
@@ -149,17 +153,17 @@ class GameServer:
                         "leaf_count": len(self.tree.leaves),
                     })
                 elif kind == "node_request":
+                    level, index = msg.get("level"), msg.get("index")
+                    if type(level) is not int or type(index) is not int:
+                        _send(conn, {"type": "refuse", "reason": "node coordinates must be ints"})
+                        continue
                     try:
-                        digest = node(self.tree, int(msg["level"]), int(msg["index"]))
-                    except (IndexError, KeyError, TypeError, ValueError):
+                        digest = node(self.tree, level, index)
+                    except IndexError:
                         _send(conn, {"type": "refuse", "reason": "node out of range"})
                         continue
-                    _send(conn, {
-                        "type": "node_response",
-                        "level": int(msg["level"]),
-                        "index": int(msg["index"]),
-                        "digest": digest.hex(),
-                    })
+                    _send(conn, {"type": "node_response", "level": level, "index": index,
+                                 "digest": digest.hex()})
                 elif kind == "accept":
                     return
                 elif kind == "verdict_claim":
@@ -168,6 +172,8 @@ class GameServer:
                 else:
                     _send(conn, {"type": "refuse", "reason": f"unexpected message {kind!r}"})
                     return
+        except OSError:  # the client went away or reset the connection
+            return
         finally:
             conn.close()
 

@@ -180,10 +180,8 @@ def first_divergence(a: MerkleTree, b: MerkleTree) -> int | None:
     return bisect(a, b.root, lambda level, i: b.levels[level][i]).leaf_index
 
 
-def hash_weights(tensors, b_m: int = 32) -> bytes:
+def hash_weights(tensors) -> bytes:
     """SHA-256 over the canonical FP32 serialization of parameter tensors."""
-    if b_m != 32:
-        raise ValueError("only FP32 target precision is supported")
     h = hashlib.sha256()
     for i, t in enumerate(tensors):
         arr = np.ascontiguousarray(t, dtype=np.float64)

@@ -22,12 +22,15 @@ first stage's input gradient feeds nothing, so it is not even computed.
 ``TrainConfig.log_slots`` walks the layers once to list what is logged;
 config validation, ``_run`` and ``step_layout`` all read that list.
 
+Layers (``simnet.LAYER_KINDS``) hold no weights: ``_run`` keeps a list of
+parameters per layer, and treats every parameter alike.
+
 Shared-randomness stream order is fixed and part of the protocol: the
-dataset is drawn first, then dense-layer weights in stage order, then one
-shuffle per epoch. Log write order is also fixed, and ``log_slots`` gives
-it: per step, logged forward outputs in stage order, then the loss
-gradient, then logged input gradients in reverse stage order, elements
-row-major.
+dataset is drawn first, then each layer's initial parameters in stage
+order (only dense layers draw), then one shuffle per epoch. Log write
+order is also fixed, and ``log_slots`` gives it: per step, logged forward
+outputs in stage order, then the loss gradient, then logged input
+gradients in reverse stage order, elements row-major.
 """
 
 from __future__ import annotations
@@ -58,9 +61,8 @@ from .simnet import (
     DeviceProfile,
     Rng,
     bce_forward,
-    build_stages,
+    check_count,
     get_profile,
-    init_weights,
     make_dataset,
     reduce_values,
     softmax_xent_forward,
@@ -75,28 +77,6 @@ class AuditFailure(RuntimeError):
 
 class TrainingDiverged(RuntimeError):
     """Loss became non-finite during a run."""
-
-
-def _check_count(name: str, value, minimum: int | None = None) -> None:
-    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
-
-
-@dataclass(frozen=True)
-class LayerSpec:
-    """One layer; a dense layer's widths, and any width given, are integers >= 1."""
-
-    kind: str
-    in_dim: int | None = None
-    out_dim: int | None = None
-
-    def __post_init__(self):
-        for name, width in (("in", self.in_dim), ("out", self.out_dim)):
-            if self.kind == "dense" or width is not None:
-                _check_count(f"{self.kind} layer {name}", width, 1)
 
 
 @dataclass(frozen=True)
@@ -134,7 +114,7 @@ class TrainConfig:
     dataset_size: int
     dim: int
     classes: int
-    layers: tuple[LayerSpec, ...]
+    layers: tuple  # of simnet layers: Dense, Relu, Sigmoid
     loss: str
     epochs: int
     batch_size: int
@@ -143,7 +123,6 @@ class TrainConfig:
     seed: int
     b_r: int = 32
     b_tr: int = 64
-    b_m: int = 32
     tau_policy: TauPolicy = field(default_factory=TauPolicy)
     trainer_profile: str = "sequential"
     name: str = "run"
@@ -154,10 +133,8 @@ class TrainConfig:
 
     def __post_init__(self):
         for name, minimum in self._COUNTS.items():
-            _check_count(name, getattr(self, name), minimum)
-        if self.b_m != 32:
-            raise ValueError("supported model precision is b_m=32")
-        if not 26 <= self.b_r <= self.b_m:
+            check_count(name, getattr(self, name), minimum)
+        if not 26 <= self.b_r <= 32:
             raise ValueError("b_r must lie in [26, 32]")
         if self.loss not in ("softmax_xent", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
@@ -186,51 +163,41 @@ class TrainConfig:
             raise ValueError("config yields no training steps")
         if self.checkpoint_interval > self.steps:
             raise ValueError("checkpoint interval exceeds step count")
+        if not isinstance(self.trainer_profile, str):
+            raise ValueError(f"trainer profile must be a name, got {self.trainer_profile!r}")
         get_profile(self.trainer_profile)
+        name = self.name
+        if not isinstance(name, str) or name in ("", ".", "..") or any(c in "/\\\0" for c in name):
+            raise ValueError(f"run name must be a plain file name, got {name!r}")
 
     @property
     def steps(self) -> int:
         return (self.dataset_size * self.epochs) // self.batch_size
 
     def max_fan_in(self) -> int:
-        """Length of the longest profile-ordered reduction in one step.
-
-        Dense stages sum over their input (forward) and output (input
-        gradient) widths; the loss sums over the classes and the batch.
-        """
-        widths = [self.batch_size, self.classes]
-        widths += [max(s.in_dim, s.out_dim) for s in self.layers if s.kind == "dense"]
-        return max(widths)
+        """Length of the longest profile-ordered reduction in one step: a
+        layer's ``fan_in``, or the loss's sum over the classes or the batch."""
+        return max([self.batch_size, self.classes] + [layer.fan_in for layer in self.layers])
 
     def log_slots(self) -> list[Slot]:
         """The tensors one step logs, in log write order; checks the chain of widths.
 
         Forward outputs in stage order, the loss gradient, then input
         gradients in reverse stage order. The first stage's input gradient
-        feeds nothing and has no slot. Past the first stage a ReLU's input
-        is on the ``b_r`` grid (a channel output, or another ReLU's), and
-        ``max(x, 0)`` and ``grad * (x > 0)`` keep it there, so it has no
-        slot either; a first-stage ReLU sees the raw batch and keeps its
-        forward slot. ReLU and sigmoid take the incoming width.
+        feeds nothing and has no slot. Past the first stage a grid-closed
+        layer's input is on the ``b_r`` grid (a channel output, or another
+        grid-closed layer's) and stays there, so it has no slot either; a
+        grid-closed first stage sees the raw batch and keeps its forward
+        slot.
         """
         forward, backward = [], []
         width = self.dim
-        for i, spec in enumerate(self.layers):
-            in_width = width
-            if spec.kind == "dense":
-                if spec.in_dim != width:
-                    raise ValueError(f"dense layer input {spec.in_dim!r} does not match "
-                                     f"incoming width {width!r}")
-                key = f"dense:{spec.in_dim}x{spec.out_dim}"
-                width = spec.out_dim
-            elif spec.kind in ("relu", "sigmoid"):
-                key = spec.kind
-            else:
-                raise ValueError(f"unknown layer kind {spec.kind!r}")
-            if i == 0 or spec.kind != "relu":
-                forward.append(Slot("forward", i, key, self.batch_size * width))
-            if i > 0 and spec.kind != "relu":
-                backward.append(Slot("backward", i, key, self.batch_size * in_width))
+        for i, layer in enumerate(self.layers):
+            in_width, width = width, layer.out_width(width)
+            if i == 0 or not layer.grid_closed:
+                forward.append(Slot("forward", i, layer.key, self.batch_size * width))
+            if i > 0 and not layer.grid_closed:
+                backward.append(Slot("backward", i, layer.key, self.batch_size * in_width))
         loss = Slot("backward", len(self.layers), f"loss:{self.loss}", self.batch_size * width)
         return forward + [loss] + backward[::-1]
 
@@ -311,16 +278,12 @@ def _loss_forward(loss_kind: str, output, labels, profile):
     return bce_forward(output, labels, profile)
 
 
-def _snapshot(stages) -> list[np.ndarray]:
-    return [p.astype(np.float32) for s in stages for p in s.parameters()]
-
-
 @dataclass
 class _Run:
     """What one pass of the replay engine leaves behind."""
 
     tree: merkle.MerkleTree
-    stages: list
+    params: list[list[np.ndarray]]  # per layer, on the b_r grid
     final_digest: bytes
     per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
     checkpoints: list[list[np.ndarray]] | None
@@ -332,15 +295,11 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     profile = replace(profile, b_tr=cfg.b_tr)
     rng = Rng(cfg.seed)
     X, y = make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
-    stages = build_stages(cfg.layers)
-    init_weights(stages, rng)
-    for stage in stages:
-        if stage.kind == "dense":
-            stage.W = rnd_array(stage.W, cfg.b_r)
-            stage.b = rnd_array(stage.b, cfg.b_r)
+    layers = cfg.layers
+    params = [[rnd_array(p, cfg.b_r) for p in layer.init(rng)] for layer in layers]
     schedule = BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
 
-    # a stage output goes through the channel iff it has a slot
+    # a layer output goes through the channel iff it has a slot
     taus = {(s.pass_, s.stage): cfg.tau_policy.lookup(s.key) for s in cfg.log_slots()}
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
@@ -353,8 +312,8 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         values = [xb]
         cur = xb
         forward = 0
-        for i, stage in enumerate(stages):
-            cur = stage.forward(cur, profile)
+        for i, layer in enumerate(layers):
+            cur = layer.forward(cur, params[i], profile)
             tau = taus.get(("forward", i))
             if tau is not None:
                 cur, n = channel.process(cur, tau)
@@ -365,52 +324,50 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
         if not np.isfinite(loss_raw):
             raise TrainingDiverged(f"non-finite loss at step {t}")
 
-        grad, backward = channel.process(grad_raw, taus["backward", len(stages)])
-        for i in range(len(stages) - 1, 0, -1):
-            grad = stages[i].backward(values[i], values[i + 1], grad, profile)
+        grad, backward = channel.process(grad_raw, taus["backward", len(layers)])
+        grads: list = [None] * len(layers)
+        for i in range(len(layers) - 1, 0, -1):
+            grad, grads[i] = layers[i].backward(values[i], values[i + 1], grad, params[i],
+                                                profile)
             tau = taus.get(("backward", i))
             if tau is not None:
                 grad, n = channel.process(grad, tau)
                 backward += n
-        if stages and stages[0].kind == "dense":
-            stages[0].param_backward(values[0], grad)
+        if layers:
+            grads[0] = layers[0].param_grads(values[0], grad)
 
         # Stored parameters live on the grid; the update inputs are already
         # bit-identical between honest parties (synced tensors, canonical
         # gradient accumulation), so this rounding is hygiene, not sync.
-        for stage in stages:
-            if stage.kind == "dense":
-                new_W, new_b = stage.apply_update(cfg.learning_rate)
-                stage.W = rnd_array(new_W, cfg.b_r)
-                stage.b = rnd_array(new_b, cfg.b_r)
+        params = [[rnd_array(p - cfg.learning_rate * g, cfg.b_r) for p, g in zip(ps, gs)]
+                  for ps, gs in zip(params, grads)]
 
         if tamper_after_step is not None and t == tamper_after_step:
-            tamper(stages)
+            tamper(params)
 
         per_step.append((forward, backward))
         if t % cfg.checkpoint_interval == 0:
-            params = [p for s in stages for p in s.parameters()]
-            leaves.append(merkle.hash_weights(params, cfg.b_m))
+            flat = [p for ps in params for p in ps]
+            leaves.append(merkle.hash_weights(flat))
             if keep_checkpoints:
-                checkpoints.append(_snapshot(stages))
+                checkpoints.append([p.astype(np.float32) for p in flat])
 
-    params = [p for s in stages for p in s.parameters()]
     return _Run(
         tree=merkle.build(leaves),
-        stages=stages,
-        final_digest=merkle.hash_weights(params, cfg.b_m),
+        params=params,
+        final_digest=merkle.hash_weights([p for ps in params for p in ps]),
         per_step=per_step,
         checkpoints=checkpoints if keep_checkpoints else None,
         data=(X, y),
     )
 
 
-def evaluate(cfg: TrainConfig, stages, profile: DeviceProfile, X, y) -> tuple[float, float]:
-    """Loss and accuracy of the current weights over a dataset, grid-rounded."""
+def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[float, float]:
+    """Loss and accuracy of per-layer parameters over a dataset, grid-rounded."""
     profile = replace(profile, b_tr=cfg.b_tr)
     cur = X
-    for stage in stages:
-        cur = rnd_array(stage.forward(cur, profile), cfg.b_r)
+    for layer, ps in zip(cfg.layers, params):
+        cur = rnd_array(layer.forward(cur, ps, profile), cfg.b_r)
     loss, _ = _loss_forward(cfg.loss, cur, y, profile)
     if cfg.loss == "softmax_xent":
         pred = cur.argmax(axis=1)
@@ -425,8 +382,9 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
           tamper=None) -> TrainOutput:
     """Run the trainer: produce the rounding log, checkpoints, and tree root.
 
-    ``tamper_after_step``/``tamper`` inject a fault into the weights after
-    a chosen step; they exist for dispute-game demonstrations and tests.
+    ``tamper_after_step``/``tamper`` inject a fault after a chosen step:
+    ``tamper`` gets the per-layer parameter lists and may change them in
+    place. They exist for dispute-game demonstrations and tests.
     """
     profile = get_profile(cfg.trainer_profile)
     writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
@@ -435,11 +393,11 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
                    tamper_after_step=tamper_after_step, tamper=tamper)
     finally:
         writer.close()
-    final_loss, accuracy = evaluate(cfg, run.stages, profile, *run.data)
+    final_loss, accuracy = evaluate(cfg, run.params, profile, *run.data)
     return TrainOutput(
         tree=run.tree,
         log_path=Path(log_path),
-        final_weights=_snapshot(run.stages),
+        final_weights=[p.astype(np.float32) for ps in run.params for p in ps],
         final_digest=run.final_digest,
         per_step=run.per_step,
         entries_logged=writer.entry_count,
@@ -520,7 +478,7 @@ def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
     )
 
 
-def collect_divergence_samples(layer: LayerSpec, b_r: int,
+def collect_divergence_samples(layer, b_r: int,
                                profiles: tuple[DeviceProfile, DeviceProfile],
                                n_samples: int, rng: Rng) -> list[float]:
     """Normalized distances from straddle cases between two profiles.
@@ -529,12 +487,11 @@ def collect_divergence_samples(layer: LayerSpec, b_r: int,
     span several binades (accumulation error is easiest to surface when
     sums cancel). Whenever the grid-rounded outputs differ and the raw
     outputs sit on opposite sides of the shared grid target, both
-    distances, scaled by each value's binary exponent, are recorded.
+    distances, scaled by each value's binary exponent, are recorded. An
+    elementwise layer given no width is sampled 16 wide.
     """
-    stages = build_stages([layer])
-    init_weights(stages, rng)
-    stage = stages[0]
-    in_dim = layer.in_dim if layer.kind == "dense" else (layer.in_dim or 16)
+    params = layer.init(rng)
+    in_dim = layer.in_width or 16
     samples: list[float] = []
     chunk = 256
     done = 0
@@ -544,8 +501,8 @@ def collect_divergence_samples(layer: LayerSpec, b_r: int,
         u1 = rng.floats_block(m * in_dim).reshape(m, in_dim)
         u2 = rng.floats_block(m * in_dim).reshape(m, in_dim)
         x = (2.0 * u1 - 1.0) * np.exp2(-np.floor(u2 * 12.0))
-        y1 = stage.forward(x, profiles[0])
-        y2 = stage.forward(x, profiles[1])
+        y1 = layer.forward(x, params, profiles[0])
+        y2 = layer.forward(x, params, profiles[1])
         r1 = rnd_array(y1, b_r)
         r2 = rnd_array(y2, b_r)
         straddle = (r1 != r2) & (((y1 > r1) & (y2 < r2)) | ((y1 < r1) & (y2 > r2)))
@@ -572,7 +529,7 @@ def search_tau(samples, b_r: int) -> float:
     return min(upper, max(lower, math.nextafter(min(samples), 0.0)))
 
 
-def threshold_search(layer: LayerSpec, b_r: int,
+def threshold_search(layer, b_r: int,
                      profiles: tuple[DeviceProfile, DeviceProfile],
                      n_samples: int, rng: Rng) -> float:
     """Per-layer adaptive threshold from observed cross-profile straddles."""

@@ -17,11 +17,16 @@ parameter-gradient accumulation is pinned to exact sequential FP64 so the
 weight update is a pure function of the (already synchronized)
 activations and gradients.
 
+A layer kind is one frozen class (``LAYER_KINDS`` maps a config's
+``kind`` to it) holding its shape but not its weights: the engine passes
+every call the layer's list of parameters.
+
 A dense layer's backward is two parts: ``dense_input_grad``, the
-profile-ordered sum that flows on to the previous stage, and
+profile-ordered sum that flows on to the previous layer, and
 ``dense_param_grads``, the sequential sums the weight update reads.
-``dense_backward`` runs both; the first trunk stage runs only the second,
-because nothing consumes its input gradient.
+``Dense.backward`` runs both through ``dense_backward``; the engine calls
+only ``param_grads`` on the first layer, because nothing consumes its
+input gradient.
 
 A dense layer's sums (output, input gradient, weight gradient) are each a
 sum of outer products, one per term of the reduced axis. Terms of 512 or
@@ -292,23 +297,6 @@ def dense_backward(
     return (dense_input_grad(grad_out, W, profile), *dense_param_grads(grad_out, x))
 
 
-def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    return grad_out * (x > 0.0)
-
-
-def sigmoid_forward(x: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid_backward(y: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient through sigmoid given its output y."""
-    return grad_out * y * (1.0 - y)
-
-
 def softmax_xent_forward(
     logits: np.ndarray, labels: np.ndarray, profile: DeviceProfile
 ) -> tuple[float, np.ndarray]:
@@ -343,92 +331,138 @@ def bce_forward(
     return loss, grad
 
 
-class DenseStage:
-    kind = "dense"
-
-    def __init__(self, in_dim: int, out_dim: int):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
-        self.W = np.zeros((in_dim, out_dim))
-        self.b = np.zeros(out_dim)
-        self.grad_W = None
-        self.grad_b = None
-
-    def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
-        return dense_forward(x, self.W, self.b, profile)
-
-    def backward(self, x: np.ndarray, y: np.ndarray, grad_out: np.ndarray,
-                 profile: DeviceProfile) -> np.ndarray:
-        grad_x, self.grad_W, self.grad_b = dense_backward(grad_out, x, self.W, profile)
-        return grad_x
-
-    def param_backward(self, x: np.ndarray, grad_out: np.ndarray) -> None:
-        """Parameter gradients only, for a stage whose input gradient feeds nothing."""
-        self.grad_W, self.grad_b = dense_param_grads(grad_out, x)
-
-    def parameters(self) -> list[np.ndarray]:
-        return [self.W, self.b]
-
-    def apply_update(self, lr: float) -> list[np.ndarray]:
-        return [self.W - lr * self.grad_W, self.b - lr * self.grad_b]
+def check_count(name: str, value, minimum: int | None = None) -> None:
+    """Reject a count that is not an integer (``bool`` included) or is below ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-class ReluStage:
-    kind = "relu"
+@dataclass(frozen=True)
+class Dense:
+    """``x @ W + b``. Parameters ``[W, b]``: W uniform in +-1/sqrt(in_dim), b zero."""
 
-    def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
-        return relu_forward(x)
+    in_dim: int
+    out_dim: int
 
-    def backward(self, x, y, grad_out, profile) -> np.ndarray:
-        return relu_backward(x, grad_out)
+    grid_closed = False
 
-    def parameters(self) -> list[np.ndarray]:
+    def __post_init__(self):
+        check_count("dense layer in", self.in_dim, 1)
+        check_count("dense layer out", self.out_dim, 1)
+
+    @property
+    def key(self) -> str:
+        return f"dense:{self.in_dim}x{self.out_dim}"
+
+    @property
+    def in_width(self) -> int:
+        return self.in_dim
+
+    @property
+    def fan_in(self) -> int:
+        """The forward sums ``in_dim`` terms, the input gradient ``out_dim``."""
+        return max(self.in_dim, self.out_dim)
+
+    @classmethod
+    def from_entry(cls, entry: dict) -> Dense:
+        return cls(entry.get("in"), entry.get("out"))
+
+    def out_width(self, width: int) -> int:
+        if width != self.in_dim:
+            raise ValueError(f"dense layer input {self.in_dim!r} does not match "
+                             f"incoming width {width!r}")
+        return self.out_dim
+
+    def init(self, rng: Rng) -> list[np.ndarray]:
+        """Draws W row-major, so a given seed produces the same bits everywhere."""
+        bound = 1.0 / np.sqrt(self.in_dim)
+        u = rng.floats_block(self.in_dim * self.out_dim).reshape(self.in_dim, self.out_dim)
+        return [bound * (2.0 * u - 1.0), np.zeros(self.out_dim)]
+
+    def forward(self, x: np.ndarray, params, profile: DeviceProfile) -> np.ndarray:
+        W, b = params
+        return dense_forward(x, W, b, profile)
+
+    def backward(self, x, y, grad, params, profile: DeviceProfile):
+        grad_x, grad_W, grad_b = dense_backward(grad, x, params[0], profile)
+        return grad_x, [grad_W, grad_b]
+
+    def param_grads(self, x: np.ndarray, grad: np.ndarray) -> list[np.ndarray]:
+        """Parameter gradients only, for a first layer whose input gradient feeds nothing."""
+        return list(dense_param_grads(grad, x))
+
+
+@dataclass(frozen=True)
+class _Elementwise:
+    """A parameter-free layer that keeps its input's width; ``width``, if given, is checked."""
+
+    width: int | None = None
+
+    grid_closed = False
+    fan_in = 0  # sums nothing
+
+    def __post_init__(self):
+        if self.width is not None:
+            check_count(f"{self.key} layer width", self.width, 1)
+
+    @classmethod
+    def from_entry(cls, entry: dict) -> _Elementwise:
+        width = entry.get("in", entry.get("out"))
+        if entry.get("out", width) != width:
+            raise ValueError(f"{cls.key} layer in {width!r} and out {entry['out']!r} differ")
+        return cls(width)
+
+    @property
+    def in_width(self) -> int | None:
+        return self.width
+
+    def out_width(self, width: int) -> int:
+        if self.width not in (None, width):
+            raise ValueError(f"{self.key} layer width {self.width!r} does not match "
+                             f"incoming width {width!r}")
+        return width
+
+    def init(self, rng: Rng) -> list[np.ndarray]:
+        return []
+
+    def param_grads(self, x: np.ndarray, grad: np.ndarray) -> list[np.ndarray]:
         return []
 
 
-class SigmoidStage:
-    kind = "sigmoid"
+class Relu(_Elementwise):
+    key = "relu"
+    # max(x, 0) and grad * (x > 0) keep values on the b_r grid; see protocol
+    grid_closed = True
 
-    def forward(self, x: np.ndarray, profile: DeviceProfile) -> np.ndarray:
-        return sigmoid_forward(x)
+    def forward(self, x, params, profile):
+        return np.maximum(x, 0.0)
 
-    def backward(self, x, y, grad_out, profile) -> np.ndarray:
-        # y is this stage's rounded output, the value that flowed on
-        return sigmoid_backward(y, grad_out)
-
-    def parameters(self) -> list[np.ndarray]:
-        return []
+    def backward(self, x, y, grad, params, profile):
+        return grad * (x > 0.0), []
 
 
-_STAGE_KINDS = {"relu": ReluStage, "sigmoid": SigmoidStage}
+class Sigmoid(_Elementwise):
+    key = "sigmoid"
+
+    def forward(self, x, params, profile):
+        return 1.0 / (1.0 + np.exp(-x))
+
+    def backward(self, x, y, grad, params, profile):
+        # from y, this layer's rounded output: the value that flowed on
+        return grad * y * (1.0 - y), []
 
 
-def build_stages(layer_specs) -> list:
-    """Instantiate trunk stages from ``LayerSpec``s (kind, in_dim, out_dim)."""
-    stages = []
-    for spec in layer_specs:
-        if spec.kind == "dense":
-            stages.append(DenseStage(spec.in_dim, spec.out_dim))
-        elif spec.kind in _STAGE_KINDS:
-            stages.append(_STAGE_KINDS[spec.kind]())
-        else:
-            raise ValueError(f"unknown layer kind {spec.kind!r}")
-    return stages
+LAYER_KINDS = {"dense": Dense, "relu": Relu, "sigmoid": Sigmoid}
 
 
-def init_weights(stages, rng: Rng) -> None:
-    """Fill dense parameters: W uniform in [-1/sqrt(fan_in), 1/sqrt(fan_in)], b zero.
-
-    Draw order is stage order then row-major within each weight matrix, so
-    a given seed produces the same bits everywhere.
-    """
-    for stage in stages:
-        if stage.kind != "dense":
-            continue
-        bound = 1.0 / np.sqrt(stage.in_dim)
-        u = rng.floats_block(stage.in_dim * stage.out_dim).reshape(stage.in_dim, stage.out_dim)
-        stage.W = bound * (2.0 * u - 1.0)
-        stage.b = np.zeros(stage.out_dim)
+def layer_from_entry(entry: dict):
+    """The layer a config entry names: ``kind`` and widths ``in``, ``out`` (either one)."""
+    kind = entry["kind"]
+    if kind not in LAYER_KINDS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    return LAYER_KINDS[kind].from_entry(entry)
 
 
 def make_dataset(n: int, dim: int, classes: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:

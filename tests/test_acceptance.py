@@ -18,7 +18,6 @@ from vtrain import fpround as fp
 from vtrain import game, merkle, protocol as pr
 from vtrain import simnet as sn
 from vtrain.cli import main as cli_main
-from vtrain.protocol import LayerSpec
 from vtrain.roundlog import HEADER_LEN, LogReader, LogWriter
 from vtrain.simnet import Rng, get_profile
 
@@ -155,28 +154,32 @@ def test_criterion_4_encoding_efficiency(tmp_path, run_cache, shipped_config):
 
 
 def test_criterion_5_threshold_bounds_and_ordering():
-    """Search stays inside its bracket; reduction layers need smaller tau."""
-    pair = (get_profile("sequential"), get_profile("pairwise"))
-    results = {}
+    """Search stays inside its bracket; reduction layers need smaller tau.
+
+    The profiles carry ``b_tr = 50``, the width ``divergence`` ships at. At
+    64 the dense layer records no straddle at any ``b_r``, so every tau is
+    the upper bound and the ordering compares equal numbers. At 50 it
+    records some at ``b_r`` 29 and 32, where its tau must fall strictly
+    below both elementwise taus; at 26 it records none, so ``<=`` holds.
+    """
+    pair = tuple(replace(get_profile(n), b_tr=50) for n in ("sequential", "pairwise"))
+    taus, recorded = {}, {}
     in_bracket = True
     for b_r in (26, 29, 32):
         lo, hi = fp.tau_bounds(b_r)
-        for layer, label in (
-            (LayerSpec("dense", 64, 64), "dense"),
-            (LayerSpec("relu", 64, 64), "relu"),
-            (LayerSpec("sigmoid", 64, 64), "sigmoid"),
-        ):
+        for layer in (sn.Dense(64, 64), sn.Relu(64), sn.Sigmoid(64)):
+            label = layer.key.split(":")[0]
+            samples = pr.collect_divergence_samples(layer, b_r, pair, 1200, Rng(b_r * 7 + 1))
             tau = pr.threshold_search(layer, b_r, pair, 1200, Rng(b_r * 7 + 1))
-            results[(label, b_r)] = tau
-            in_bracket = in_bracket and lo <= tau <= hi
-    ordering = all(
-        results[("dense", b)] <= results[("relu", b)]
-        and results[("dense", b)] <= results[("sigmoid", b)]
-        for b in (26, 29, 32)
-    )
-    ok = in_bracket and ordering
-    record_criterion(5, "adaptive threshold bracket and dense <= elementwise ordering", ok)
-    assert ok, results
+            taus[label, b_r], recorded[label, b_r] = tau, len(samples)
+            in_bracket = in_bracket and lo <= tau <= hi and tau == pr.search_tau(samples, b_r)
+    measured = all(recorded["dense", b] > 0 for b in (29, 32))
+    strict = all(taus["dense", b] < min(taus["relu", b], taus["sigmoid", b]) for b in (29, 32))
+    ok = in_bracket and measured and strict and taus["dense", 26] <= min(
+        taus["relu", 26], taus["sigmoid", 26])
+    record_criterion(5, "adaptive threshold bracket and dense < elementwise ordering at b_tr=50",
+                     ok)
+    assert ok, (taus, recorded)
 
 
 def _serve_tree(tree):
@@ -233,8 +236,8 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             i = int(rng.integers(0, base.layers[0].in_dim))
             j = int(rng.integers(0, base.layers[0].out_dim))
 
-            def flip(stages, i=i, j=j):
-                stages[0].W[i, j] += 2.0**-8
+            def flip(params, i=i, j=j):
+                params[0][0][i, j] += 2.0**-8
 
             tampered = pr.train(
                 cfg, tmp_path / f"t{case}.vtrl", tamper_after_step=s, tamper=flip

@@ -31,18 +31,18 @@ def test_tracer_installs_and_restores_every_target():
 
 def test_dense_stage_calls_the_wrapped_kernel():
     # bench/spans.py measures dense layers only through these two functions,
-    # so a DenseStage that bypasses them would zero the per-layer metrics
+    # so a Dense layer that bypasses them would zero the per-layer metrics
     spans = load_spans()
     rng = np.random.default_rng(0)
     for batch, n_in, n_out in ((4, 3, 5), (32, 32, 64)):  # both sides of the fold size rule
-        stage = simnet.DenseStage(n_in, n_out)
-        stage.W = rng.normal(size=(n_in, n_out))
+        layer = simnet.Dense(n_in, n_out)
+        params = [rng.normal(size=(n_in, n_out)), np.zeros(n_out)]
         x, g = rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n_out))
         tracer = spans.Tracer()
         tracer.install()
         try:
-            y = stage.forward(x, simnet.SEQUENTIAL)
-            stage.backward(x, y, g, simnet.SEQUENTIAL)
+            y = layer.forward(x, params, simnet.SEQUENTIAL)
+            layer.backward(x, y, g, params, simnet.SEQUENTIAL)
         finally:
             tracer.uninstall()
         assert [s[0] for s in tracer.spans] == ["simnet.dense_forward", "simnet.dense_backward"]

@@ -168,6 +168,11 @@ def _no_features(doc):
     doc["model"]["layers"] = [{"kind": "relu"}]
 
 
+def _relu_in_and_out_differ(doc):
+    doc["model"]["layers"][1]["in"] = 12
+    doc["model"]["layers"][1]["out"] = 13
+
+
 def _float_hidden_width(doc):
     doc["model"]["layers"][0]["out"] = 12.0
     doc["model"]["layers"][2]["in"] = 12.0
@@ -207,6 +212,12 @@ BAD_CONFIGS = {
     "unknown-tau-policy": _set(("tau",), {"policy": "bogus", "table": {
         "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU,
         "loss:softmax_xent": protocol.DEFAULT_TAU}}),
+    "trainer-profile-int": _set(("trainer_profile",), 5),
+    "name-int": _set(("name",), 5),
+    "name-with-slash": _set(("name",), "../../x"),
+    "b-m-16": _set(("b_m",), 16),
+    "relu-width-not-incoming": _set(("model", "layers", 1, "in"), 11),
+    "relu-in-and-out-differ": _relu_in_and_out_differ,
 }
 
 

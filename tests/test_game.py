@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 import socket
 import threading
 
@@ -297,3 +298,90 @@ def test_message_bound_all_sizes_one_to_sixtyfour(served):
         assert report.outcome == game.DISPUTE_AT_LEAF
         assert report.leaf_index == flip
         assert report.node_requests <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2, n
+
+
+def _frame(payload: bytes) -> bytes:
+    return len(payload).to_bytes(4, "little") + payload
+
+
+def _json_frame(doc) -> bytes:
+    return _frame(json.dumps(doc).encode())  # writes NaN and Infinity as Python does
+
+
+def fuzz_cases(rng: random.Random) -> list[tuple[str, bytes, list]]:
+    """(label, bytes a client sends, response types the server must send back).
+
+    No case sends anything after a frame the server ends the session on,
+    so the server never closes with unread input.
+    """
+    hello = _json_frame({"type": "hello", "protocol_version": game.PROTOCOL_VERSION,
+                         "run_id": "fuzz"})
+    node_request = _json_frame({"type": "node_request", "level": 0, "index": 0})
+    refused = ["refuse"]
+    cases = []
+    for _ in range(3):
+        cases.append(("truncated header", node_request[: rng.randrange(1, 4)], []))
+        cases.append(("truncated payload", node_request[: rng.randrange(4, len(node_request))],
+                      []))
+    for length in ((1 << 24) + 1, 2**32 - 1):
+        cases.append(("oversized", length.to_bytes(4, "little"), refused))
+    for doc in ([1, 2], 5, "hello", None, True):
+        cases.append(("non-object", _json_frame(doc), refused))
+    cases.append(("untyped", _json_frame({"level": 0, "index": 0}), refused))
+    cases.append(("empty", _frame(b""), refused))
+    cases.append(("random bytes", _frame(bytes(rng.randrange(256) for _ in range(24))), refused))
+    cases.append(("deeply nested", _frame(b"[" * 100_000), refused))
+    for kind in (5, ["hello"], None, {"type": "hello"}):
+        cases.append(("wrong-typed type", _json_frame({"type": kind}), refused))
+    for nonfinite in (float("nan"), float("inf"), float("-inf")):
+        doc = {"type": "hello", "protocol_version": nonfinite, "run_id": "fuzz"}
+        cases.append(("non-finite version", _json_frame(doc), refused))
+    for value in (1.0, 0.5, float("inf"), float("-inf"), float("nan"), "0", True, False,
+                  [0], None, {"level": 0}, 10**30, -(10**30), 2**64, -1):
+        for coord in ("level", "index"):
+            request = {"type": "node_request", "level": 0, "index": 0, coord: value}
+            cases.append((f"{coord}={value!r}", hello + _json_frame(request),
+                          ["root_announce", "refuse"]))
+    cases.append(("request before hello", node_request + hello,
+                  ["node_response", "root_announce"]))
+    cases.append(("second hello", hello + hello, ["root_announce", "root_announce"]))
+    for doc in ({"type": "root_announce", "root": "00" * 32, "leaf_count": 8},
+                {"type": "node_response", "level": 0, "index": 0, "digest": "00" * 32},
+                {"type": "refuse", "reason": "no"}):
+        cases.append((f"server-only {doc['type']}", hello + _json_frame(doc),
+                      ["root_announce", "refuse"]))
+    cases.append(("accept before hello", _json_frame({"type": "accept"}), []))
+    rng.shuffle(cases)
+    return cases
+
+
+def _exchange(addr, data: bytes) -> list[dict]:
+    """Send ``data``, close the sending side, and read every frame until the server closes."""
+    with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+        s.settimeout(5)
+        s.connect(addr)
+        s.sendall(data)
+        s.shutdown(socket.SHUT_WR)
+        received = b""
+        while chunk := s.recv(65536):
+            received += chunk
+    frames = []
+    while received:
+        length = int.from_bytes(received[:4], "little")
+        frames.append(json.loads(received[4 : 4 + length]))
+        received = received[4 + length :]
+    return frames
+
+
+def test_frame_fuzzer_leaves_the_server_serving(served):
+    addr, launch = served
+    tree = tree_of(8)
+    cases = fuzz_cases(random.Random(12))
+    server = launch(tree, sessions=len(cases) + 1)
+    for label, data, want in cases:
+        got = [frame["type"] for frame in _exchange(addr, data)]
+        assert got == want, label
+    report = game.challenge(tree, addr, timeout=5)
+    assert report.outcome == game.TRAINING_VERIFIED
+    server.thread.join(timeout=5)
+    assert not server.thread.is_alive()

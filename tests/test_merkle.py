@@ -234,10 +234,6 @@ class TestHashWeights:
         with pytest.raises(ValueError, match="tensor 1.*index 1"):
             merkle.hash_weights(w)
 
-    def test_only_fp32_target(self):
-        with pytest.raises(ValueError):
-            merkle.hash_weights([np.zeros(2)], b_m=16)
-
 
 class TestSidecar:
     def test_roundtrip(self, tmp_path):

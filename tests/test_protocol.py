@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtrain import fpround, merkle, protocol as pr
-from vtrain.protocol import LayerSpec, TauPolicy, TrainConfig
+from vtrain.protocol import TauPolicy, TrainConfig
 from vtrain.roundlog import LogReader, LogWriter
-from vtrain.simnet import Rng, get_profile
+from vtrain.simnet import Dense, Relu, Rng, get_profile
 
 
 def tiny_config(**overrides):
@@ -19,7 +19,7 @@ def tiny_config(**overrides):
         dataset_size=64,
         dim=8,
         classes=2,
-        layers=(LayerSpec("dense", 8, 12), LayerSpec("relu"), LayerSpec("dense", 12, 2)),
+        layers=(Dense(8, 12), Relu(), Dense(12, 2)),
         loss="softmax_xent",
         epochs=2,
         batch_size=8,
@@ -182,8 +182,8 @@ class TestAudit:
         cfg = tiny_config()
         honest = pr.train(cfg, tmp_path / "h.vtrl")
 
-        def flip(stages):
-            stages[0].W[0, 0] += 2.0**-10
+        def flip(params):
+            params[0][0][0, 0] += 2.0**-10
 
         s = 6
         tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper_after_step=s, tamper=flip)
@@ -304,7 +304,7 @@ class TestLogLayout:
 
     def test_first_stage_relu_keeps_its_forward_slot(self, tmp_path):
         # it sees the raw batch, which is off the grid
-        cfg = tiny_config(layers=(LayerSpec("relu"),) + tiny_config().layers)
+        cfg = tiny_config(layers=(Relu(),) + tiny_config().layers)
         assert [slot for slot, _ in pr.step_layout(cfg)] == [
             "forward:relu", "forward:dense:8x12", "forward:dense:12x2",
             "backward:loss:softmax_xent", "backward:dense:12x2", "backward:dense:8x12"]
@@ -363,7 +363,7 @@ class TestEstimate:
     def test_single_dense_layer(self):
         cfg = TrainConfig(
             dataset_size=4, dim=2, classes=3,
-            layers=(LayerSpec("dense", 2, 3),), loss="softmax_xent",
+            layers=(Dense(2, 3),), loss="softmax_xent",
             epochs=1, batch_size=4, learning_rate=0.1,
             checkpoint_interval=1, seed=0, name="bare",
         )
@@ -415,14 +415,14 @@ class TestThresholdSearch:
                 assert lo <= tau <= hi
 
     def test_search_deterministic(self):
-        layer = LayerSpec("dense", 16, 16)
+        layer = Dense(16, 16)
         pair = (get_profile("sequential"), get_profile("pairwise"))
         t1 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
         t2 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
         assert t1 == t2
 
     def test_elementwise_layer_sees_no_divergence(self):
-        layer = LayerSpec("relu", 16, 16)
+        layer = Relu(16)
         pair = (get_profile("sequential"), get_profile("pairwise"))
         samples = pr.collect_divergence_samples(layer, 32, pair, 300, Rng(6))
         assert samples == []

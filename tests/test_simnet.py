@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from vtrain import simnet as sn
 from vtrain.fpround import grid_max, rnd_array
-from vtrain.protocol import LayerSpec
 
 SEQ = sn.get_profile("sequential")
 REV = sn.get_profile("reversed")
@@ -453,11 +452,12 @@ class TestGradientChecks:
         rng = np.random.default_rng(11)
         x = rng.normal(size=(3, 4))
         g = rng.normal(size=(3, 4))
-        y = sn.sigmoid_forward(x)
-        analytic = sn.sigmoid_backward(y, g)
+        y = sn.Sigmoid().forward(x, [], SEQ)
+        analytic, grads = sn.Sigmoid().backward(x, y, g, [], SEQ)
+        assert grads == []
 
         def out_sum():
-            return float((sn.sigmoid_forward(x) * g).sum())
+            return float((sn.Sigmoid().forward(x, [], SEQ) * g).sum())
 
         numeric = numeric_grad(out_sum, x)
         assert np.allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
@@ -465,13 +465,14 @@ class TestGradientChecks:
 
 class TestElementwise:
     def test_relu_values(self):
-        assert sn.relu_forward(np.array([-1.0]))[0] == 0.0
-        assert sn.relu_forward(np.array([2.0]))[0] == 2.0
+        assert sn.Relu().forward(np.array([-1.0]), [], SEQ)[0] == 0.0
+        assert sn.Relu().forward(np.array([2.0]), [], SEQ)[0] == 2.0
 
     def test_relu_gradient_mask(self):
         x = np.array([[-1.0, 0.0, 2.0]])
         g = np.array([[5.0, 5.0, 5.0]])
-        assert sn.relu_backward(x, g).tolist() == [[0.0, 0.0, 5.0]]
+        grad_x, grads = sn.Relu().backward(x, None, g, [], SEQ)
+        assert grad_x.tolist() == [[0.0, 0.0, 5.0]] and grads == []
 
     def test_uniform_logits_loss(self):
         logits = np.zeros((8, 5))
@@ -487,8 +488,8 @@ class TestElementwise:
         rng = np.random.default_rng(12)
         x = rng.normal(size=(7, 9))
         for p in ALL_PROFILES:
-            assert np.array_equal(sn.relu_forward(x), np.maximum(x, 0))
-            assert np.array_equal(sn.sigmoid_forward(x), 1 / (1 + np.exp(-x)))
+            assert np.array_equal(sn.Relu().forward(x, [], p), np.maximum(x, 0))
+            assert np.array_equal(sn.Sigmoid().forward(x, [], p), 1 / (1 + np.exp(-x)))
 
 
 @st.composite
@@ -521,30 +522,26 @@ def test_relu_keeps_grid_values_on_the_grid(case):
         return np.array_equal(rnd_array(a, b_r).view(np.uint64), a.view(np.uint64))
 
     assert same(x) and same(g)
-    assert same(sn.relu_forward(x))
-    assert same(sn.relu_backward(x, g))
+    assert same(sn.Relu().forward(x, [], SEQ))
+    assert same(sn.Relu().backward(x, None, g, [], SEQ)[0])
 
 
 class TestInitAndData:
     def test_init_deterministic(self):
-        s1 = sn.build_stages([LayerSpec("dense", 6, 4), LayerSpec("relu")])
-        s2 = sn.build_stages([LayerSpec("dense", 6, 4), LayerSpec("relu")])
-        sn.init_weights(s1, sn.Rng(77))
-        sn.init_weights(s2, sn.Rng(77))
-        assert np.array_equal(s1[0].W, s2[0].W)
+        W1, _ = sn.Dense(6, 4).init(sn.Rng(77))
+        W2, _ = sn.Dense(6, 4).init(sn.Rng(77))
+        assert np.array_equal(W1, W2)
+        assert sn.Relu().init(sn.Rng(77)) == []
 
     def test_biases_zero(self):
-        stages = sn.build_stages([LayerSpec("dense", 3, 5)])
-        sn.init_weights(stages, sn.Rng(1))
-        assert not stages[0].b.any()
+        _, b = sn.Dense(3, 5).init(sn.Rng(1))
+        assert b.shape == (5,) and not b.any()
 
     def test_fan_in_bound(self):
-        stages = sn.build_stages([LayerSpec("dense", 1, 64)])
-        sn.init_weights(stages, sn.Rng(2))
-        assert np.all(np.abs(stages[0].W) <= 1.0)
-        stages = sn.build_stages([LayerSpec("dense", 16, 8)])
-        sn.init_weights(stages, sn.Rng(3))
-        assert np.all(np.abs(stages[0].W) <= 0.25)
+        W, _ = sn.Dense(1, 64).init(sn.Rng(2))
+        assert np.all(np.abs(W) <= 1.0)
+        W, _ = sn.Dense(16, 8).init(sn.Rng(3))
+        assert np.all(np.abs(W) <= 0.25)
 
     def test_dataset_deterministic(self):
         X1, y1 = sn.make_dataset(64, 5, 3, sn.Rng(9))
@@ -607,19 +604,18 @@ class TestShippedDivergenceBound:
             profiles = [replace(p, b_tr=cfg.b_tr) for p in ALL_PROFILES]
             rng = sn.Rng(cfg.seed)
             X, y = sn.make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
-            stages = sn.build_stages(cfg.layers)
-            sn.init_weights(stages, rng)
+            params = [layer.init(rng) for layer in cfg.layers]
             sched = sn.BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
             for _ in range(min(cfg.steps, 6)):
                 idx = sched.next_batch()
                 cur = X[idx]
-                for stage in stages:
-                    raws = [stage.forward(cur, p) for p in profiles]
+                for layer, ps in zip(cfg.layers, params):
+                    raws = [layer.forward(cur, ps, p) for p in profiles]
                     tensor_scale = max(
                         float(np.maximum(exponent_scale_array(r), SCALE_FLOOR).max())
                         for r in raws
                     )
                     for other in raws[1:]:
                         drift = np.abs(raws[0] - other).max()
-                        assert drift < budget * tensor_scale, (name, stage.kind, drift)
+                        assert drift < budget * tensor_scale, (name, layer.key, drift)
                     cur = rnd_array(raws[0], cfg.b_r)
