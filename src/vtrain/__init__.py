@@ -12,8 +12,8 @@ from .fpround import DOWN, IGNORE, UP
 from .simnet import DeviceProfile, PROFILES, Rng, get_profile
 from .protocol import (
     TrainConfig,
+    RunOutput,
     TrainOutput,
-    AuditOutput,
     train,
     audit,
     audit_without_corrections,
@@ -35,8 +35,8 @@ __all__ = [
     "Rng",
     "get_profile",
     "TrainConfig",
+    "RunOutput",
     "TrainOutput",
-    "AuditOutput",
     "train",
     "audit",
     "audit_without_corrections",

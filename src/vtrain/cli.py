@@ -8,7 +8,9 @@ operational choices: which profile executes, where artifacts land,
 network addresses.
 
 Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
-3 I/O error, 4 protocol error.
+3 I/O error, 4 protocol error. A run that diverges (its loss turns
+non-finite, or a value leaves the grid's range) ends ``train`` with exit 2
+and one ``training diverged at step N`` line, and ``audit`` with exit 4.
 """
 
 from __future__ import annotations
@@ -151,7 +153,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
                                 compress_log=compress_log)
         train_seconds = time.perf_counter() - start
         merkle.write_tree(result.tree, paths["tree"])
-        save_weights(paths["weights"], result.final_weights)
+        save_weights(paths["weights"], [p for ps in result.params for p in ps])
         if keep_checkpoints and result.checkpoints is not None:
             for i, snap in enumerate(result.checkpoints):
                 save_weights(out / f"{cfg.name}.ckpt{i:04d}.weights", snap)
@@ -177,6 +179,9 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             ],
         }
         paths["report"].write_text(json.dumps(report, indent=2) + "\n")
+    except protocol.TrainingDiverged as e:
+        click.echo(str(e), err=True)
+        sys.exit(EXIT_USAGE)
     except OSError as e:
         click.echo(f"i/o error: {e}", err=True)
         sys.exit(EXIT_IO)

@@ -86,9 +86,13 @@ def grid_max(b_r: int) -> float:
     return (2.0 - 2.0 ** -kept) * 2.0 ** 127
 
 
+class OutOfRange(ValueError):
+    """A value the grid cannot hold: non-finite, or past ``grid_max``."""
+
+
 def _require_finite(arr: np.ndarray) -> None:
     if not np.isfinite(arr).all():
-        raise ValueError("non-finite value")
+        raise OutOfRange("non-finite value")
 
 
 class _GridBits:
@@ -148,7 +152,7 @@ class _GridBits:
     def values(self, mag: np.ndarray) -> np.ndarray:
         """Signed values with the given magnitude bits; none may pass grid_max."""
         if mag.view(np.float64).max(initial=0.0) > grid_max(self.b_r):
-            raise ValueError("out of representable range")
+            raise OutOfRange("out of representable range")
         return (self.sign | mag).view(np.float64)
 
 

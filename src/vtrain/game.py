@@ -29,6 +29,7 @@ from .merkle import DIGEST_LEN, MerklePath, MerkleTree, bisect, node, path, veri
 
 PROTOCOL_VERSION = 2
 DEFAULT_TIMEOUT = 30.0
+SESSION_TIMEOUT = 30.0  # seconds the server waits on each read from a client
 
 TRAINING_VERIFIED = "training_verified"
 DISPUTE_AT_LEAF = "dispute_at_leaf"
@@ -134,8 +135,10 @@ class GameServer:
         self.last_claim: dict | None = None
 
     def handle_session(self, conn: socket.socket) -> None:
-        """Answer one client; no frame it sends and no disconnect stops ``serve_forever``."""
+        """Answer one client; no frame it sends, no disconnect and no silence
+        past ``SESSION_TIMEOUT`` stalls ``serve_forever``."""
         try:
+            conn.settimeout(SESSION_TIMEOUT)
             while True:
                 try:
                     msg = _recv(conn)
@@ -172,7 +175,7 @@ class GameServer:
                 else:
                     _send(conn, {"type": "refuse", "reason": f"unexpected message {kind!r}"})
                     return
-        except OSError:  # the client went away or reset the connection
+        except OSError:  # the client went away, reset the connection or timed out
             return
         finally:
             conn.close()
@@ -225,12 +228,10 @@ class _Session:
 
 
 def challenge(local_tree: MerkleTree, address: tuple[str, int],
-              timeout: float = DEFAULT_TIMEOUT, run_id: str | None = None) -> VerdictReport:
+              timeout: float = DEFAULT_TIMEOUT) -> VerdictReport:
     """Compare against a served tree and localize the first divergent leaf."""
     transcript: list = []
     local_root = local_tree.root_hex
-    if run_id is None:
-        run_id = local_root[:16]
     report = VerdictReport(outcome=TRAINING_VERIFIED, auditor_root=local_root,
                            transcript=transcript)
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as sock:
@@ -239,7 +240,7 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
             sock.connect(address)
             session = _Session(sock, transcript)
             session.send({"type": "hello", "protocol_version": PROTOCOL_VERSION,
-                          "run_id": run_id})
+                          "run_id": local_root[:16]})
             announce = session.recv()
         except (socket.timeout, ConnectionError, OSError):
             report.outcome = TRAINER_UNRESPONSIVE

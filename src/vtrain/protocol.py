@@ -10,8 +10,11 @@ accumulation orders in sync.
 
 A channel's ``process(values, tau)`` returns the values that flow on and
 one count: directed entries for the trainer, corrections for the auditor,
-0 for the control. ``_run`` keeps one (forward, backward) pair of those
-counts per step, and both outputs carry that list as ``per_step``.
+0 for the control. ``_forward`` is the one layer loop, for each step of
+``_run`` and for ``evaluate``. ``_run`` returns one record, ``RunOutput``,
+with a (forward, backward) pair of counts per step; ``audit`` returns it
+as is and ``train`` adds the log size, final loss and accuracy. A run that
+diverges raises ``TrainingDiverged`` with the step.
 
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
@@ -20,7 +23,7 @@ Two kinds of stage output are never logged. A ReLU past the first stage
 maps grid values to grid values, so rounding them is the identity. The
 first stage's input gradient feeds nothing, so it is not even computed.
 ``TrainConfig.log_slots`` walks the layers once to list what is logged;
-config validation, ``_run`` and ``step_layout`` all read that list.
+config validation, ``_run`` and ``estimate_log_entries`` all read that list.
 
 Layers (``simnet.LAYER_KINDS``) hold no weights: ``_run`` keeps a list of
 parameters per layer, and treats every parameter alike.
@@ -37,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +47,7 @@ from . import merkle, roundlog
 from .fpround import (
     IGNORE,
     SCALE_FLOOR,
+    OutOfRange,
     check_b_tr,
     exponent_scale_array,
     replay,
@@ -76,7 +79,11 @@ class AuditFailure(RuntimeError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss became non-finite during a run."""
+    """The loss turned non-finite, or a value left the grid's range, at ``step``."""
+
+    def __init__(self, step: int):
+        super().__init__(f"training diverged at step {step}")
+        self.step = step
 
 
 @dataclass(frozen=True)
@@ -203,8 +210,14 @@ class TrainConfig:
 
 
 @dataclass
-class _Output:
+class RunOutput:
+    """What one pass of the replay engine leaves behind."""
+
     tree: merkle.MerkleTree  # over the checkpoint digests
+    params: list[list[np.ndarray]]  # per layer, on the b_r grid
+    final_digest: bytes
+    per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
+    checkpoints: list[list[np.ndarray]] | None
 
     @property
     def root(self) -> bytes:
@@ -214,28 +227,17 @@ class _Output:
     def root_hex(self) -> str:
         return self.tree.root_hex
 
+    @property
+    def total_count(self) -> int:
+        """Directed entries for the trainer, replay corrections for the auditor."""
+        return sum(f + b for f, b in self.per_step)
+
 
 @dataclass
-class TrainOutput(_Output):
-    log_path: Path | None
-    final_weights: list[np.ndarray]
-    final_digest: bytes
-    per_step: list[tuple[int, int]]  # (forward, backward) directed entries
+class TrainOutput(RunOutput):
     entries_logged: int
     final_loss: float
     train_accuracy: float
-    checkpoints: list[list[np.ndarray]] | None = None
-
-
-@dataclass
-class AuditOutput(_Output):
-    final_digest: bytes
-    per_step: list[tuple[int, int]]  # (forward, backward) replay corrections
-    checkpoints: list[list[np.ndarray]] | None = None
-
-    @property
-    def total_corrections(self) -> int:
-        return sum(f + b for f, b in self.per_step)
 
 
 class _TrainerChannel:
@@ -278,20 +280,28 @@ def _loss_forward(loss_kind: str, output, labels, profile):
     return bce_forward(output, labels, profile)
 
 
-@dataclass
-class _Run:
-    """What one pass of the replay engine leaves behind."""
+def _slot_taus(cfg: TrainConfig) -> dict[tuple[str, int], float]:
+    """Tau per logged slot by (pass, stage): an output goes through the channel iff it has one."""
+    return {(s.pass_, s.stage): cfg.tau_policy.lookup(s.key) for s in cfg.log_slots()}
 
-    tree: merkle.MerkleTree
-    params: list[list[np.ndarray]]  # per layer, on the b_r grid
-    final_digest: bytes
-    per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
-    checkpoints: list[list[np.ndarray]] | None
-    data: tuple[np.ndarray, np.ndarray]
+
+def _forward(layers, params, x, profile, process, taus) -> tuple[list[np.ndarray], int]:
+    """The input and every layer's output, each one with a forward slot sent
+    through ``process``; and the sum of ``process``'s counts."""
+    values, count = [x], 0
+    for i, layer in enumerate(layers):
+        out = layer.forward(values[-1], params[i], profile)
+        tau = taus.get(("forward", i))
+        if tau is not None:
+            out, n = process(out, tau)
+            count += n
+        values.append(out)
+    return values, count
 
 
 def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bool,
-         tamper_after_step: int | None = None, tamper=None) -> _Run:
+         tamper=None) -> tuple[RunOutput, tuple[np.ndarray, np.ndarray]]:
+    """One pass of the engine; returns the record and the dataset it drew."""
     profile = replace(profile, b_tr=cfg.b_tr)
     rng = Rng(cfg.seed)
     X, y = make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
@@ -299,140 +309,123 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     params = [[rnd_array(p, cfg.b_r) for p in layer.init(rng)] for layer in layers]
     schedule = BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
 
-    # a layer output goes through the channel iff it has a slot
-    taus = {(s.pass_, s.stage): cfg.tau_policy.lookup(s.key) for s in cfg.log_slots()}
+    taus = _slot_taus(cfg)
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
     per_step: list[tuple[int, int]] = []
 
-    for t in range(1, cfg.steps + 1):
-        idx = schedule.next_batch()
-        xb, yb = X[idx], y[idx]
+    t = 0
+    try:
+        for t in range(1, cfg.steps + 1):
+            idx = schedule.next_batch()
+            values, forward = _forward(layers, params, X[idx], profile, channel.process, taus)
 
-        values = [xb]
-        cur = xb
-        forward = 0
-        for i, layer in enumerate(layers):
-            cur = layer.forward(cur, params[i], profile)
-            tau = taus.get(("forward", i))
-            if tau is not None:
-                cur, n = channel.process(cur, tau)
-                forward += n
-            values.append(cur)
+            loss_raw, grad_raw = _loss_forward(cfg.loss, values[-1], y[idx], profile)
+            if not np.isfinite(loss_raw):
+                raise TrainingDiverged(t)
 
-        loss_raw, grad_raw = _loss_forward(cfg.loss, cur, yb, profile)
-        if not np.isfinite(loss_raw):
-            raise TrainingDiverged(f"non-finite loss at step {t}")
+            grad, backward = channel.process(grad_raw, taus["backward", len(layers)])
+            grads: list = [None] * len(layers)
+            for i in range(len(layers) - 1, 0, -1):
+                grad, grads[i] = layers[i].backward(values[i], values[i + 1], grad, params[i],
+                                                    profile)
+                tau = taus.get(("backward", i))
+                if tau is not None:
+                    grad, n = channel.process(grad, tau)
+                    backward += n
+            if layers:
+                grads[0] = layers[0].param_grads(values[0], grad)
 
-        grad, backward = channel.process(grad_raw, taus["backward", len(layers)])
-        grads: list = [None] * len(layers)
-        for i in range(len(layers) - 1, 0, -1):
-            grad, grads[i] = layers[i].backward(values[i], values[i + 1], grad, params[i],
-                                                profile)
-            tau = taus.get(("backward", i))
-            if tau is not None:
-                grad, n = channel.process(grad, tau)
-                backward += n
-        if layers:
-            grads[0] = layers[0].param_grads(values[0], grad)
+            # Stored parameters live on the grid; the update inputs are already
+            # bit-identical between honest parties (synced tensors, canonical
+            # gradient accumulation), so this rounding is hygiene, not sync.
+            params = [[rnd_array(p - cfg.learning_rate * g, cfg.b_r) for p, g in zip(ps, gs)]
+                      for ps, gs in zip(params, grads)]
 
-        # Stored parameters live on the grid; the update inputs are already
-        # bit-identical between honest parties (synced tensors, canonical
-        # gradient accumulation), so this rounding is hygiene, not sync.
-        params = [[rnd_array(p - cfg.learning_rate * g, cfg.b_r) for p, g in zip(ps, gs)]
-                  for ps, gs in zip(params, grads)]
+            if tamper is not None:
+                tamper(t, params)
 
-        if tamper_after_step is not None and t == tamper_after_step:
-            tamper(params)
+            per_step.append((forward, backward))
+            if t % cfg.checkpoint_interval == 0:
+                flat = [p for ps in params for p in ps]
+                leaves.append(merkle.hash_weights(flat))
+                if keep_checkpoints:
+                    checkpoints.append([p.astype(np.float32) for p in flat])
+    except OutOfRange as e:
+        raise TrainingDiverged(t) from e
 
-        per_step.append((forward, backward))
-        if t % cfg.checkpoint_interval == 0:
-            flat = [p for ps in params for p in ps]
-            leaves.append(merkle.hash_weights(flat))
-            if keep_checkpoints:
-                checkpoints.append([p.astype(np.float32) for p in flat])
-
-    return _Run(
+    return RunOutput(
         tree=merkle.build(leaves),
         params=params,
         final_digest=merkle.hash_weights([p for ps in params for p in ps]),
         per_step=per_step,
         checkpoints=checkpoints if keep_checkpoints else None,
-        data=(X, y),
-    )
+    ), (X, y)
 
 
 def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[float, float]:
-    """Loss and accuracy of per-layer parameters over a dataset, grid-rounded."""
+    """Loss and accuracy of per-layer parameters over a dataset, rounded as
+    the negative control rounds."""
     profile = replace(profile, b_tr=cfg.b_tr)
-    cur = X
-    for layer, ps in zip(cfg.layers, params):
-        cur = rnd_array(layer.forward(cur, ps, profile), cfg.b_r)
-    loss, _ = _loss_forward(cfg.loss, cur, y, profile)
+    values, _ = _forward(cfg.layers, params, X, profile, _PlainChannel(cfg.b_r).process,
+                         _slot_taus(cfg))
+    out = values[-1]
+    loss, _ = _loss_forward(cfg.loss, out, y, profile)
     if cfg.loss == "softmax_xent":
-        pred = cur.argmax(axis=1)
+        pred = out.argmax(axis=1)
     else:
-        pred = (cur.reshape(-1) >= 0.5).astype(int)
+        pred = (out.reshape(-1) >= 0.5).astype(int)
     accuracy = float(np.mean(pred == np.asarray(y).reshape(pred.shape)))
     return loss, accuracy
 
 
 def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
-          compress_log: bool = False, tamper_after_step: int | None = None,
-          tamper=None) -> TrainOutput:
+          compress_log: bool = False, tamper=None) -> TrainOutput:
     """Run the trainer: produce the rounding log, checkpoints, and tree root.
 
-    ``tamper_after_step``/``tamper`` inject a fault after a chosen step:
-    ``tamper`` gets the per-layer parameter lists and may change them in
-    place. They exist for dispute-game demonstrations and tests.
+    ``tamper(step, params)``, if given, runs after every step's update with
+    the step number and the per-layer parameter lists, and may change them
+    in place. It exists for dispute-game demonstrations and tests.
     """
     profile = get_profile(cfg.trainer_profile)
     writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
     try:
-        run = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r), keep_checkpoints,
-                   tamper_after_step=tamper_after_step, tamper=tamper)
+        run, (X, y) = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r), keep_checkpoints,
+                           tamper)
     finally:
         writer.close()
-    final_loss, accuracy = evaluate(cfg, run.params, profile, *run.data)
-    return TrainOutput(
-        tree=run.tree,
-        log_path=Path(log_path),
-        final_weights=[p.astype(np.float32) for ps in run.params for p in ps],
-        final_digest=run.final_digest,
-        per_step=run.per_step,
-        entries_logged=writer.entry_count,
-        final_loss=final_loss,
-        train_accuracy=accuracy,
-        checkpoints=run.checkpoints,
-    )
+    final_loss, accuracy = evaluate(cfg, run.params, profile, X, y)
+    return TrainOutput(**vars(run), entries_logged=writer.entry_count,
+                       final_loss=final_loss, train_accuracy=accuracy)
 
 
-def audit(cfg: TrainConfig, auditor_profile: DeviceProfile | str, log,
-          keep_checkpoints: bool = False) -> AuditOutput:
-    """Replay the run on the auditor's profile, consuming the trainer's log."""
-    profile = get_profile(auditor_profile) if isinstance(auditor_profile, str) else auditor_profile
-    reader = log if isinstance(log, LogReader) else LogReader(log)
+def audit(cfg: TrainConfig, auditor_profile: str, log_path,
+          keep_checkpoints: bool = False) -> RunOutput:
+    """Replay the run on the named profile, consuming the trainer's log."""
+    profile = get_profile(auditor_profile)
+    reader = LogReader(log_path)
     if reader.b_r != cfg.b_r:
         raise AuditFailure(f"log b_r {reader.b_r} does not match config b_r {cfg.b_r}")
     try:
-        run = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), keep_checkpoints)
+        run, _ = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), keep_checkpoints)
     except LogExhaustedError as e:
         raise AuditFailure("operation-count mismatch") from e
+    except TrainingDiverged as e:
+        raise AuditFailure(str(e)) from e
     if reader.remaining != 0:
         raise AuditFailure("operation-count mismatch")
-    return _audit_output(run)
+    return run
 
 
-def audit_without_corrections(cfg: TrainConfig, auditor_profile: DeviceProfile | str,
-                              keep_checkpoints: bool = False) -> AuditOutput:
+def audit_without_corrections(cfg: TrainConfig, auditor_profile: str,
+                              keep_checkpoints: bool = False) -> RunOutput:
     """Replay with plain rounding and no log: the negative control."""
-    profile = get_profile(auditor_profile) if isinstance(auditor_profile, str) else auditor_profile
-    return _audit_output(_run(cfg, profile, _PlainChannel(cfg.b_r), keep_checkpoints))
-
-
-def _audit_output(run: _Run) -> AuditOutput:
-    return AuditOutput(tree=run.tree, final_digest=run.final_digest,
-                       per_step=run.per_step, checkpoints=run.checkpoints)
+    try:
+        run, _ = _run(cfg, get_profile(auditor_profile), _PlainChannel(cfg.b_r),
+                      keep_checkpoints)
+    except TrainingDiverged as e:
+        raise AuditFailure(str(e)) from e
+    return run
 
 
 def weight_l2_distance(a, b) -> float:
@@ -459,18 +452,9 @@ class LogEstimate:
     file_bytes: int
 
 
-def step_layout(cfg: TrainConfig) -> list[tuple[str, int]]:
-    """Per-step log write order as (slot, entries) pairs, from ``log_slots``.
-
-    A slot is the pass and the stage key, e.g. ``"forward:dense:4x8"`` or
-    ``"backward:loss:bce"``.
-    """
-    return [(f"{s.pass_}:{s.key}", s.entries) for s in cfg.log_slots()]
-
-
 def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
-    """Upper-bound log size from the config alone: ``step_layout`` per step."""
-    entries = cfg.steps * sum(n for _, n in step_layout(cfg))
+    """Upper-bound log size from the config alone: ``log_slots`` per step."""
+    entries = cfg.steps * sum(s.entries for s in cfg.log_slots())
     return LogEstimate(
         entries=entries,
         payload_bytes=roundlog.payload_bytes_for(entries),

@@ -11,7 +11,7 @@ Five ternary entries go into one byte in little-endian base 3
     7       8     entry count, little-endian unsigned
     15      ...   payload
 
-Version 2 entry streams hold only the slots ``protocol.step_layout``
+Version 2 entry streams hold only the slots ``protocol.TrainConfig.log_slots``
 lists: no ReLU outputs past the first stage and no first-stage input
 gradient. Version 1 logs had both, so readers reject them.
 
@@ -70,7 +70,6 @@ class LogWriter:
     def __init__(self, path, b_r: int, compress: bool = False):
         self.path = Path(path)
         self.b_r = int(b_r)
-        self.compress = compress
         self.entry_count = 0
         self._tail = np.empty(0, dtype=np.uint8)  # at most four entries
         self._file = open(self.path, "wb")

@@ -24,11 +24,11 @@ def find_corruptible_entry(cfg, digits: np.ndarray, honest_root: bytes, path,
     the most direct weight influence). Returns (entry_index, step) and
     leaves the winning tampered log at ``path``, or None.
     """
-    layout = pr.step_layout(cfg)
-    per_step = sum(n for _, n in layout)
-    k = next(i for i, (slot, _) in enumerate(layout) if slot.startswith("backward:loss:"))
-    lo = sum(n for _, n in layout[:k])
-    hi = lo + layout[k][1]
+    slots = cfg.log_slots()
+    per_step = sum(s.entries for s in slots)
+    k = next(i for i, s in enumerate(slots) if s.key.startswith("loss:"))
+    lo = sum(s.entries for s in slots[:k])
+    hi = lo + slots[k].entries
     tries = 0
     for step in range(start_step, cfg.steps + 1):
         base = (step - 1) * per_step

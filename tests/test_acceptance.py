@@ -87,7 +87,7 @@ def test_criterion_2_negative_control(run_cache, shipped_config):
                 # a device model so noisy that honest audits fail too would
                 # diverge here for the wrong reason
                 honest = pr.audit(cfg, auditor_profile, log)
-                honest_ok = honest.root == out.root and honest.total_corrections > 0
+                honest_ok = honest.root == out.root and honest.total_count > 0
                 break
         if diverged_on:
             break
@@ -111,13 +111,13 @@ def test_criterion_3_correction_sparsity_trend(run_cache, shipped_config):
         cfg, log, out = get_train(run_cache, shipped_config, "trend", b_r=b_r)
         audit = pr.audit(cfg, "pairwise", log)
         assert audit.root == out.root, f"honest audit failed at b_r={b_r}"
-        counts[b_r] = audit.total_corrections
+        counts[b_r] = audit.total_count
     small_zero = True
     for name in ("mlp", "logreg", "tiny"):
         cfg, log, out = get_train(run_cache, shipped_config, name, b_r=26)
         audit = pr.audit(cfg, "pairwise", log)
         assert audit.root == out.root
-        small_zero = small_zero and audit.total_corrections == 0
+        small_zero = small_zero and audit.total_count == 0
     ok = (
         counts[26] <= counts[29] <= counts[32]
         and counts[26] == 0
@@ -236,12 +236,11 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             i = int(rng.integers(0, base.layers[0].in_dim))
             j = int(rng.integers(0, base.layers[0].out_dim))
 
-            def flip(params, i=i, j=j):
-                params[0][0][i, j] += 2.0**-8
+            def flip(step, params, s=s, i=i, j=j):
+                if step == s:
+                    params[0][0][i, j] += 2.0**-8
 
-            tampered = pr.train(
-                cfg, tmp_path / f"t{case}.vtrl", tamper_after_step=s, tamper=flip
-            )
+            tampered = pr.train(cfg, tmp_path / f"t{case}.vtrl", tamper=flip)
             trainer_tree = tampered.tree
             auditor_tree = honest_tree
             expected = -(-s // k) - 1  # first checkpoint index at/after step s

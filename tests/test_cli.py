@@ -236,6 +236,34 @@ class TestBadConfig:
         assert len([l for l in result.output.splitlines() if "bad config" in l]) == 1
 
 
+class TestDivergedRun:
+    """A learning rate that takes the weights past the grid's range."""
+
+    def _config(self, tmp_path):
+        path = tmp_path / "diverging.json"
+        path.write_text(json.dumps(_tiny_with(_set(("learning_rate",), 1e12))))
+        return str(path)
+
+    def test_train_is_usage_error(self, runner, tmp_path):
+        result = runner.invoke(main, ["train", self._config(tmp_path), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines() == ["training diverged at step 4"]
+
+    @pytest.mark.parametrize("mode", [[], ["--no-corrections"]], ids=["log", "no-corrections"])
+    def test_audit_is_protocol_error(self, runner, tmp_path, mode):
+        root = train_tiny(runner, tmp_path)
+        result = runner.invoke(main, [
+            "audit", self._config(tmp_path), "--profile", "pairwise",
+            "--log", str(tmp_path / "tiny.vtrl"), "--expect-root", root,
+            "--out", str(tmp_path)] + mode)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert result.output.splitlines() == ["audit failed: training diverged at step 4"]
+
+
 class TestBenchReportContract:
     """``bench/run.py`` reads the two correction totals from ``.audit.json``."""
 
@@ -256,7 +284,7 @@ class TestBenchReportContract:
         for key in keys:
             assert type(report[key]) is int, key
         audited = protocol.audit(cli.load_config(config), "reversed", log)
-        assert sum(report[k] for k in keys) == audited.total_corrections > 0
+        assert sum(report[k] for k in keys) == audited.total_count > 0
 
 
 def version_1_log(path):

@@ -86,6 +86,21 @@ class TestChallenge:
             listener.close()
         assert report.outcome == game.TRAINER_UNRESPONSIVE
 
+    def test_silent_client_does_not_stall_the_next(self, monkeypatch):
+        # at the default the server would wait 30 s on the silent client
+        monkeypatch.setattr(game, "SESSION_TIMEOUT", 0.2, raising=False)
+        tree = tree_of(4)
+        listener = game.listen(("127.0.0.1", 0))
+        addr = listener.getsockname()
+        t = threading.Thread(target=game.serve, args=(tree, listener),
+                             kwargs={"max_sessions": 2}, daemon=True)
+        t.start()
+        with socket.create_connection(addr):
+            report = game.challenge(tree, addr, timeout=5)
+        t.join(timeout=5)
+        assert not t.is_alive()
+        assert report.outcome == game.TRAINING_VERIFIED
+
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 16, 33, 64])
     def test_matches_linear_scan_all_sizes(self, served, n):
         addr, launch = served

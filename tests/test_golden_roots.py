@@ -1,4 +1,4 @@
-"""Roots and counts pinned from a known-good build.
+"""Roots, counts and final losses pinned from a known-good build.
 
 Any change to rounding, replay or accumulation order that moves a bit of
 a trained model moves these roots. The shipped small configs run at
@@ -22,6 +22,17 @@ SMALL = {
     "logreg": ("be7811535b50893cdde9110d491b5fc34e3a3d7637c55c0dde1b505790f61738", 16384),
 }
 
+# config -> trainer profile -> final_loss.hex(); the loss sums in the
+# trainer's order, so its last bits follow the profile. Accuracy is 1.0.
+FINAL_LOSS = {
+    "tiny": {"sequential": "0x1.2e623a5c4204cp-2", "reversed": "0x1.2e623a5c4204fp-2",
+             "pairwise": "0x1.2e623a5c4204dp-2", "chunked7": "0x1.2e623a5c4204cp-2"},
+    "mlp": {"sequential": "0x1.f631f14745c64p-8", "reversed": "0x1.f631f14745c5fp-8",
+            "pairwise": "0x1.f631f14745c5ep-8", "chunked7": "0x1.f631f14745c63p-8"},
+    "logreg": {"sequential": "0x1.e7b65bdb81012p-6", "reversed": "0x1.e7b65bdb81011p-6",
+               "pairwise": "0x1.e7b65bdb81013p-6", "chunked7": "0x1.e7b65bdb81006p-6"},
+}
+
 # trainer sequential, auditor reversed
 DIVERGENCE_ROOT = "435e33bb20cd8e642d0bf2d128c2824abbc3299a76f82feee01b8abac0fac6a6"
 DIVERGENCE_CORRECTIONS = 194
@@ -36,10 +47,11 @@ def test_small_config_roots(shipped_config, tmp_path, name, trainer):
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)
+    assert (out.final_loss.hex(), out.train_accuracy) == (FINAL_LOSS[name][trainer], 1.0)
     for auditor in PROFILES:
         if auditor != trainer:
             result = pr.audit(cfg, auditor, log)
-            assert (auditor, result.root_hex, result.total_corrections) == (auditor, root, 0)
+            assert (auditor, result.root_hex, result.total_count) == (auditor, root, 0)
 
 
 def test_divergence_roots(shipped_config, tmp_path):
@@ -48,5 +60,5 @@ def test_divergence_roots(shipped_config, tmp_path):
     log = tmp_path / "run.vtrl"
     assert pr.train(cfg, log).root_hex == DIVERGENCE_ROOT
     result = pr.audit(cfg, "reversed", log)
-    assert (result.root_hex, result.total_corrections) == (DIVERGENCE_ROOT, DIVERGENCE_CORRECTIONS)
+    assert (result.root_hex, result.total_count) == (DIVERGENCE_ROOT, DIVERGENCE_CORRECTIONS)
     assert pr.audit_without_corrections(cfg, "reversed").root_hex == DIVERGENCE_UNCORRECTED_ROOT

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from vtrain import fpround, merkle, protocol as pr
 from vtrain.protocol import TauPolicy, TrainConfig
 from vtrain.roundlog import LogReader, LogWriter
-from vtrain.simnet import Dense, Relu, Rng, get_profile
+from vtrain.simnet import Dense, Relu, Rng, Sigmoid, get_profile
 
 
 def tiny_config(**overrides):
@@ -119,14 +119,32 @@ class TestTrain:
         assert out.entries_logged == est.entries
         assert (tmp_path / "est.vtrl").stat().st_size == est.file_bytes
 
+    def test_weights_past_the_grid_end_the_run_at_their_step(self, tmp_path):
+        with pytest.raises(pr.TrainingDiverged, match="^training diverged at step 4$") as e:
+            pr.train(tiny_config(learning_rate=1e12), tmp_path / "lr.vtrl")
+        assert e.value.step == 4
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_ends_the_run_at_its_step(self, tmp_path):
+        cfg = tiny_config(layers=(Dense(8, 1), Sigmoid()), loss="bce")
+
+        def saturate(step, params):
+            if step == 2:
+                # every sigmoid output rounds to 0, so a label-1 sample's loss is inf
+                params[0][1][:] = -1e4
+
+        with pytest.raises(pr.TrainingDiverged) as e:
+            pr.train(cfg, tmp_path / "bce.vtrl", tamper=saturate)
+        assert e.value.step == 3
+
     def test_weights_on_grid(self, tmp_path):
         from vtrain.fpround import is_on_grid
 
         for b_r in (26, 32):
             cfg = tiny_config(b_r=b_r)
             out = pr.train(cfg, tmp_path / f"grid{b_r}.vtrl")
-            for t in out.final_weights:
-                assert is_on_grid(t.astype(np.float64), b_r).all()
+            for t in (p for ps in out.params for p in ps):
+                assert is_on_grid(t, b_r).all()
 
 
 class TestAudit:
@@ -135,7 +153,7 @@ class TestAudit:
         out = pr.train(cfg, tmp_path / "log.vtrl")
         a = pr.audit(cfg, "sequential", tmp_path / "log.vtrl")
         assert a.root == out.root
-        assert a.total_corrections == 0
+        assert a.total_count == 0
         assert a.final_digest == out.final_digest
 
     @pytest.mark.parametrize("profile", ["reversed", "pairwise", "chunked7"])
@@ -150,9 +168,10 @@ class TestAudit:
         cfg = tiny_config()
         pr.train(cfg, tmp_path / "log.vtrl")
         reader = LogReader(tmp_path / "log.vtrl")
-        reader.entry_count -= 10  # simulate a truncated stream
+        with LogWriter(tmp_path / "short.vtrl", cfg.b_r) as writer:
+            writer.write_array(reader.read_array(reader.entry_count - 10))
         with pytest.raises(pr.AuditFailure, match="operation-count mismatch"):
-            pr.audit(cfg, "sequential", reader)
+            pr.audit(cfg, "sequential", tmp_path / "short.vtrl")
 
     def test_leftover_entries(self, tmp_path):
         cfg = tiny_config()
@@ -182,11 +201,13 @@ class TestAudit:
         cfg = tiny_config()
         honest = pr.train(cfg, tmp_path / "h.vtrl")
 
-        def flip(params):
-            params[0][0][0, 0] += 2.0**-10
-
         s = 6
-        tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper_after_step=s, tamper=flip)
+
+        def flip(step, params):
+            if step == s:
+                params[0][0][0, 0] += 2.0**-10
+
+        tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper=flip)
         # first checkpoint at or after the tampered step (ceil(s/k), 0-based)
         want = -(-s // cfg.checkpoint_interval) - 1
         assert merkle.first_divergence(honest.tree, tampered.tree) == want
@@ -264,7 +285,7 @@ class TestLogLayout:
     @pytest.mark.parametrize("name", SHIPPED)
     def test_every_channel_gets_exactly_step_layout(self, shipped_config, tmp_path, name):
         cfg = two_steps(shipped_config(name))
-        want = [n for _, n in pr.step_layout(cfg)] * cfg.steps
+        want = [s.entries for s in cfg.log_slots()] * cfg.steps
         for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
             assert channel.sizes == want
 
@@ -274,7 +295,7 @@ class TestLogLayout:
         table = {key: lo + (k + 1) * (hi - lo) / 4 for k, key in enumerate(keys)}
         cfg = two_steps(tiny_config(tau_policy=TauPolicy(kind="adaptive", table=table)))
         assert len(set(table.values())) == len(keys)
-        want = [table[slot.split(":", 1)[1]] for slot, _ in pr.step_layout(cfg)] * cfg.steps
+        want = [table[s.key] for s in cfg.log_slots()] * cfg.steps
         for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
             assert channel.taus == want
 
@@ -300,12 +321,13 @@ class TestLogLayout:
         # logreg's one dense layer is its first stage
         monkeypatch.setattr(simnet, "dense_input_grad", refuse)
         cfg = two_steps(shipped_config("logreg"))
-        pr.audit(cfg, "chunked7", pr.train(cfg, tmp_path / "logreg.vtrl").log_path)
+        pr.train(cfg, tmp_path / "logreg.vtrl")
+        pr.audit(cfg, "chunked7", tmp_path / "logreg.vtrl")
 
     def test_first_stage_relu_keeps_its_forward_slot(self, tmp_path):
         # it sees the raw batch, which is off the grid
         cfg = tiny_config(layers=(Relu(),) + tiny_config().layers)
-        assert [slot for slot, _ in pr.step_layout(cfg)] == [
+        assert [f"{s.pass_}:{s.key}" for s in cfg.log_slots()] == [
             "forward:relu", "forward:dense:8x12", "forward:dense:12x2",
             "backward:loss:softmax_xent", "backward:dense:12x2", "backward:dense:8x12"]
         out = pr.train(cfg, tmp_path / "r.vtrl")
