@@ -318,9 +318,11 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
 @click.option("--b-r", "b_r", default=32, type=int)
 @click.option("--profiles", default="sequential,pairwise",
               help="Comma-separated pair of profiles to compare.")
+@click.option("--b-tr", "b_tr", default=64, type=int,
+              help="Accumulator width both profiles run at (default 64, exact FP64 adds).")
 @click.option("--samples", default=1000, type=int)
 @click.option("--seed", default=0, type=int)
-def cmd_threshold(layer_kind, shape, b_r, profiles, samples, seed):
+def cmd_threshold(layer_kind, shape, b_r, profiles, b_tr, samples, seed):
     """Search the largest safe logging threshold for one layer."""
     try:
         widths = [int(v) for v in shape.lower().split("x")] if shape else []
@@ -333,7 +335,7 @@ def cmd_threshold(layer_kind, shape, b_r, profiles, samples, seed):
     if len(names) != 2:
         raise click.UsageError("--profiles needs exactly two names")
     try:
-        pair = (get_profile(names[0]), get_profile(names[1]))
+        pair = tuple(dataclasses.replace(get_profile(name), b_tr=b_tr) for name in names)
         tau = protocol.threshold_search(layer, b_r, pair, samples, Rng(seed))
     except ValueError as e:
         raise click.UsageError(str(e)) from e

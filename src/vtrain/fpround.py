@@ -23,8 +23,16 @@ Each party splits a logged tensor into its bit fields once. The trainer's
 ``round_and_code`` gives the rounded tensor and its codes; the auditor's
 ``replay`` gives the replayed tensor and the number of elements the codes
 moved off nearest rounding. ``direction_array`` and ``rev_array`` are
-views of these two kernels, and ``rnd_array`` and ``grid_neighbors_array``
-use the same bit split.
+views of these two kernels, and ``rnd_array`` uses the same bit split.
+
+The split reads the exponent field once. Its largest value finds
+non-finite inputs and is the only reason to check a result against
+``grid_max``; its smallest is the only reason to look for values below
+2^-126, where the grid's spacing is absolute. Above 2^-126 the ``b_r``
+grid is the accumulator grid of width ``b_r + 3`` (``round_to_width``),
+so nearest rounding is one add and one mask on the whole bit pattern, sign
+included. A replay takes the grid point truncated toward zero and adds
+one grid step to the bit pattern where it goes away from zero.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ MAX_B_TR = 64
 # Smallest normal FP32 magnitude; used as the exponent-scale floor so the
 # threshold test never works with a vanishing scale.
 SCALE_FLOOR = 2.0 ** -126
+
+_MASK64 = (1 << 64) - 1
 
 
 def _check_b(b_r: int) -> None:
@@ -90,100 +100,110 @@ class OutOfRange(ValueError):
     """A value the grid cannot hold: non-finite, or past ``grid_max``."""
 
 
-def _require_finite(arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
-        raise OutOfRange("non-finite value")
+def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
+    """Round a float64 array in place onto the b_tr accumulator grid.
+
+    The grid is the FP64 values whose low ``64 - b_tr`` mantissa bits are
+    zero (``b_tr - 12`` mantissa bits kept); rounding is to nearest, ties
+    to even. Adding half-minus-one plus the kept lowest bit, then clearing
+    the dropped bits, lets the carry roll into the exponent at binade
+    edges, as IEEE rounding does; the sign bit is never reached.
+    """
+    drop = 64 - b_tr
+    bits = a.view(np.uint64)
+    carry = bits >> np.uint64(drop)
+    carry &= np.uint64(1)
+    carry += np.uint64((1 << (drop - 1)) - 1)
+    bits += carry
+    bits &= np.uint64(_MASK64 ^ ((1 << drop) - 1))
+    return a
+
+
+_EXPONENT = np.uint64(0x7FF << 52)
+_FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
+_BINADE_127 = np.float64(2.0 ** 127).view(np.uint64)
 
 
 class _GridBits:
     """One bit split of float64 values against the b_r grid.
 
-    This is the only code that knows the bit layout. Per element it holds
-    the sign bit, the magnitude bits of the grid point truncated toward
-    zero (``toward``) and of the next one away from zero (``away``, equal
-    to ``toward`` on the grid), and ``up``, true where nearest rounding
-    (ties to the even kept bit) takes ``away``. Below 2^-126 the grid is
-    absolute (FP32-subnormal spacing), so the mantissa shift does not
-    apply there; those elements are recomputed by scaling, and only when
-    the input has one.
+    This is the only code that knows the bit layout. It holds the values
+    (``arr``) and their bit patterns (``bits``), and reads the exponent
+    field (``exponent``) once: a non-finite value raises here, ``near_max``
+    says whether any value reaches 2^127 (only then can a result pass
+    ``grid_max``), and ``tiny`` marks the nonzero values below 2^-126, or
+    is ``None`` when there are none. There the grid's spacing is ``unit``
+    and the grid points are found by scaling, which is exact, as are
+    floor, ceil and rint on the scaled values (all below 2^23). Once the
+    caller has read the exponent field, its buffer is free for reuse.
     """
-
-    _MAG = np.uint64((1 << 63) - 1)
-    _EXPONENT = np.uint64(0x7FF << 52)
-    _FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
 
     def __init__(self, x, b_r: int):
         _check_b(b_r)
         self.b_r = b_r
+        self.drop = 52 - (b_r - 9)  # mantissa bits below the grid's last kept bit
+        self.unit = 2.0 ** ((32 - b_r) - 149)  # the grid's spacing below 2^-126
         self.arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        _require_finite(self.arr)
-        bits = self.arr.view(np.uint64)
-        self.mag = bits & self._MAG
-        self.sign = bits ^ self.mag
-        self.neg = np.signbit(self.arr)
+        self.bits = self.arr.view(np.uint64)
+        self.exponent = self.bits & _EXPONENT
+        top = self.exponent.max(initial=np.uint64(0))
+        if top == _EXPONENT:
+            raise OutOfRange("non-finite value")
+        self.near_max = top >= _BINADE_127
+        self.tiny = None
+        if self.exponent.min(initial=_FLOOR) < _FLOOR:
+            tiny = self.exponent < _FLOOR
+            tiny &= self.arr != 0.0
+            if tiny.any():
+                self.tiny = tiny
 
-        # Normal FP32 range: one rounding of the FP64 significand. Working
-        # on the magnitude bit pattern lets the mantissa carry roll into the
-        # exponent field, which is exactly the right behaviour at binade
-        # edges.
-        drop = 52 - (b_r - 9)
-        low_mask = np.uint64((1 << drop) - 1)
-        low = self.mag & low_mask
-        self.toward = self.mag ^ low
-        self.away = (self.mag + low_mask) & ~low_mask
-        kept_lsb = (self.mag >> np.uint64(drop)) & np.uint64(1)
-        self.up = (low + kept_lsb) > np.uint64(1 << (drop - 1))
+    def nearest(self, out: np.ndarray) -> np.ndarray:
+        """Nearest grid values (ties to the even kept bit), written into ``out``.
 
-        tiny = (self.mag - np.uint64(1)) < self._FLOOR - np.uint64(1)  # 0 < |x| < 2^-126
-        if tiny.any():
-            # Scaling by a power of two is exact here, as are floor, ceil
-            # and rint on values below 2^23.
-            q_log2 = (32 - b_r) - 149
-            s = self.mag[tiny].view(np.float64) * 2.0 ** -q_log2
-            below = np.floor(s)
-            self.toward[tiny] = (below * 2.0 ** q_log2).view(np.uint64)
-            self.away[tiny] = (np.ceil(s) * 2.0 ** q_log2).view(np.uint64)
-            self.up[tiny] = np.rint(s) != below
+        ``out`` is a buffer of the values' shape with 8-byte items, which
+        the result takes over.
+        """
+        rounded = out.view(np.float64)
+        np.copyto(rounded, self.arr)
+        round_to_width(rounded, self.b_r + 3)
+        if self.tiny is not None:
+            rounded[self.tiny] = np.rint(self.arr[self.tiny] / self.unit) * self.unit
+        return self.checked(rounded)
 
-    def exponent_scale(self) -> np.ndarray:
-        """2^E per element (1 <= |x| / 2^E < 2), floored at 2^-126."""
-        return np.maximum(self.mag & self._EXPONENT, self._FLOOR).view(np.float64)
-
-    def values(self, mag: np.ndarray) -> np.ndarray:
-        """Signed values with the given magnitude bits; none may pass grid_max."""
-        if mag.view(np.float64).max(initial=0.0) > grid_max(self.b_r):
+    def checked(self, values: np.ndarray) -> np.ndarray:
+        """``values``, after checking that none passes grid_max."""
+        if self.near_max and np.abs(values).max() > grid_max(self.b_r):
             raise OutOfRange("out of representable range")
-        return (self.sign | mag).view(np.float64)
+        return values
 
 
 def rnd_array(x, b_r: int) -> np.ndarray:
     """Round each element onto the b_r grid (nearest, ties to even)."""
     g = _GridBits(x, b_r)
-    return g.values(np.where(g.up, g.away, g.toward))
+    return g.nearest(g.exponent)
 
 
 def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
     """The trainer's pass: ``rnd_array`` and ``direction_array`` from one bit split."""
     g = _GridBits(x, b_r)
-    rounded = g.values(np.where(g.up, g.away, g.toward))
+    rounded = g.nearest(np.empty_like(g.bits))
     # r - x is exact (Sterbenz), and |r - x| > t splits into r - x > t (UP)
     # and r - x < -t (DOWN); the two comparisons sum to DOWN, IGNORE or UP.
+    # t is the exponent scale, floored at 2^-126, times tau.
     d = rounded - g.arr
-    t = g.exponent_scale() * np.float64(tau)
-    codes = (d > t).view(np.uint8) + (d >= -t).view(np.uint8)
+    t = np.maximum(g.exponent, _FLOOR, out=g.exponent).view(np.float64)
+    t *= tau
+    codes = (d > t).view(np.uint8)
+    np.negative(t, out=t)
+    codes += (d >= t).view(np.uint8)
     return rounded, codes
-
-
-def epsilon(b_r: int, exponent_scale: float) -> float:
-    """Grid spacing at the given exponent scale: exponent_scale * 2^(9 - b_r)."""
-    _check_b(b_r)
-    return exponent_scale * 2.0 ** (9 - b_r)
 
 
 def exponent_scale_array(x) -> np.ndarray:
     """2^E per element, where 1 <= |x| / 2^E < 2. Zero maps to 2^-126."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    _require_finite(arr)
+    if not np.isfinite(arr).all():
+        raise OutOfRange("non-finite value")
     _, e = np.frexp(arr)
     scale = np.ldexp(1.0, e - 1)
     out = np.where(arr == 0.0, SCALE_FLOOR, scale)
@@ -199,13 +219,6 @@ def direction_array(x, b_r: int, tau: float) -> np.ndarray:
     return round_and_code(x, b_r, tau)[1]
 
 
-def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Largest grid value <= x and smallest grid value >= x, per element."""
-    g = _GridBits(x, b_r)
-    return (g.values(np.where(g.neg, g.away, g.toward)),
-            g.values(np.where(g.neg, g.toward, g.away)))
-
-
 def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
     """The auditor's pass: ``rev_array`` and its correction count from one bit split.
 
@@ -219,10 +232,34 @@ def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
         raise ValueError(f"codes shape {c.shape} does not match values shape {g.arr.shape}")
     if c.size and (c.min() < DOWN or c.max() > UP):
         raise ValueError("invalid direction code")
-    # UP names the neighbour above x: away from zero when x is positive.
-    take_away = np.where(c == IGNORE, g.up, (c == UP) != g.neg)
-    moved = (take_away != g.up) & (g.away != g.toward)
-    return g.values(np.where(take_away, g.away, g.toward)), int(np.count_nonzero(moved))
+    drop = np.uint64(g.drop)
+    low = np.bitwise_and(g.bits, np.uint64((1 << g.drop) - 1), out=g.exponent)
+    toward = g.bits ^ low  # the grid point truncated toward zero, signed
+    # nearest goes away from zero past half a step, and at half a step
+    # when the kept lowest bit is odd
+    up = g.bits >> drop
+    up &= np.uint64(1)
+    up += low
+    up = up > np.uint64(1 << (g.drop - 1))
+    off = low != 0  # not on the grid: the two neighbours differ
+    if g.tiny is not None:
+        steps = np.abs(g.arr[g.tiny]) / g.unit
+        below = np.floor(steps)
+        up[g.tiny] = np.rint(steps) != below
+        off[g.tiny] = steps != below
+    # UP names the neighbour above x: away from zero when x is positive;
+    # IGNORE takes the nearest.
+    take = (c == UP) ^ np.signbit(g.arr)
+    take ^= (take ^ up) & (c == IGNORE)
+    take &= off
+    corrections = int(np.count_nonzero(take != up))
+    step = take.astype(np.uint64)
+    step <<= drop
+    toward += step
+    replayed = toward.view(np.float64)
+    if g.tiny is not None:
+        replayed[g.tiny] = np.copysign((below + take[g.tiny]) * g.unit, g.arr[g.tiny])
+    return g.checked(replayed), corrections
 
 
 def rev_array(x, b_r: int, codes) -> np.ndarray:
@@ -233,15 +270,3 @@ def rev_array(x, b_r: int, codes) -> np.ndarray:
     way, the adjacent grid value on the coded side of x is taken instead.
     """
     return replay(x, b_r, codes)[0]
-
-
-def is_on_grid(x, b_r: int) -> np.ndarray:
-    """Boolean per element: finite, exactly FP32-representable, low bits clear."""
-    _check_b(b_r)
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    as32 = arr.astype(np.float32)
-    exact = np.isfinite(as32) & (as32.astype(np.float64) == arr)
-    low_mask = np.uint32((1 << (32 - b_r)) - 1) if b_r < 32 else np.uint32(0)
-    clear = (as32.view(np.uint32) & low_mask) == np.uint32(0)
-    out = exact & clear
-    return out.reshape(np.shape(x)) if np.shape(x) else out

@@ -386,14 +386,19 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
     ``tamper(step, params)``, if given, runs after every step's update with
     the step number and the per-layer parameter lists, and may change them
     in place. It exists for dispute-game demonstrations and tests.
+
+    A run that raises leaves no log behind: a partial log is well formed
+    and would read as the log of a shorter run.
     """
     profile = get_profile(cfg.trainer_profile)
     writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
     try:
-        run, (X, y) = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r), keep_checkpoints,
-                           tamper)
-    finally:
-        writer.close()
+        with writer:
+            run, (X, y) = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r),
+                               keep_checkpoints, tamper)
+    except BaseException:
+        writer.path.unlink(missing_ok=True)
+        raise
     final_loss, accuracy = evaluate(cfg, run.params, profile, X, y)
     return TrainOutput(**vars(run), entries_logged=writer.entry_count,
                        final_loss=final_loss, train_accuracy=accuracy)

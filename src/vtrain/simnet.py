@@ -5,7 +5,8 @@ names one of four deterministic association orders for floating point
 reductions, standing in for an accelerator architecture. The run config
 sets the accumulator width ``b_tr``: every partial sum of a
 profile-ordered reduction is rounded onto the FP64 values whose low
-``64 - b_tr`` mantissa bits are zero (nearest, ties to even), so two
+``64 - b_tr`` mantissa bits are zero (nearest, ties to even;
+``fpround.round_to_width``, which also rounds onto the model grid), so two
 orders disagree by about Higham's recursive-summation bound
 ``gamma(n - 1) * sum |x|`` at that width. At ``b_tr = 64`` no partial sum
 is rounded and the orders differ only by FP64 reassociation.
@@ -28,13 +29,21 @@ profile-ordered sum that flows on to the previous layer, and
 only ``param_grads`` on the first layer, because nothing consumes its
 input gradient.
 
+Every profile-ordered sum of n terms runs the profile's ``add_schedule``,
+built once per (strategy, chunk size, n): the adds of the association
+order, grouped into levels of independent adds, each level a few strided
+runs of slots. ``reduce_last_axis`` copies its terms to the front axis and
+runs one whole-array add per run, so a ``pairwise`` sum of 256 terms is 8
+adds, not 255 adds and 256 leaf folds; at ``b_tr = 64`` the
+``sequential`` and ``reversed`` chains are one ``np.cumsum``.
+
 A dense layer's sums (output, input gradient, weight gradient) are each a
-sum of outer products, one per term of the reduced axis. Terms of 512 or
-more elements are formed one at a time and folded in the profile's order,
-so the (batch, out, in) product tensor is never built; smaller terms are
-built at once and reduced with ``reduce_last_axis``. Both ways perform the
-same IEEE products and adds in the same order, so results, logs and roots
-are bit-identical either way.
+sum of outer products, one per term of the reduced axis. Terms under 512
+elements are built at once and summed a level at a time. Larger terms are
+formed one at a time, in the order of the schedule's depth-first ``walk``,
+into a few reused buffers, so the (batch, out, in) product tensor is never
+built. Both ways perform the same IEEE products and the same adds, so
+results, logs and roots are bit-identical either way.
 
 Randomness is SplitMix64, specified by constants and identical on every
 platform, so two parties given the same seed draw the same datasets,
@@ -43,9 +52,12 @@ weights, and batch orders.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fpround import round_to_width
 
 MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -137,72 +149,111 @@ def get_profile(name: str) -> DeviceProfile:
     raise ValueError(f"unknown device profile {name!r}; known: {sorted(PROFILES)}")
 
 
-def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
-    """Round a float64 array in place onto the b_tr accumulator grid.
-
-    The grid is the FP64 values whose low ``64 - b_tr`` mantissa bits are
-    zero (``b_tr - 12`` mantissa bits kept); rounding is to nearest, ties
-    to even. Adding half-minus-one plus the kept lowest bit, then clearing
-    the dropped bits, lets the carry roll into the exponent at binade
-    edges, as IEEE rounding does.
-    """
-    drop = 64 - b_tr
-    bits = a.view(np.uint64)
-    bits += np.uint64((1 << (drop - 1)) - 1) + ((bits >> np.uint64(drop)) & np.uint64(1))
-    bits &= np.uint64(MASK64 ^ ((1 << drop) - 1))
-    return a
-
-
 def _add(acc: np.ndarray, y: np.ndarray, b_tr: int) -> np.ndarray:
     """One accumulator add, in place: acc + y, rounded to the accumulator width."""
     acc += y
     return acc if b_tr == 64 else round_to_width(acc, b_tr)
 
 
-def _ordered_sum(seq, n: int, profile: DeviceProfile) -> np.ndarray:
-    """Sum n terms in the profile's association order.
+@dataclass(frozen=True)
+class AddSchedule:
+    """The adds of one association order over n terms, as slot operations.
 
-    ``seq(lo, hi, reverse)`` returns the one-add-at-a-time fold of terms
-    ``lo..hi-1`` (last to first when ``reverse``), each partial sum rounded
-    to ``profile.b_tr``; the profile decides how those folds combine. Folds
-    are combined in place, so ``seq`` must return an array no caller holds.
+    Term k starts in slot k, and each add is ``slot[dst] += slot[src]``;
+    the sum ends in slot ``out``. ``levels`` groups the adds into levels of
+    independent adds, each level a tuple of strided runs ``(dst, src,
+    count, stride)``: the adds ``(dst + i * stride, src + i * stride)`` for
+    ``i < count``. ``walk`` lists the same adds as ``(dst, src)`` pairs,
+    depth first, so that a term-at-a-time executor holds only a few partial
+    sums at once. Any order of the adds that respects the levels gives the
+    same bits, since IEEE addition is commutative.
     """
-    b_tr = profile.b_tr
-    if profile.strategy == "sequential":
-        return seq(0, n, False)
-    if profile.strategy == "reversed":
-        return seq(0, n, True)
-    if profile.strategy == "pairwise":
 
-        def pairwise(lo, hi):
+    levels: tuple
+    walk: tuple
+    out: int
+
+
+def _runs(pairs: list[tuple[int, int]]) -> tuple:
+    """Independent adds, grouped into strided runs."""
+    runs: list[list[int]] = []
+    for dst, src in sorted(pairs):
+        if runs:
+            d0, s0, count, stride = runs[-1]
+            last = d0 + (count - 1) * stride
+            if src - dst == s0 - d0 and (count == 1 or dst - last == stride):
+                runs[-1] = [d0, s0, count + 1, dst - last]
+                continue
+        runs.append([dst, src, 1, 1])
+    return tuple(tuple(run) for run in runs)
+
+
+@functools.lru_cache(maxsize=256)
+def add_schedule(strategy: str, chunk_size: int | None, n: int) -> AddSchedule:
+    """The schedule of adds that sums n terms in a strategy's association order.
+
+    ``sequential`` and ``reversed`` are one chain of n - 1 levels.
+    ``pairwise`` sums each half recursively (the left half has ``n // 2``
+    terms) and adds the right half's sum into the left's; an add runs one
+    level above the higher of its halves, so there are ceil(log2 n)
+    levels. ``chunked`` folds each chunk of ``chunk_size`` terms left to
+    right, all chunks together, then folds the chunk sums left to right.
+    """
+    out = 0
+    if strategy == "sequential":
+        levels = [[(0, k)] for k in range(1, n)]
+    elif strategy == "reversed":
+        out = n - 1
+        levels = [[(out, k)] for k in range(n - 2, -1, -1)]
+    elif strategy == "pairwise":
+        levels = []
+
+        def split(lo: int, hi: int) -> int:
             if hi - lo == 1:
-                return seq(lo, hi, False)
+                return 0
             mid = lo + (hi - lo) // 2
-            return _add(pairwise(lo, mid), pairwise(mid, hi), b_tr)
+            level = max(split(lo, mid), split(mid, hi))
+            if level == len(levels):
+                levels.append([])
+            levels[level].append((lo, mid))
+            return level + 1
 
-        return pairwise(0, n)
-    c = profile.chunk_size
-    acc = seq(0, min(c, n), False)
-    for lo in range(c, n, c):
-        acc = _add(acc, seq(lo, min(lo + c, n), False), b_tr)
-    return acc
+        split(0, n)
+    else:
+        c = chunk_size
+        levels = [[(j, j + i) for j in range(0, n - i, c)] for i in range(1, min(c, n))]
+        levels += [[(0, j)] for j in range(c, n, c)]
+
+    into: dict[int, list[int]] = {}
+    for pairs in levels:
+        for dst, src in pairs:
+            into.setdefault(dst, []).append(src)
+    walk: list[tuple[int, int]] = []
+
+    def visit(slot: int) -> None:
+        for src in into.get(slot, ()):
+            visit(src)
+            walk.append((slot, src))
+
+    visit(out)
+    return AddSchedule(tuple(_runs(pairs) for pairs in levels), tuple(walk), out)
 
 
-def _seq_last(a: np.ndarray, reverse: bool, b_tr: int) -> np.ndarray:
-    if a.shape[-1] == 1:
-        return a[..., 0].copy()
-    if reverse:
-        a = a[..., ::-1]
-    if b_tr == 64:
-        # cumsum is a strict running accumulation, so its last slot is the
-        # exact left-to-right IEEE fold; tests pin this against an explicit loop
-        return np.cumsum(a, axis=-1)[..., -1]
-    cols = np.ascontiguousarray(np.moveaxis(a, -1, 0))
-    acc = np.array(cols[0])
-    for col in cols[1:]:
-        acc += col
-        round_to_width(acc, b_tr)
-    return acc
+def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
+    """Sum over the first axis in the profile's order, one whole-array add per run.
+
+    ``t`` is overwritten: the caller hands over an array no one else holds.
+    """
+    if profile.b_tr == 64 and profile.strategy in ("sequential", "reversed"):
+        # cumsum is a strict running accumulation, so its last row is the
+        # exact one-add-at-a-time fold; tests pin this against an explicit loop
+        return np.cumsum(t if profile.strategy == "sequential" else t[::-1], axis=0)[-1]
+    sched = add_schedule(profile.strategy, profile.chunk_size, t.shape[0])
+    for level in sched.levels:
+        for dst, src, count, stride in level:
+            span = (count - 1) * stride + 1
+            _add(t[dst : dst + span : stride], t[src : src + span : stride], profile.b_tr)
+    return t[sched.out, ...].copy()
 
 
 def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
@@ -211,14 +262,12 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     Each element of the result is produced by the exact sequence of IEEE
     additions the profile prescribes, independent of array layout; when
     ``profile.b_tr`` is below 64, each addition's result is rounded to that
-    width.
+    width. The input is not modified.
     """
     a = np.asarray(a, dtype=np.float64)
-    n = a.shape[-1]
-    if n == 0:
+    if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
-    return _ordered_sum(lambda lo, hi, rev: _seq_last(a[..., lo:hi], rev, profile.b_tr),
-                        n, profile)
+    return _sum_terms(np.moveaxis(a, -1, 0).copy(), profile)
 
 
 def reduce_values(values, profile: DeviceProfile) -> float:
@@ -227,7 +276,7 @@ def reduce_values(values, profile: DeviceProfile) -> float:
 
 
 # Below this many elements per term, building all n terms at once and
-# folding them with reduce_last_axis beats a Python loop over the terms.
+# summing them a level at a time beats a Python loop over the terms.
 _MIN_FOLD_TERM = 512
 
 
@@ -235,28 +284,29 @@ def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarr
     """Sum over k of the outer product A[k] x B[k], in the profile's order over k.
 
     Each element is the same IEEE product and the same sequence of adds as
-    reducing the materialised (p, q, n) product tensor over its last axis.
-    Large terms are formed one at a time into a reused buffer, so that
-    tensor is never built.
+    reducing the materialised (n, p, q) product tensor over its first axis.
+    Large terms are formed one at a time, in the order of the schedule's
+    walk, into a few reused buffers, so that tensor is never built.
     """
     n, p, q = A.shape[0], A.shape[1], B.shape[1]
-    if n == 0 or p * q < _MIN_FOLD_TERM:
-        return reduce_last_axis(A.T[:, None, :] * B.T[None, :, :], profile)
+    if n == 0:
+        return np.zeros((p, q))
+    if p * q < _MIN_FOLD_TERM:
+        return _sum_terms(A[:, :, None] * B[:, None, :], profile)
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
-    b_tr = profile.b_tr
-    term = np.empty((p, q))
+    sched = add_schedule(profile.strategy, profile.chunk_size, n)
+    slots: dict[int, np.ndarray] = {}
+    free: list[np.ndarray] = []
 
-    def seq(lo, hi, reverse):
-        ks = range(hi - 1, lo - 1, -1) if reverse else range(lo, hi)
-        acc = np.multiply.outer(A[ks[0]], B[ks[0]])
-        for k in ks[1:]:
-            np.multiply.outer(A[k], B[k], out=term)
-            acc += term
-            if b_tr < 64:
-                round_to_width(acc, b_tr)
-        return acc
+    def term(k: int) -> np.ndarray:
+        if k not in slots:
+            slots[k] = np.multiply.outer(A[k], B[k], out=free.pop() if free else None)
+        return slots[k]
 
-    return _ordered_sum(seq, n, profile)
+    for dst, src in sched.walk:
+        _add(term(dst), term(src), profile.b_tr)
+        free.append(slots.pop(src))
+    return term(sched.out)
 
 
 def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, profile: DeviceProfile) -> np.ndarray:

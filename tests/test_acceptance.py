@@ -22,6 +22,7 @@ from vtrain.roundlog import HEADER_LEN, LogReader, LogWriter
 from vtrain.simnet import Rng, get_profile
 
 from conftest import CONFIG_DIR, record_criterion
+from grid_oracle import epsilon, grid_neighbors_array, is_on_grid
 from harness import find_corruptible_entry
 
 PROFILE_NAMES = ("sequential", "reversed", "pairwise", "chunked7")
@@ -318,9 +319,9 @@ def test_criterion_9_numerical_core(b_r):
 
     r = fp.rnd_array(x, b_r)
     idempotent = np.array_equal(fp.rnd_array(r, b_r), r)
-    membership = bool(fp.is_on_grid(r, b_r).all())
+    membership = bool(is_on_grid(r, b_r).all())
 
-    below, above = fp.grid_neighbors_array(x, b_r)
+    below, above = grid_neighbors_array(x, b_r)
     codes = rng.integers(0, 3, size=n).astype(np.uint8)
     rev_out = fp.rev_array(x, b_r, codes)
     rev_ok = (
@@ -332,7 +333,7 @@ def test_criterion_9_numerical_core(b_r):
 
     tau = 0.25 * 2.0**-23
     scale = np.maximum(fp.exponent_scale_array(x), fp.SCALE_FLOOR)
-    bound = np.minimum(0.25 * fp.epsilon(b_r, 1.0) * scale, tau * scale)
+    bound = np.minimum(0.25 * epsilon(b_r, 1.0) * scale, tau * scale)
     x_p = x + rng.uniform(-1, 1, size=n) * bound
     keep = (
         (np.abs(x_p - x) < bound)

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vtrain import cli, game, merkle, protocol
+from vtrain import cli, game, merkle, protocol, simnet
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -250,6 +251,8 @@ class TestDivergedRun:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert result.output.splitlines() == ["training diverged at step 4"]
+        # a partial log would pass for the log of a shorter run
+        assert not list(tmp_path.glob("*.vtrl"))
 
     @pytest.mark.parametrize("mode", [[], ["--no-corrections"]], ids=["log", "no-corrections"])
     def test_audit_is_protocol_error(self, runner, tmp_path, mode):
@@ -481,6 +484,26 @@ class TestThreshold:
         second = runner.invoke(main, args)
         assert first.exit_code == second.exit_code == 0, first.output
         assert first.output == second.output
+
+    def test_accumulator_width(self, runner):
+        # the library gives 5.96e-8 at 64 and 4.818e-8 at 50 for this layer
+        args = ["threshold", "--layer", "dense", "--shape", "256x4", "--b-r", "32",
+                "--samples", "1200", "--seed", "1"]
+        default, at64, at50 = (runner.invoke(main, args + extra)
+                               for extra in ([], ["--b-tr", "64"], ["--b-tr", "50"]))
+        assert default.exit_code == at64.exit_code == at50.exit_code == 0, at50.output
+        assert default.output == at64.output == "5.960464477539063e-08\n"
+        pair = tuple(dataclasses.replace(simnet.get_profile(name), b_tr=50)
+                     for name in ("sequential", "pairwise"))
+        want = protocol.threshold_search(simnet.Dense(256, 4), 32, pair, 1200, simnet.Rng(1))
+        assert float(at50.output) == want < float(at64.output)
+
+    @pytest.mark.parametrize("b_tr", ["12", "65", "50.5"])
+    def test_refused_width_is_usage_error(self, runner, b_tr):
+        result = runner.invoke(main, ["threshold", "--layer", "relu", "--samples", "20",
+                                      "--b-tr", b_tr])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
 
     def test_dense_needs_shape(self, runner):
         result = runner.invoke(main, ["threshold", "--layer", "dense"])

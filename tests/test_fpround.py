@@ -1,11 +1,15 @@
 """Grid arithmetic: examples, oracle agreement, and invariants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vtrain import fpround as fp
+
+from grid_oracle import epsilon, grid_neighbors_array, is_on_grid
 
 B_VALUES = (10, 26, 29, 32)
 
@@ -72,7 +76,7 @@ class TestRnd:
         for b in B_VALUES:
             r = fp.rnd_array(xs, b)
             assert np.array_equal(fp.rnd_array(r, b), r)
-            assert fp.is_on_grid(r, b).all()
+            assert is_on_grid(r, b).all()
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(9)
@@ -105,7 +109,7 @@ class TestRnd:
         xs = rng.normal(size=5000) * np.exp2(rng.integers(-20, 20, size=5000))
         for b_coarse, b_fine in ((26, 29), (26, 32), (29, 32), (10, 26)):
             coarse = fp.rnd_array(xs, b_coarse)
-            assert fp.is_on_grid(coarse, b_fine).all()
+            assert is_on_grid(coarse, b_fine).all()
             assert np.array_equal(fp.rnd_array(coarse, b_fine), coarse)
 
     def test_distance_bound(self):
@@ -114,14 +118,14 @@ class TestRnd:
         for b in B_VALUES:
             r = fp.rnd_array(xs, b)
             scale = np.maximum(fp.exponent_scale_array(r), fp.SCALE_FLOOR)
-            assert np.all(np.abs(r - xs) <= 0.5 * fp.epsilon(b, 1.0) * scale)
+            assert np.all(np.abs(r - xs) <= 0.5 * epsilon(b, 1.0) * scale)
 
 
 class TestEpsilonAndScale:
     def test_epsilon_values(self):
-        assert fp.epsilon(32, 1.0) == 2.0**-23
-        assert fp.epsilon(26, 1.0) == 2.0**-17
-        assert fp.epsilon(32, 2.0) == 2.0**-22
+        assert epsilon(32, 1.0) == 2.0**-23
+        assert epsilon(26, 1.0) == 2.0**-17
+        assert epsilon(32, 2.0) == 2.0**-22
 
     def test_exponent_scale_examples(self):
         got = fp.exponent_scale_array([1.5, 0.2, -6.0, 0.0])
@@ -188,11 +192,11 @@ class TestDirection:
 class TestNeighbors:
     def test_grid_point_brackets_itself(self):
         g = fp.rnd_array(0.37, 30)
-        below, above = fp.grid_neighbors_array(g, 30)
+        below, above = grid_neighbors_array(g, 30)
         assert below.tolist() == above.tolist() == g.tolist()
 
     def test_midpoint_example(self):
-        below, above = fp.grid_neighbors_array(1.0 + 0.5 * 2.0**-23, 32)
+        below, above = grid_neighbors_array(1.0 + 0.5 * 2.0**-23, 32)
         assert below.tolist() == [1.0]
         assert above.tolist() == [1.0 + 2.0**-23]
 
@@ -200,8 +204,8 @@ class TestNeighbors:
         rng = np.random.default_rng(13)
         xs = rng.normal(size=3000) * np.exp2(rng.integers(-45, 30, size=3000))
         for b in B_VALUES:
-            below, above = fp.grid_neighbors_array(xs, b)
-            nbelow, nabove = fp.grid_neighbors_array(-xs, b)
+            below, above = grid_neighbors_array(xs, b)
+            nbelow, nabove = grid_neighbors_array(-xs, b)
             assert np.array_equal(nbelow, -above)
             assert np.array_equal(nabove, -below)
 
@@ -209,7 +213,7 @@ class TestNeighbors:
         rng = np.random.default_rng(14)
         xs = rng.normal(size=200) * np.exp2(rng.integers(-30, 30, size=200))
         for b in (26, 32):
-            below, above = fp.grid_neighbors_array(xs, b)
+            below, above = grid_neighbors_array(xs, b)
             got = list(zip(below.tolist(), above.tolist()))
             assert got == [oracle_neighbors(float(x), b) for x in xs]
 
@@ -217,9 +221,9 @@ class TestNeighbors:
         rng = np.random.default_rng(15)
         xs = rng.normal(size=20000) * np.exp2(rng.integers(-60, 38, size=20000))
         for b in B_VALUES:
-            below, above = fp.grid_neighbors_array(xs, b)
+            below, above = grid_neighbors_array(xs, b)
             assert np.all(below <= xs) and np.all(above >= xs)
-            assert fp.is_on_grid(below, b).all() and fp.is_on_grid(above, b).all()
+            assert is_on_grid(below, b).all() and is_on_grid(above, b).all()
             r = fp.rnd_array(xs, b)
             assert np.all((r == below) | (r == above))
 
@@ -253,7 +257,7 @@ class TestRev:
         codes = rng.integers(0, 3, size=10000).astype(np.uint8)
         for b in (26, 29, 32):
             out = fp.rev_array(xs, b, codes)
-            below, above = fp.grid_neighbors_array(xs, b)
+            below, above = grid_neighbors_array(xs, b)
             assert np.all((out == below) | (out == above))
 
     def test_bad_code_rejected(self):
@@ -266,7 +270,7 @@ def _sync_check(b_r: int, tau: float, n: int, seed: int) -> None:
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
     scale = np.maximum(fp.exponent_scale_array(x), fp.SCALE_FLOOR)
-    bound = np.minimum(0.25 * fp.epsilon(b_r, 1.0) * scale, tau * scale)
+    bound = np.minimum(0.25 * epsilon(b_r, 1.0) * scale, tau * scale)
     x_p = x + rng.uniform(-1.0, 1.0, size=n) * bound
     keep = (
         (np.abs(x_p - x) < bound)
@@ -284,7 +288,7 @@ def test_sync_property(b_r):
     tau = 0.25 * 2.0**-23
     _sync_check(b_r, tau, 200000, seed=b_r)
     # also at the largest threshold that keeps the replay guarantee
-    _sync_check(b_r, 0.25 * fp.epsilon(b_r, 1.0), 200000, seed=100 + b_r)
+    _sync_check(b_r, 0.25 * epsilon(b_r, 1.0), 200000, seed=100 + b_r)
 
 
 @settings(max_examples=300, deadline=None)
@@ -295,7 +299,7 @@ def test_sync_property(b_r):
 def test_rnd_hypothesis_invariants(x, b_r):
     r = fp.rnd_array(x, b_r)
     assert np.array_equal(fp.rnd_array(r, b_r), r)
-    assert fp.is_on_grid(r, b_r).all()
+    assert is_on_grid(r, b_r).all()
     assert np.array_equal(fp.rnd_array(-x, b_r), -r)
 
 
@@ -307,7 +311,7 @@ def test_rnd_hypothesis_invariants(x, b_r):
 )
 def test_rev_hypothesis_membership(x, c, b_r):
     out = fp.rev_array(x, b_r, c)
-    below, above = fp.grid_neighbors_array(x, b_r)
+    below, above = grid_neighbors_array(x, b_r)
     assert out[0] in (below[0], above[0])
 
 
@@ -453,8 +457,99 @@ class TestRepresentableRange:
             lambda: fp.replay(beyond, b, [fp.IGNORE]),
             lambda: fp.rev_array(near, b, fp.UP),
             lambda: fp.rev_array(-near, b, fp.DOWN),
-            lambda: fp.grid_neighbors_array(near, b),
+            lambda: grid_neighbors_array(near, b),
         ]
         for call in calls:
             with pytest.raises(ValueError, match="out of representable range"):
                 call()
+
+
+def edge_values(b_r: int) -> np.ndarray:
+    """Values where the bit split has a special case, both signs: +-0, the
+    FP32-subnormal range (ties included, and the tie that rounds up to
+    2^-126), FP64 subnormals, ties at the bottom and the top of a binade
+    (the top one carries into the next binade), and values that round to
+    grid_max."""
+    kept = b_r - 9
+    top = (2 << kept) - 1  # the largest kept significand
+    gm = fp.grid_max(b_r)
+    mags = [0.0, 5e-324, 1e-310, 2.0 ** -126, 2.0 ** -127]
+    for m in (0.5, 1.0, 1.5, 2.5, 3.25, (1 << kept) - 0.5, (1 << kept) - 0.25):
+        mags.append(m * 2.0 ** (-126 - kept))  # FP32-subnormal spacing
+    for e in (-126, -60, -1, 0, 1, 60, 126):
+        mags += [((1 << kept) + f) * 2.0 ** (e - kept) for f in (0.5, 1.5, 0.25, 0.75)]
+        mags += [(top + f) * 2.0 ** (e - kept) for f in (0.5, 0.25, 0.75)]
+    mags += [gm, gm - 0.25 * 2.0 ** (127 - kept)]
+    mags = np.asarray(mags)
+    return np.concatenate([mags, -mags])
+
+
+@pytest.mark.parametrize("b_r", range(26, 33))
+def test_kernels_match_oracles_on_edge_values(b_r):
+    x = edge_values(b_r)
+    tau = fp.tau_bounds(b_r)[0]
+    nearest = np.copysign([oracle_rnd(v, b_r) for v in x.tolist()], x)
+    assert np.array_equal(bits(fp.rnd_array(x, b_r)), bits(nearest))
+    rounded, codes = fp.round_and_code(x, b_r, tau)
+    assert np.array_equal(bits(rounded), bits(nearest))
+    assert codes.tolist() == [oracle_code(v, b_r, tau) for v in x.tolist()]
+    given = np.resize([fp.DOWN, fp.IGNORE, fp.UP], x.size).astype(np.uint8)
+    replayed, corrections = fp.replay(x, b_r, given)
+    want = np.copysign([oracle_rev(v, b_r, c) for v, c in zip(x.tolist(), given.tolist())], x)
+    assert np.array_equal(bits(replayed), bits(want))
+    assert corrections == int(np.count_nonzero(want != nearest))
+
+
+@pytest.mark.parametrize("b_r", range(26, 33))
+def test_kernels_round_to_grid_max_and_refuse_past_it(b_r):
+    gm = fp.grid_max(b_r)
+    for x in (gm * (1 + 2.0 ** -30), -gm * (1 + 2.0 ** -30)):  # nearest is grid_max
+        assert fp.rnd_array(x, b_r).tolist() == [np.copysign(gm, x)]
+        rounded, codes = fp.round_and_code(x, b_r, fp.tau_bounds(b_r)[0])
+        assert (rounded.tolist(), codes.tolist()) == ([np.copysign(gm, x)], [fp.IGNORE])
+        replayed, corrections = fp.replay(x, b_r, codes)
+        assert (replayed.tolist(), corrections) == ([np.copysign(gm, x)], 0)
+    past = fp.grid_max(b_r) + 0.75 * 2.0 ** (128 - (b_r - 9))  # nearest is 2^128
+    ones = np.ones(2, dtype=np.uint8)
+    kernels = [lambda x: fp.rnd_array(x, b_r), lambda x: fp.round_and_code(x, b_r, 0.0),
+               lambda x: fp.replay(x, b_r, ones)]
+    for kernel in kernels:
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(fp.OutOfRange, match="non-finite"):
+                kernel(np.asarray([1.0, bad]))
+        for bad in (past, -past):
+            with pytest.raises(fp.OutOfRange, match="out of representable range"):
+                kernel(np.asarray([1.0, bad]))
+
+
+class TestKernelMemory:
+    """Peak bytes the kernels allocate on a 512 x 256 tensor, in units of its size."""
+
+    X = np.random.default_rng(30).normal(size=(512, 256))
+    CODES = np.random.default_rng(31).integers(0, 3, size=(512, 256)).astype(np.uint8)
+
+    @pytest.mark.parametrize("kernel, limit", [
+        (lambda x, c: fp.rnd_array(x, 32), 2.5),
+        (lambda x, c: fp.round_and_code(x, 32, 2.0 ** -25), 6.0),
+        (lambda x, c: fp.replay(x, 32, c), 5.0),
+    ], ids=["rnd_array", "round_and_code", "replay"])
+    def test_peak(self, kernel, limit):
+        tracemalloc.start()
+        try:
+            kernel(self.X, self.CODES)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit * self.X.nbytes, f"peak {peak / self.X.nbytes:.2f}x"
+
+
+def test_kernels_leave_their_inputs_alone():
+    rng = np.random.default_rng(32)
+    x = rng.normal(size=(6, 5)) * np.exp2(rng.integers(-140, 20, size=(6, 5)))
+    for arg in (x, x.T, x[:, 1]):
+        codes = rng.integers(0, 3, size=arg.shape).astype(np.uint8)
+        before, codes_before = arg.copy(), codes.copy()
+        fp.rnd_array(arg, 29)
+        fp.round_and_code(arg, 29, 0.0)
+        fp.replay(arg, 29, codes)
+        assert np.array_equal(bits(arg), bits(before)) and np.array_equal(codes, codes_before)

@@ -138,7 +138,7 @@ class TestTrain:
         assert e.value.step == 3
 
     def test_weights_on_grid(self, tmp_path):
-        from vtrain.fpround import is_on_grid
+        from grid_oracle import is_on_grid
 
         for b_r in (26, 32):
             cfg = tiny_config(b_r=b_r)

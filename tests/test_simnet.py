@@ -26,14 +26,14 @@ def seq_fold_reference(a: np.ndarray, order=None, b_tr: int = 64) -> np.ndarray:
     """Add a[..., i] for i in ``order`` (default left to right) one at a time.
 
     Below 64, each partial sum is rounded to the b_tr accumulator width by
-    ``width_oracle``.
+    ``width_oracle_array``.
     """
     order = list(range(a.shape[-1]) if order is None else order)
     acc = a[..., order[0]].copy()
     for i in order[1:]:
         acc = acc + a[..., i]
         if b_tr < 64:
-            acc = np.vectorize(width_oracle, otypes=[float])(acc, b_tr)
+            acc = width_oracle_array(acc, b_tr)
     return acc
 
 
@@ -171,6 +171,13 @@ def width_oracle(x: float, b_tr: int) -> float:
     return math.ldexp(round(m * 2**p), e - p)  # round() is exact and ties to even
 
 
+def width_oracle_array(x: np.ndarray, b_tr: int) -> np.ndarray:
+    """``width_oracle`` per element: frexp, ldexp and rint are exact, and rint ties to even."""
+    m, e = np.frexp(x)
+    p = b_tr - 11
+    return np.ldexp(np.rint(m * 2.0**p), e - p)
+
+
 def rounded_fold_reference(vals, profile: sn.DeviceProfile, b_tr: int) -> float:
     """One add at a time in the profile's association order, rounding each sum."""
 
@@ -207,6 +214,7 @@ class TestAccumulatorWidth:
         for b_tr in (20, 36, 50, 63):
             got = sn.round_to_width(x.copy(), b_tr)
             assert got.tolist() == [width_oracle(v, b_tr) for v in x.tolist()]
+            assert same_bits(width_oracle_array(x, b_tr), got)
 
     def test_ties_to_even_and_binade_carry(self):
         step = 2.0**-38  # spacing just above 1.0 at b_tr = 50
@@ -619,3 +627,77 @@ class TestShippedDivergenceBound:
                         drift = np.abs(raws[0] - other).max()
                         assert drift < budget * tensor_scale, (name, layer.key, drift)
                     cur = rnd_array(raws[0], cfg.b_r)
+
+
+# every registered order, plus chunks of 3 (a partial last chunk for most n
+# below) and of 64 (longer than most n below)
+EVERY_ORDER = ALL_PROFILES + (sn.get_profile("chunked:3"), sn.get_profile("chunked:64"))
+
+
+class TestAddSchedule:
+    """Every kernel sum runs an ``add_schedule``; the reference folds one add at a time."""
+
+    @pytest.mark.parametrize("b_tr", (64, 50))
+    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    def test_reduce_matches_reference(self, profile, b_tr):
+        rng = np.random.default_rng(40)
+        p = replace(profile, b_tr=b_tr)
+        for n in range(1, 71):
+            for shape in ((n,), (2, 3, n)):
+                a = rng.normal(size=shape) * np.exp2(rng.integers(-20, 20, size=shape))
+                assert same_bits(sn.reduce_last_axis(a, p), profile_fold_reference(a, p)), n
+
+    @pytest.mark.parametrize("b_tr", (64, 50))
+    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    def test_dense_matches_reference(self, profile, b_tr):
+        # forward terms of 2 x 3 elements are summed a level at a time, of
+        # 8 x 64 one term at a time
+        rng = np.random.default_rng(41)
+        p = replace(profile, b_tr=b_tr)
+        for n in range(1, 71):
+            for batch, n_out in ((2, 3), (8, 64)):
+                x = rng.normal(size=(batch, n)) * np.exp2(rng.integers(-20, 20, size=(batch, n)))
+                W = rng.normal(size=(n, n_out))
+                want = profile_fold_reference(x[:, None, :] * W.T[None, :, :], p)
+                assert same_bits(sn.dense_forward(x, W, np.zeros(n_out), p), want + 0.0), n
+                g = rng.normal(size=(batch, n))
+                want = profile_fold_reference(g[:, None, :] * W.T[None, :, :], p)
+                assert same_bits(sn.dense_input_grad(g, W.T, p), want), n
+
+    def test_level_counts(self):
+        for n in range(1, 300):
+            assert len(sn.add_schedule("pairwise", None, n).levels) == math.ceil(math.log2(n))
+            for c in (1, 2, 3, 7, 16, 64):
+                levels = sn.add_schedule("chunked", c, n).levels
+                assert len(levels) <= (c - 1) + math.ceil(n / c) - 1, (n, c)
+            for strategy in ("sequential", "reversed"):
+                assert len(sn.add_schedule(strategy, None, n).levels) == n - 1
+
+    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    def test_each_add_once_and_levels_independent(self, profile):
+        for n in (1, 2, 5, 33, 64, 100):
+            sched = sn.add_schedule(profile.strategy, profile.chunk_size, n)
+            adds = []
+            for level in sched.levels:
+                pairs = [(d + i * k, s + i * k) for d, s, count, k in level for i in range(count)]
+                slots = [slot for pair in pairs for slot in pair]
+                assert len(set(slots)) == len(slots)
+                adds += pairs
+            assert len(adds) == n - 1 and sorted(adds) == sorted(sched.walk)
+
+
+def test_kernels_leave_their_inputs_alone():
+    rng = np.random.default_rng(42)
+    x, W, g = rng.normal(size=(16, 40)), rng.normal(size=(40, 32)), rng.normal(size=(16, 32))
+    b = rng.normal(size=32)
+    arrays = (x, W, g, b)
+    before = [a.copy() for a in arrays]
+    for profile in EVERY_ORDER:
+        for p in (profile, replace(profile, b_tr=50)):
+            for a in (x[0], x, x.T, x.reshape(4, 4, 40), W[:, :3]):
+                sn.reduce_last_axis(a, p)
+            sn.dense_forward(x, W, b, p)
+            sn.dense_forward(x[:, :3], W[:3, :4], b[:4], p)
+            sn.dense_backward(g, x, W, p)
+            sn.dense_backward(g[:, :4], x[:, :3], W[:3, :4], p)
+    assert all(same_bits(a, a0) for a, a0 in zip(arrays, before))
