@@ -3,20 +3,23 @@
 A run config is a JSON document carrying everything that affects
 bit-exactness (dataset, architecture, hyperparameters, seed, rounding
 amount, threshold policy), so a trainer can hand one file to an auditor
-and both provably execute the same run. Command-line flags cover only
-operational choices: which profile executes, where artifacts land,
-network addresses.
+and both provably execute the same run; ``TrainConfig.from_dict`` maps it.
+Command-line flags cover only operational choices: which profile
+executes, where artifacts land, network addresses.
 
 Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
 3 I/O error, 4 protocol error. A run that diverges (its loss turns
 non-finite, or a value leaves the grid's range) ends ``train`` with exit 2
 and one ``training diverged at step N`` line, and ``audit`` with exit 4.
+A port outside 0-65535, a ``--timeout`` that is not a finite number above
+0 and a ``--sessions`` below 1 are usage errors.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -25,7 +28,7 @@ import click
 import numpy as np
 
 from . import game, merkle, protocol, roundlog
-from .protocol import TauPolicy, TrainConfig
+from .protocol import TrainConfig
 from .simnet import LAYER_KINDS, Rng, get_profile, layer_from_entry
 
 EXIT_OK = 0
@@ -37,35 +40,6 @@ EXIT_PROTOCOL = 4
 WEIGHTS_MAGIC = b"VTWT"
 
 
-def config_from_dict(doc: dict) -> TrainConfig:
-    layers = tuple(layer_from_entry(entry) for entry in doc["model"]["layers"])
-    if doc.get("b_m", 32) != 32:
-        raise ValueError(f"supported model precision is b_m=32, got {doc['b_m']!r}")
-    tau_doc = doc.get("tau", {"policy": "fixed", "value": protocol.DEFAULT_TAU})
-    if tau_doc["policy"] == "fixed":
-        tau = TauPolicy(kind="fixed", value=float(tau_doc["value"]))
-    else:
-        tau = TauPolicy(kind=tau_doc["policy"], table=dict(tau_doc["table"]))
-    ds = doc["dataset"]
-    return TrainConfig(
-        dataset_size=ds["size"],
-        dim=ds["dim"],
-        classes=ds["classes"],
-        layers=layers,
-        loss=doc["model"].get("loss"),
-        epochs=doc["epochs"],
-        batch_size=doc["batch_size"],
-        learning_rate=doc["learning_rate"],
-        checkpoint_interval=doc["checkpoint_interval"],
-        seed=doc["seed"],
-        b_r=doc.get("b_r", 32),
-        b_tr=doc.get("b_tr", 64),
-        tau_policy=tau,
-        trainer_profile=doc.get("trainer_profile", "sequential"),
-        name=doc.get("name", "run"),
-    )
-
-
 def load_config(path) -> TrainConfig:
     try:
         doc = json.loads(Path(path).read_text())
@@ -74,7 +48,7 @@ def load_config(path) -> TrainConfig:
     except json.JSONDecodeError as e:
         raise click.UsageError(f"config is not valid JSON: {e}") from e
     try:
-        return config_from_dict(doc)
+        return TrainConfig.from_dict(doc)
     except (KeyError, TypeError, ValueError) as e:
         raise click.UsageError(f"bad config {path}: {e}") from e
 
@@ -164,7 +138,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             "b_r": cfg.b_r,
             "steps": cfg.steps,
             "root": result.root_hex,
-            "final_weights_digest": result.final_digest.hex(),
+            "final_weights_digest": result.tree.leaves[-1].hex(),
             "leaf_count": len(result.tree.leaves),
             "entries_logged": result.entries_logged,
             "log_file_bytes": paths["log"].stat().st_size,
@@ -197,7 +171,10 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
 @click.option("--no-corrections", is_flag=True,
               help="Replay with plain rounding instead of the log (negative control).")
 def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_corrections):
-    """Replay a run from its config and log; exit 0 iff the roots match."""
+    """Replay a run from its config and log; exit 0 iff the roots match.
+
+    Writes NAME.audit.json and the replayed tree, for dispute, as NAME.audit.vtmt.
+    """
     cfg = load_config(config_path)
     try:
         get_profile(profile)
@@ -236,6 +213,7 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{cfg.name}.audit.json").write_text(json.dumps(report, indent=2) + "\n")
+        merkle.write_tree(result.tree, out / f"{cfg.name}.audit.vtmt")
     except OSError as e:
         click.echo(f"i/o error: {e}", err=True)
         sys.exit(EXIT_IO)
@@ -247,8 +225,8 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise click.UsageError(f"address must be HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise click.UsageError(f"address must be HOST:PORT with a port in 0-65535, got {text!r}")
     return host, int(port)
 
 
@@ -256,7 +234,7 @@ def _parse_addr(text: str) -> tuple[str, int]:
 @click.argument("tree_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--listen", "listen_addr", required=True,
               help="HOST:PORT to bind (port 0 picks a free one).")
-@click.option("--sessions", default=None, type=int,
+@click.option("--sessions", default=None, type=click.IntRange(min=1),
               help="Serve this many sessions then exit (default: forever).")
 def cmd_serve(tree_path, listen_addr, sessions):
     """Serve a checkpoint tree to challengers.
@@ -295,6 +273,8 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
         click.echo(f"cannot load tree: {e}", err=True)
         sys.exit(EXIT_IO)
     addr = _parse_addr(connect_addr)
+    if not 0 < timeout < math.inf:
+        raise click.UsageError(f"--timeout must be finite and above 0, got {timeout!r}")
     try:
         report = game.challenge(tree, addr, timeout=timeout)
     except game.GameProtocolError as e:

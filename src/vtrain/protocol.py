@@ -25,6 +25,10 @@ first stage's input gradient feeds nothing, so it is not even computed.
 ``TrainConfig.log_slots`` walks the layers once to list what is logged;
 config validation, ``_run`` and ``estimate_log_entries`` all read that list.
 
+``TrainConfig.from_dict`` maps a run-config JSON document; each default
+is stated once, on the dataclass. ``tau`` is a number or a table by
+``log_slots`` key, read through ``tau_for``.
+
 Layers (``simnet.LAYER_KINDS``) hold no weights: ``_run`` keeps a list of
 parameters per layer, and treats every parameter alike.
 
@@ -39,7 +43,7 @@ gradients in reverse stage order, elements row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +70,7 @@ from .simnet import (
     bce_forward,
     check_count,
     get_profile,
+    layer_from_entry,
     make_dataset,
     reduce_values,
     softmax_xent_forward,
@@ -84,26 +89,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, step: int):
         super().__init__(f"training diverged at step {step}")
         self.step = step
-
-
-@dataclass(frozen=True)
-class TauPolicy:
-    """Fixed threshold for every stage, or a per-stage-key table."""
-
-    kind: str = "fixed"  # "fixed" | "adaptive"
-    value: float = DEFAULT_TAU
-    table: dict | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("fixed", "adaptive"):
-            raise ValueError(f"unknown tau policy {self.kind!r}, want 'fixed' or 'adaptive'")
-
-    def lookup(self, stage_key: str) -> float:
-        if self.kind == "fixed":
-            return self.value
-        if self.table is None or stage_key not in self.table:
-            raise ValueError(f"adaptive tau table has no entry for {stage_key!r}")
-        return float(self.table[stage_key])
 
 
 @dataclass(frozen=True)
@@ -130,7 +115,7 @@ class TrainConfig:
     seed: int
     b_r: int = 32
     b_tr: int = 64
-    tau_policy: TauPolicy = field(default_factory=TauPolicy)
+    tau: float | dict[str, float] = DEFAULT_TAU  # fixed, or a table by log_slots key
     trainer_profile: str = "sequential"
     name: str = "run"
 
@@ -153,29 +138,55 @@ class TrainConfig:
         want = self.classes if self.loss == "softmax_xent" else 1
         if width != want:
             raise ValueError(f"final width {width!r} does not fit {self.loss}, which needs {want}")
-        if self.tau_policy.kind == "fixed":
-            taus = [self.tau_policy.value]
-        else:
-            taus = [float(v) for v in (self.tau_policy.table or {}).values()]
+        taus = list(self.tau.values()) if isinstance(self.tau, dict) else [self.tau]
         lo, hi = tau_bounds(self.b_r)
         for tau in taus:
             if not (tau == 0.0 or lo <= tau <= hi):
                 raise ValueError(f"tau {tau!r} is neither 0.0 nor in [{lo!r}, {hi!r}]")
         for slot in slots:
-            self.tau_policy.lookup(slot.key)
+            self.tau_for(slot.key)
         check_b_tr(self.b_tr, self.b_r, min(taus, default=math.inf), self.max_fan_in())
         if self.dataset_size % self.batch_size != 0:
             raise ValueError("dataset size must be a multiple of batch size")
         if self.steps < 1:
             raise ValueError("config yields no training steps")
-        if self.checkpoint_interval > self.steps:
-            raise ValueError("checkpoint interval exceeds step count")
+        if self.steps % self.checkpoint_interval != 0:
+            raise ValueError(f"checkpoint interval does not divide the {self.steps} steps")
         if not isinstance(self.trainer_profile, str):
             raise ValueError(f"trainer profile must be a name, got {self.trainer_profile!r}")
         get_profile(self.trainer_profile)
         name = self.name
         if not isinstance(name, str) or name in ("", ".", "..") or any(c in "/\\\0" for c in name):
             raise ValueError(f"run name must be a plain file name, got {name!r}")
+
+    @classmethod
+    def from_dict(cls, doc) -> TrainConfig:
+        """The config a run-config JSON document describes; a key it leaves
+        out is not passed on, so its field takes the default."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
+        layers = tuple(layer_from_entry(entry) for entry in doc["model"]["layers"])
+        if "b_m" in doc and doc["b_m"] != 32:
+            raise ValueError(f"supported model precision is b_m=32, got {doc['b_m']!r}")
+        given = {key: doc[key] for key in ("b_r", "b_tr", "trainer_profile", "name") if key in doc}
+        if "tau" in doc:  # {"policy": "fixed", "value": V} or {"policy": "adaptive", "table": T}
+            policy = doc["tau"]["policy"]
+            if policy not in ("fixed", "adaptive"):
+                raise ValueError(f"unknown tau policy {policy!r}, want 'fixed' or 'adaptive'")
+            given["tau"] = (float(doc["tau"]["value"]) if policy == "fixed" else
+                            {key: float(v) for key, v in dict(doc["tau"]["table"]).items()})
+        ds = doc["dataset"]
+        required = ("epochs", "batch_size", "learning_rate", "checkpoint_interval", "seed")
+        return cls(dataset_size=ds["size"], dim=ds["dim"], classes=ds["classes"], layers=layers,
+                   loss=doc["model"].get("loss"), **{key: doc[key] for key in required}, **given)
+
+    def tau_for(self, key: str) -> float:
+        """The fixed tau, or the adaptive table's entry for a logged slot's key."""
+        if not isinstance(self.tau, dict):
+            return self.tau
+        if key not in self.tau:
+            raise ValueError(f"adaptive tau table has no entry for {key!r}")
+        return self.tau[key]
 
     @property
     def steps(self) -> int:
@@ -213,9 +224,8 @@ class TrainConfig:
 class RunOutput:
     """What one pass of the replay engine leaves behind."""
 
-    tree: merkle.MerkleTree  # over the checkpoint digests
+    tree: merkle.MerkleTree  # over the checkpoint digests; the last is the final weights'
     params: list[list[np.ndarray]]  # per layer, on the b_r grid
-    final_digest: bytes
     per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
     checkpoints: list[list[np.ndarray]] | None
 
@@ -282,7 +292,7 @@ def _loss_forward(loss_kind: str, output, labels, profile):
 
 def _slot_taus(cfg: TrainConfig) -> dict[tuple[str, int], float]:
     """Tau per logged slot by (pass, stage): an output goes through the channel iff it has one."""
-    return {(s.pass_, s.stage): cfg.tau_policy.lookup(s.key) for s in cfg.log_slots()}
+    return {(s.pass_, s.stage): cfg.tau_for(s.key) for s in cfg.log_slots()}
 
 
 def _forward(layers, params, x, profile, process, taus) -> tuple[list[np.ndarray], int]:
@@ -357,7 +367,6 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     return RunOutput(
         tree=merkle.build(leaves),
         params=params,
-        final_digest=merkle.hash_weights([p for ps in params for p in ps]),
         per_step=per_step,
         checkpoints=checkpoints if keep_checkpoints else None,
     ), (X, y)

@@ -219,6 +219,8 @@ BAD_CONFIGS = {
     "b-m-16": _set(("b_m",), 16),
     "relu-width-not-incoming": _set(("model", "layers", 1, "in"), 11),
     "relu-in-and-out-differ": _relu_in_and_out_differ,
+    # 16 steps: a checkpoint every 5 leaves step 16 in no leaf
+    "checkpoint-interval-not-dividing-steps": _set(("checkpoint_interval",), 5),
 }
 
 
@@ -230,6 +232,17 @@ class TestBadConfig:
     def test_usage_error(self, runner, tmp_path, case, command):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(_tiny_with(BAD_CONFIGS[case])))
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "train" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len([l for l in result.output.splitlines() if "bad config" in l]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    @pytest.mark.parametrize("doc", [[], "tiny", 3, None], ids=["array", "string", "number", "null"])
+    def test_document_not_an_object(self, runner, tmp_path, doc, command):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
         args = [command, str(path)] + (["--out", str(tmp_path)] if command == "train" else [])
         result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
@@ -323,6 +336,104 @@ class TestOldLogVersion:
         assert result.exit_code == 4
         assert isinstance(result.exception, SystemExit)
         assert result.output.startswith("bad log:")
+
+
+def serve_process(tree_path):
+    """``vtrain serve TREE`` for one session in a child process, and its port."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "vtrain.cli", "serve", str(tree_path),
+         "--listen", "127.0.0.1:0", "--sessions", "1"],
+        stderr=subprocess.PIPE, text=True, env=env,
+    )
+    line = proc.stderr.readline()
+    if not line.startswith("listening on 127.0.0.1:"):
+        stop(proc)
+        raise AssertionError(line)
+    return proc, int(line.rsplit(":", 1)[1])
+
+
+def stop(proc):
+    if proc.poll() is None:
+        proc.kill()
+    proc.wait()
+    proc.stderr.close()
+
+
+class TestAuditTree:
+    """`vtrain audit` writes the replayed tree, which `vtrain dispute` takes."""
+
+    @pytest.mark.parametrize("mode", [[], ["--no-corrections"]], ids=["log", "no-corrections"])
+    def test_written_beside_the_report(self, runner, tmp_path, mode):
+        root = train_tiny(runner, tmp_path)
+        result = runner.invoke(main, [
+            "audit", TINY, "--profile", "pairwise", "--log", str(tmp_path / "tiny.vtrl"),
+            "--expect-root", root, "--out", str(tmp_path)] + mode)
+        assert result.exit_code == 0, result.output
+        tree = merkle.read_tree(tmp_path / "tiny.audit.vtmt")
+        assert tree.root_hex == result.output.split()[-1] == root
+
+    def test_dispute_with_it_names_the_tampered_leaf(self, runner, tmp_path):
+        cfg = cli.load_config(TINY)
+        tampered_step = 6
+
+        def bump(step, params):
+            if step == tampered_step:
+                params[0][0][0, 0] += 2.0**-8
+
+        trained = protocol.train(cfg, tmp_path / "tiny.vtrl", tamper=bump)
+        merkle.write_tree(trained.tree, tmp_path / "tiny.vtmt")
+        result = runner.invoke(main, [
+            "audit", TINY, "--profile", "pairwise", "--log", str(tmp_path / "tiny.vtrl"),
+            "--expect-root", trained.root_hex, "--out", str(tmp_path)])
+        assert result.exit_code == 1, result.output
+        audited = merkle.read_tree(tmp_path / "tiny.audit.vtmt")
+        assert audited.root != trained.root
+
+        proc, port = serve_process(tmp_path / "tiny.vtmt")
+        try:
+            result = runner.invoke(main, [
+                "dispute", str(tmp_path / "tiny.audit.vtmt"),
+                "--connect", f"127.0.0.1:{port}", "--timeout", "10"])
+            assert proc.wait(timeout=10) == 0
+        finally:
+            stop(proc)
+        assert result.exit_code == 1, result.output
+        doc = json.loads(result.output)
+        # the first checkpoint at or after the tampered step
+        assert doc["leaf_index"] == -(-tampered_step // cfg.checkpoint_interval) - 1
+        report = game.VerdictReport(
+            outcome=doc["outcome"], leaf_index=doc["leaf_index"],
+            trainer_path=game._path_from_wire(doc["trainer_path"]),
+            auditor_path=game._path_from_wire(doc["auditor_path"]))
+        assert game.judge_check(report, trained.root, audited.root)
+
+
+def four_leaf_tree(path):
+    merkle.write_tree(merkle.build([hashlib.sha256(bytes([i])).digest() for i in range(4)]), path)
+
+
+class TestBadArguments:
+    """Out-of-range ports, timeouts and session counts are usage errors."""
+
+    @pytest.mark.parametrize("args", [
+        ["serve", "--listen", "127.0.0.1:99999"],
+        ["serve", "--listen", "127.0.0.1:0", "--sessions", "-1"],
+        ["serve", "--listen", "127.0.0.1:0", "--sessions", "0"],
+        ["dispute", "--connect", "127.0.0.1:99999"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "-1"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "nan"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "inf"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "0"],
+    ], ids=["serve-port", "sessions-negative", "sessions-zero", "dispute-port",
+            "timeout-negative", "timeout-nan", "timeout-inf", "timeout-zero"])
+    def test_usage_error(self, runner, tmp_path, args):
+        four_leaf_tree(tmp_path / "t.vtmt")
+        result = runner.invoke(main, args[:1] + [str(tmp_path / "t.vtmt")] + args[1:])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
 
 
 class TestServeDispute:
@@ -588,25 +699,13 @@ class TestKeepCheckpoints:
 class TestServeCommand:
     def test_serve_command_answers_one_session(self, runner, tmp_path):
         train_tiny(runner, tmp_path)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "vtrain.cli", "serve", str(tmp_path / "tiny.vtmt"),
-             "--listen", "127.0.0.1:0", "--sessions", "1"],
-            stderr=subprocess.PIPE, text=True, env=env,
-        )
+        proc, port = serve_process(tmp_path / "tiny.vtmt")
         try:
-            line = proc.stderr.readline()
-            assert line.startswith("listening on 127.0.0.1:"), line
-            port = int(line.rsplit(":", 1)[1])
             tree = merkle.read_tree(tmp_path / "tiny.vtmt")
             report = game.challenge(tree, ("127.0.0.1", port), timeout=10)
             assert proc.wait(timeout=10) == 0
         finally:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            proc.stderr.close()
+            stop(proc)
         assert report.outcome == game.TRAINING_VERIFIED
 
     def test_bind_failure_is_io_error(self, runner, tmp_path):

@@ -33,9 +33,19 @@ FINAL_LOSS = {
                "pairwise": "0x1.e7b65bdb81013p-6", "chunked7": "0x1.e7b65bdb81006p-6"},
 }
 
-# trainer sequential, auditor reversed
+# configs/trend.json cut to 512 samples and one epoch (16 steps, a
+# checkpoint each), seed 1: the benchmark's wide-replay shape. Its first
+# layer's forward sum and weight gradient add 32 x 256 terms, past
+# simnet._MIN_FOLD_TERM, so they take the term-at-a-time walk that the
+# small configs never reach. (root, entries_logged), the same for every
+# trainer profile, with no correction on any auditor.
+WIDE = ("3f107b3c169eae4e7097248c764e31f8d8785f20c56ca14eb58f5434d4826323", 266240)
+WIDE_FINAL_LOSS = {"sequential": "0x1.678669b4e4743p+0", "reversed": "0x1.678669b4e4743p+0",
+                   "pairwise": "0x1.678669b4e475cp+0", "chunked7": "0x1.678669b4e4754p+0"}
+
+# trainer sequential
 DIVERGENCE_ROOT = "435e33bb20cd8e642d0bf2d128c2824abbc3299a76f82feee01b8abac0fac6a6"
-DIVERGENCE_CORRECTIONS = 194
+DIVERGENCE_CORRECTIONS = {"reversed": 194, "pairwise": 176, "chunked7": 125}
 DIVERGENCE_UNCORRECTED_ROOT = "0f067625c3889d3002244080bb7644a2e54608b34b1b059b1db85308738c0443"
 
 
@@ -54,11 +64,29 @@ def test_small_config_roots(shipped_config, tmp_path, name, trainer):
             assert (auditor, result.root_hex, result.total_count) == (auditor, root, 0)
 
 
+@pytest.mark.parametrize("trainer", PROFILES)
+def test_wide_replay_roots(shipped_config, tmp_path, trainer):
+    root, entries = WIDE
+    cfg = replace(shipped_config("trend"), dataset_size=512, epochs=1, checkpoint_interval=1,
+                  seed=1, trainer_profile=trainer)
+    assert cfg.steps == 16
+    log = tmp_path / "run.vtrl"
+    out = pr.train(cfg, log)
+    assert (out.root_hex, out.entries_logged) == (root, entries)
+    assert out.final_loss.hex() == WIDE_FINAL_LOSS[trainer]
+    for auditor in PROFILES:
+        if auditor != trainer:
+            result = pr.audit(cfg, auditor, log)
+            assert (auditor, result.root_hex, result.total_count) == (auditor, root, 0)
+
+
 def test_divergence_roots(shipped_config, tmp_path):
     cfg = shipped_config("divergence")
     assert (cfg.b_tr, cfg.trainer_profile) == (50, "sequential")
     log = tmp_path / "run.vtrl"
     assert pr.train(cfg, log).root_hex == DIVERGENCE_ROOT
-    result = pr.audit(cfg, "reversed", log)
-    assert (result.root_hex, result.total_count) == (DIVERGENCE_ROOT, DIVERGENCE_CORRECTIONS)
+    for auditor, corrections in DIVERGENCE_CORRECTIONS.items():
+        result = pr.audit(cfg, auditor, log)
+        assert (auditor, result.root_hex, result.total_count) == (
+            auditor, DIVERGENCE_ROOT, corrections)
     assert pr.audit_without_corrections(cfg, "reversed").root_hex == DIVERGENCE_UNCORRECTED_ROOT
