@@ -165,7 +165,8 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
 @main.command("audit")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--profile", required=True, help="Auditor execution profile.")
-@click.option("--log", "log_path", required=True, type=click.Path(exists=True, dir_okay=False))
+@click.option("--log", "log_path", default=None, type=click.Path(exists=True, dir_okay=False),
+              help="Trainer's rounding log; required unless --no-corrections.")
 @click.option("--expect-root", required=True, help="Trainer's announced root (hex).")
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False))
 @click.option("--no-corrections", is_flag=True,
@@ -174,7 +175,10 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
     """Replay a run from its config and log; exit 0 iff the roots match.
 
     Writes NAME.audit.json and the replayed tree, for dispute, as NAME.audit.vtmt.
+    The negative control (--no-corrections) reads no log and reports no log_bytes.
     """
+    if log_path is None and not no_corrections:
+        raise click.UsageError("Missing option '--log' (required unless --no-corrections).")
     cfg = load_config(config_path)
     try:
         get_profile(profile)
@@ -206,9 +210,10 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
             {"step": i + 1, "forward": f, "backward": b}
             for i, (f, b) in enumerate(result.per_step)
         ],
-        "log_bytes": Path(log_path).stat().st_size,
-        "audit_seconds": time.perf_counter() - start,
     }
+    if not no_corrections:
+        report["log_bytes"] = Path(log_path).stat().st_size
+    report["audit_seconds"] = time.perf_counter() - start
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

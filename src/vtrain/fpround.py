@@ -37,6 +37,8 @@ one grid step to the bit pattern where it goes away from zero.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Ternary rounding-direction codes.
@@ -100,6 +102,21 @@ class OutOfRange(ValueError):
     """A value the grid cannot hold: non-finite, or past ``grid_max``."""
 
 
+_ONE = np.uint64(1)
+_ZERO = np.uint64(0)
+_EXPONENT = np.uint64(0x7FF << 52)
+_FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
+_BINADE_127 = np.float64(2.0 ** 127).view(np.uint64)
+
+
+@functools.lru_cache(maxsize=None)
+def _width_bits(b_tr: int) -> tuple[np.uint64, np.uint64, np.uint64]:
+    """``round_to_width``'s shift, bias and mask at width b_tr, as uint64 scalars."""
+    drop = 64 - b_tr
+    bias, mask = (1 << (drop - 1)) - 1, _MASK64 ^ ((1 << drop) - 1)
+    return np.uint64(drop), np.uint64(bias), np.uint64(mask)
+
+
 def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
     """Round a float64 array in place onto the b_tr accumulator grid.
 
@@ -109,49 +126,69 @@ def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
     the dropped bits, lets the carry roll into the exponent at binade
     edges, as IEEE rounding does; the sign bit is never reached.
     """
-    drop = 64 - b_tr
+    shift, bias, mask = _width_bits(b_tr)
     bits = a.view(np.uint64)
-    carry = bits >> np.uint64(drop)
-    carry &= np.uint64(1)
-    carry += np.uint64((1 << (drop - 1)) - 1)
+    carry = bits >> shift
+    carry &= _ONE
+    carry += bias
     bits += carry
-    bits &= np.uint64(_MASK64 ^ ((1 << drop) - 1))
+    bits &= mask
     return a
 
 
-_EXPONENT = np.uint64(0x7FF << 52)
-_FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
-_BINADE_127 = np.float64(2.0 ** 127).view(np.uint64)
+class _Grid:
+    """The b_r grid's constants, built once per width (``_GRIDS``).
+
+    ``drop`` is the number of mantissa bits below the grid's last kept bit,
+    ``low`` their mask and ``half`` half a grid step, all as uint64.
+    ``unit`` is the grid's spacing below 2^-126 and ``max`` is ``grid_max``.
+    """
+
+    def __init__(self, b_r: int):
+        drop = 52 - (b_r - 9)
+        self.b_r = b_r
+        self.drop = np.uint64(drop)
+        self.low = np.uint64((1 << drop) - 1)
+        self.half = np.uint64(1 << (drop - 1))
+        self.unit = 2.0 ** ((32 - b_r) - 149)
+        self.max = grid_max(b_r)
+
+
+_GRIDS = {b_r: _Grid(b_r) for b_r in range(MIN_B, MAX_B + 1)}
 
 
 class _GridBits:
     """One bit split of float64 values against the b_r grid.
 
-    This is the only code that knows the bit layout. It holds the values
-    (``arr``) and their bit patterns (``bits``), and reads the exponent
-    field (``exponent``) once: a non-finite value raises here, ``near_max``
-    says whether any value reaches 2^127 (only then can a result pass
-    ``grid_max``), and ``tiny`` marks the nonzero values below 2^-126, or
-    is ``None`` when there are none. There the grid's spacing is ``unit``
-    and the grid points are found by scaling, which is exact, as are
-    floor, ceil and rint on the scaled values (all below 2^23). Once the
-    caller has read the exponent field, its buffer is free for reuse.
+    This is the only code that knows the bit layout. It holds the grid's
+    constants (``grid``), the values (``arr``) and their bit patterns
+    (``bits``), and reads the exponent field (``exponent``) once: a
+    non-finite value raises here, ``near_max`` says whether any value
+    reaches 2^127 (only then can a result pass ``grid_max``), and ``tiny``
+    marks the nonzero values below 2^-126, or is ``None`` when there are
+    none. There the grid's spacing is ``grid.unit`` and the grid points are
+    found by scaling, which is exact, as are floor, ceil and rint on the
+    scaled values (all below 2^23). Once the caller has read the exponent
+    field, its buffer is free for reuse.
+
+    The kernels run on tensors of a few dozen elements as often as on large
+    ones, so each numpy call is a direct ufunc call with uint64 constants
+    built once, not a Python-level wrapper such as ``ndarray.max``.
     """
 
     def __init__(self, x, b_r: int):
         _check_b(b_r)
-        self.b_r = b_r
-        self.drop = 52 - (b_r - 9)  # mantissa bits below the grid's last kept bit
-        self.unit = 2.0 ** ((32 - b_r) - 149)  # the grid's spacing below 2^-126
-        self.arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        self.grid = _GRIDS[b_r]
+        arr = np.asarray(x, dtype=np.float64)
+        self.arr = arr if arr.ndim else arr.reshape(1)
         self.bits = self.arr.view(np.uint64)
         self.exponent = self.bits & _EXPONENT
-        top = self.exponent.max(initial=np.uint64(0))
+        top = np.maximum.reduce(self.exponent, axis=None, initial=_ZERO)
         if top == _EXPONENT:
             raise OutOfRange("non-finite value")
         self.near_max = top >= _BINADE_127
         self.tiny = None
-        if self.exponent.min(initial=_FLOOR) < _FLOOR:
+        if np.minimum.reduce(self.exponent, axis=None, initial=_FLOOR) < _FLOOR:
             tiny = self.exponent < _FLOOR
             tiny &= self.arr != 0.0
             if tiny.any():
@@ -165,14 +202,15 @@ class _GridBits:
         """
         rounded = out.view(np.float64)
         np.copyto(rounded, self.arr)
-        round_to_width(rounded, self.b_r + 3)
+        round_to_width(rounded, self.grid.b_r + 3)
         if self.tiny is not None:
-            rounded[self.tiny] = np.rint(self.arr[self.tiny] / self.unit) * self.unit
+            unit = self.grid.unit
+            rounded[self.tiny] = np.rint(self.arr[self.tiny] / unit) * unit
         return self.checked(rounded)
 
     def checked(self, values: np.ndarray) -> np.ndarray:
         """``values``, after checking that none passes grid_max."""
-        if self.near_max and np.abs(values).max() > grid_max(self.b_r):
+        if self.near_max and np.maximum.reduce(np.abs(values), axis=None) > self.grid.max:
             raise OutOfRange("out of representable range")
         return values
 
@@ -227,38 +265,43 @@ def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
     the number of elements moved off their nearest grid point.
     """
     g = _GridBits(x, b_r)
-    c = np.atleast_1d(np.asarray(codes))
+    grid = g.grid
+    c = np.asarray(codes)
+    if c.ndim == 0:
+        c = c.reshape(1)
     if c.shape != g.arr.shape:
         raise ValueError(f"codes shape {c.shape} does not match values shape {g.arr.shape}")
-    if c.size and (c.min() < DOWN or c.max() > UP):
+    # an unsigned array holds no code below DOWN
+    if c.size and (np.maximum.reduce(c, axis=None) > UP
+                   or c.dtype.kind != "u" and np.minimum.reduce(c, axis=None) < DOWN):
         raise ValueError("invalid direction code")
-    drop = np.uint64(g.drop)
-    low = np.bitwise_and(g.bits, np.uint64((1 << g.drop) - 1), out=g.exponent)
+    low = np.bitwise_and(g.bits, grid.low, out=g.exponent)
     toward = g.bits ^ low  # the grid point truncated toward zero, signed
     # nearest goes away from zero past half a step, and at half a step
     # when the kept lowest bit is odd
-    up = g.bits >> drop
-    up &= np.uint64(1)
+    up = g.bits >> grid.drop
+    up &= _ONE
     up += low
-    up = up > np.uint64(1 << (g.drop - 1))
-    off = low != 0  # not on the grid: the two neighbours differ
+    up = up > grid.half
+    off = low != _ZERO  # not on the grid: the two neighbours differ
     if g.tiny is not None:
-        steps = np.abs(g.arr[g.tiny]) / g.unit
+        steps = np.abs(g.arr[g.tiny]) / grid.unit
         below = np.floor(steps)
         up[g.tiny] = np.rint(steps) != below
         off[g.tiny] = steps != below
     # UP names the neighbour above x: away from zero when x is positive;
     # IGNORE takes the nearest.
+    # (plain ufuncs: masked ones, ``where=``, are several times slower per element)
     take = (c == UP) ^ np.signbit(g.arr)
     take ^= (take ^ up) & (c == IGNORE)
     take &= off
-    corrections = int(np.count_nonzero(take != up))
+    corrections = int(np.count_nonzero(take ^ up))
     step = take.astype(np.uint64)
-    step <<= drop
+    step <<= grid.drop
     toward += step
     replayed = toward.view(np.float64)
     if g.tiny is not None:
-        replayed[g.tiny] = np.copysign((below + take[g.tiny]) * g.unit, g.arr[g.tiny])
+        replayed[g.tiny] = np.copysign((below + take[g.tiny]) * grid.unit, g.arr[g.tiny])
     return g.checked(replayed), corrections
 
 

@@ -374,11 +374,20 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
 
 def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[float, float]:
     """Loss and accuracy of per-layer parameters over a dataset, rounded as
-    the negative control rounds."""
+    the negative control rounds.
+
+    The network runs ``batch_size`` rows at a time, so memory does not grow
+    with the dataset; each output row depends only on its own input row.
+    The loss runs once, over all the outputs, so its sum keeps its order.
+    """
     profile = replace(profile, b_tr=cfg.b_tr)
-    values, _ = _forward(cfg.layers, params, X, profile, _PlainChannel(cfg.b_r).process,
-                         _slot_taus(cfg))
-    out = values[-1]
+    process, taus = _PlainChannel(cfg.b_r).process, _slot_taus(cfg)
+    outputs = []
+    for lo in range(0, len(X), cfg.batch_size):
+        values, _ = _forward(cfg.layers, params, X[lo : lo + cfg.batch_size], profile, process,
+                             taus)
+        outputs.append(values[-1])
+    out = np.concatenate(outputs)
     loss, _ = _loss_forward(cfg.loss, out, y, profile)
     if cfg.loss == "softmax_xent":
         pred = out.argmax(axis=1)

@@ -34,8 +34,13 @@ built once per (strategy, chunk size, n): the adds of the association
 order, grouped into levels of independent adds, each level a few strided
 runs of slots. ``reduce_last_axis`` copies its terms to the front axis and
 runs one whole-array add per run, so a ``pairwise`` sum of 256 terms is 8
-adds, not 255 adds and 256 leaf folds; at ``b_tr = 64`` the
-``sequential`` and ``reversed`` chains are one ``np.cumsum``.
+adds, not 255 adds and 256 leaf folds. At ``b_tr = 64`` no partial sum is
+rounded, so the chain-shaped orders (``sequential``, ``reversed``,
+``chunked``) are running sums instead (``np.add.accumulate``, a strict
+left-to-right recurrence): one inside every chunk at once, one over the
+chunk sums, and one add for a partial last chunk. ``sequential`` is the
+case of one chunk of n terms, so a ``chunked7`` sum of 64 terms is four
+calls, not 15 adds.
 
 A dense layer's sums (output, input gradient, weight gradient) are each a
 sum of outer products, one per term of the reduced axis. Terms under 512
@@ -47,7 +52,10 @@ results, logs and roots are bit-identical either way.
 
 Randomness is SplitMix64, specified by constants and identical on every
 platform, so two parties given the same seed draw the same datasets,
-weights, and batch orders.
+weights, and batch orders. Its draws are counter-based (draw k is a
+function of the state plus k times a constant), so ``Rng`` computes a long
+run of draws in cache-sized blocks, written straight into the output, and
+``make_dataset`` builds X a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -64,9 +72,22 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# Draws per block: the block and one scratch buffer of it (128 KiB each)
+# stay in cache through the mixing passes.
+_BLOCK = 1 << 14
+# k * gamma for k = 1 .. _BLOCK, mod 2^64: the state increments of one block
+_GAMMA_STEPS = np.arange(1, _BLOCK + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+_S11, _S27, _S30, _S31 = (np.uint64(k) for k in (11, 27, 30, 31))
+_M1, _M2 = np.uint64(_MIX1), np.uint64(_MIX2)
+
 
 class Rng:
-    """SplitMix64. One 64-bit state; each draw adds the golden gamma and mixes."""
+    """SplitMix64. One 64-bit state; each draw adds the golden gamma and mixes.
+
+    Draw k after state s is a pure function of ``s + k * gamma``, so the
+    block methods fill their output a cache-sized block at a time, in
+    place, and leave the state where n ``next_u64`` calls would.
+    """
 
     def __init__(self, seed: int):
         self.state = seed & MASK64
@@ -81,18 +102,40 @@ class Rng:
     def next_below(self, n: int) -> int:
         return self.next_u64() % n
 
+    def _fill(self, out: np.ndarray):
+        """Write the next ``out.size`` draws into the flat uint64 array ``out``,
+        yielding each block once it holds its draws."""
+        tmp = np.empty(min(out.size, _BLOCK), dtype=np.uint64)
+        for lo in range(0, out.size, _BLOCK):
+            z = out[lo : lo + _BLOCK]
+            t = tmp[: z.size]
+            np.add(_GAMMA_STEPS[: z.size], np.uint64(self.state), out=z)
+            self.state = (self.state + z.size * _GAMMA) & MASK64
+            for shift, mix in ((_S30, _M1), (_S27, _M2)):
+                np.right_shift(z, shift, out=t)
+                z ^= t
+                z *= mix
+            np.right_shift(z, _S31, out=t)
+            z ^= t
+            yield z
+
     def next_block(self, n: int) -> np.ndarray:
         """n consecutive draws, vectorized; identical to n next_u64 calls."""
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = idx * np.uint64(_GAMMA) + np.uint64(self.state)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self.state = (self.state + n * _GAMMA) & MASK64
-        return z
+        out = np.empty(n, dtype=np.uint64)
+        for _ in self._fill(out):
+            pass
+        return out
+
+    def floats_into(self, out: np.ndarray) -> np.ndarray:
+        """Fill the flat float64 array ``out`` with ``out.size`` floats in [0, 1),
+        the top 53 bits of each draw scaled by 2^-53."""
+        for z in self._fill(out.view(np.uint64)):
+            z >>= _S11
+            np.multiply(z, 2.0**-53, out=z.view(np.float64))
+        return out
 
     def floats_block(self, n: int) -> np.ndarray:
-        return (self.next_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return self.floats_into(np.empty(n))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates; swap i takes ``next_below(i + 1)``, i from n - 1 down."""
@@ -240,15 +283,28 @@ def add_schedule(strategy: str, chunk_size: int | None, n: int) -> AddSchedule:
 
 
 def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
-    """Sum over the first axis in the profile's order, one whole-array add per run.
+    """Sum over the first axis in the profile's order.
 
-    ``t`` is overwritten: the caller hands over an array no one else holds.
+    ``t`` may be overwritten: the caller hands over an array no one else
+    holds. At ``b_tr = 64`` no partial sum is rounded, so a chain-shaped
+    order is running sums (``np.add.accumulate``, a strict one-add-at-a-time
+    recurrence): inside each chunk, then over the chunk sums, then the
+    partial last chunk's sum. ``sequential`` is one chunk of all n terms,
+    ``reversed`` the same over the terms reversed. ``pairwise``, and every
+    order below 64, run the ``add_schedule``, one whole-array add per run.
     """
-    if profile.b_tr == 64 and profile.strategy in ("sequential", "reversed"):
-        # cumsum is a strict running accumulation, so its last row is the
-        # exact one-add-at-a-time fold; tests pin this against an explicit loop
-        return np.cumsum(t if profile.strategy == "sequential" else t[::-1], axis=0)[-1]
-    sched = add_schedule(profile.strategy, profile.chunk_size, t.shape[0])
+    n = t.shape[0]
+    if profile.b_tr == 64 and profile.strategy != "pairwise":
+        if profile.strategy == "reversed":
+            t = t[::-1]
+        c = min(profile.chunk_size or n, n)
+        whole = n - n % c
+        chunks = t[:whole].reshape(whole // c, c, *t.shape[1:])
+        total = np.add.accumulate(np.add.accumulate(chunks, axis=1)[:, -1], axis=0)[-1, ...]
+        if whole < n:
+            np.add(total, np.add.accumulate(t[whole:], axis=0)[-1, ...], out=total)
+        return total
+    sched = add_schedule(profile.strategy, profile.chunk_size, n)
     for level in sched.levels:
         for dst, src, count, stride in level:
             span = (count - 1) * stride + 1
@@ -267,7 +323,7 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
-    return _sum_terms(np.moveaxis(a, -1, 0).copy(), profile)
+    return _sum_terms(a.transpose(-1, *range(a.ndim - 1)).copy(), profile)
 
 
 def reduce_values(values, profile: DeviceProfile) -> float:
@@ -357,9 +413,9 @@ def softmax_xent_forward(
     """
     n, k = logits.shape
     labels = np.asarray(labels)
-    if labels.shape != (n,) or labels.min() < 0 or labels.max() >= k:
+    if labels.shape != (n,) or np.minimum.reduce(labels) < 0 or np.maximum.reduce(labels) >= k:
         raise ValueError("invalid class labels")
-    z = logits - logits.max(axis=1, keepdims=True)
+    z = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
     e = np.exp(z)
     denom = reduce_last_axis(e, profile)
     per_sample = np.log(denom) - z[np.arange(n), labels]
@@ -520,13 +576,20 @@ def make_dataset(n: int, dim: int, classes: int, rng: Rng) -> tuple[np.ndarray, 
 
     Class centers are drawn on the unit hypercube, points sit within a
     0.1-radius uniform offset of their center, labels assign round-robin.
+    X is built a block of rows at a time, each row ``centers[label] + 0.1 *
+    offset``, so no temporary of X's size is made.
     """
     if n < 1 or dim < 1 or classes < 1:
         raise ValueError("n, dim, classes must all be >= 1")
     centers = rng.floats_block(classes * dim).reshape(classes, dim)
     labels = np.arange(n) % classes
-    offsets = rng.floats_block(n * dim).reshape(n, dim)
-    X = centers[labels] + 0.1 * offsets
+    X = np.empty((n, dim))
+    rows = max(1, _BLOCK // dim)
+    for lo in range(0, n, rows):
+        block = X[lo : lo + rows]
+        rng.floats_into(block.reshape(-1))
+        block *= 0.1
+        block += centers[labels[lo : lo + rows]]
     return X, labels
 
 

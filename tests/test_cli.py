@@ -114,6 +114,35 @@ class TestAudit:
         assert result.exit_code == 4
 
 
+class TestNegativeControl:
+    """``--no-corrections`` replays with plain rounding and reads no log."""
+
+    def test_runs_without_a_log(self, runner, tmp_path):
+        root = train_tiny(runner, tmp_path)
+        out = tmp_path / "control"
+        result = runner.invoke(main, ["audit", TINY, "--profile", "pairwise",
+                                      "--no-corrections", "--expect-root", root,
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "tiny.audit.json").read_text())
+        assert report["match"] is True and "log_bytes" not in report
+
+    def test_reports_no_log_bytes_for_a_log_it_does_not_read(self, runner, tmp_path):
+        root = train_tiny(runner, tmp_path)
+        result = runner.invoke(main, ["audit", TINY, "--profile", "pairwise",
+                                      "--no-corrections", "--log", str(tmp_path / "tiny.vtrl"),
+                                      "--expect-root", root, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        assert "log_bytes" not in json.loads((tmp_path / "tiny.audit.json").read_text())
+
+    def test_log_still_required_with_corrections(self, runner, tmp_path):
+        result = runner.invoke(main, ["audit", TINY, "--profile", "pairwise",
+                                      "--expect-root", "00" * 32, "--out", str(tmp_path)])
+        assert result.exit_code == 2
+        assert "--log" in result.output and "Traceback" not in result.output
+        assert not (tmp_path / "tiny.audit.json").exists()
+
+
 class TestDamagedCompressedLog:
     @pytest.mark.parametrize("command", ["audit", "inspect-log"])
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])

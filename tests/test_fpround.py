@@ -412,6 +412,33 @@ def test_replay_rejects_wrong_code_shape():
             fp.replay(x, 32, np.ones(shape, dtype=np.uint8))
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8])
+def test_replay_refuses_codes_out_of_range_in_every_dtype(dtype):
+    x = np.linspace(-2.0, 2.0, 8)
+    info = np.iinfo(dtype)
+    bad = (3, info.max) + ((-1, info.min) if info.min < 0 else ())
+    for code in bad:
+        codes = np.ones(8, dtype=dtype)
+        codes[5] = code
+        with pytest.raises(ValueError, match="invalid direction code"):
+            fp.replay(x, 32, codes)
+    with pytest.raises(ValueError, match="shape"):
+        fp.replay(x, 32, np.ones(7, dtype=dtype))
+    assert fp.replay(x, 32, np.array([0, 1, 2] * 2 + [0, 1], dtype=dtype))[0].shape == (8,)
+
+
+@pytest.mark.parametrize("b_r", [26, 32])
+def test_grid_bits_refuse_non_finite_and_past_grid_max(b_r):
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(fp.OutOfRange, match="non-finite"):
+            fp._GridBits(np.array([[1.0], [bad]]), b_r)
+    past = fp.grid_max(b_r) + 0.75 * 2.0 ** (128 - (b_r - 9))  # nearest is 2^128
+    for x in (past, -past, np.array([[0.5], [past]])):
+        g = fp._GridBits(x, b_r)
+        with pytest.raises(fp.OutOfRange, match="out of representable range"):
+            g.nearest(np.empty_like(g.bits))
+
+
 def test_kernels_keep_shape_and_checks():
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
     rounded, codes = fp.round_and_code(x, 26, 0.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from dataclasses import MISSING, fields, replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from vtrain import fpround, merkle, protocol as pr
 from vtrain.protocol import TrainConfig
 from vtrain.roundlog import LogReader, LogWriter
-from vtrain.simnet import Dense, Relu, Rng, Sigmoid, get_profile
+from vtrain.simnet import Dense, Relu, Rng, Sigmoid, get_profile, make_dataset
 
 
 def tiny_config(**overrides):
@@ -178,6 +179,40 @@ class TestTrain:
             out = pr.train(cfg, tmp_path / f"grid{b_r}.vtrl")
             for t in (p for ps in out.params for p in ps):
                 assert is_on_grid(t, b_r).all()
+
+
+class TestEvaluate:
+    """``evaluate`` runs the network a batch at a time and the loss once."""
+
+    @staticmethod
+    def _initial(cfg):
+        rng = Rng(cfg.seed)
+        X, y = make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
+        params = [[fpround.rnd_array(p, cfg.b_r) for p in layer.init(rng)]
+                  for layer in cfg.layers]
+        return params, X, y
+
+    @pytest.mark.parametrize("name", ["trend", "logreg"])
+    def test_matches_one_whole_batch(self, shipped_config, name):
+        cfg = shipped_config(name)
+        params, X, y = self._initial(cfg)
+        profile = replace(get_profile("chunked7"), b_tr=cfg.b_tr)
+        values, _ = pr._forward(cfg.layers, params, X, profile,
+                                pr._PlainChannel(cfg.b_r).process, pr._slot_taus(cfg))
+        want, _ = pr._loss_forward(cfg.loss, values[-1], y, profile)
+        loss, _ = pr.evaluate(cfg, params, get_profile("chunked7"), X, y)
+        assert loss.hex() == want.hex()
+
+    def test_memory_does_not_grow_with_the_dataset(self, shipped_config):
+        cfg = shipped_config("trend")
+        params, X, y = self._initial(cfg)
+        tracemalloc.start()
+        try:
+            pr.evaluate(cfg, params, get_profile("sequential"), X, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestAudit:

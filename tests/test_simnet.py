@@ -53,6 +53,16 @@ class TestRng:
         assert block.tolist() == scalars
         assert a.state == b.state
 
+    @pytest.mark.parametrize("n", [0, 1, sn._BLOCK - 1, sn._BLOCK, sn._BLOCK + 1,
+                                   3 * sn._BLOCK + 5])
+    def test_blocks_match_scalar_draws(self, n):
+        scalar, ints, floats = sn.Rng(77), sn.Rng(77), sn.Rng(77)
+        want = np.array([scalar.next_u64() for _ in range(n)], dtype=np.uint64)
+        assert np.array_equal(ints.next_block(n), want)
+        got = floats.floats_block(n)
+        assert same_bits(got, (want >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        assert ints.state == floats.state == scalar.state
+
     def test_floats_in_unit_interval(self):
         rng = sn.Rng(5)
         u = rng.floats_block(10000)
@@ -570,6 +580,23 @@ class TestInitAndData:
         centers = sn.Rng(6).floats_block(2 * 6).reshape(2, 6)
         assert np.all(np.abs(X - centers[y]) <= 0.1)
 
+    def test_dataset_bits_and_peak(self):
+        n, dim, classes = 4096, 64, 2
+        rng = sn.Rng(7)
+        centers = rng.floats_block(classes * dim).reshape(classes, dim)
+        offsets = rng.floats_block(n * dim).reshape(n, dim)
+        labels = np.arange(n) % classes
+        want = centers[labels] + 0.1 * offsets
+        tracemalloc.start()
+        try:
+            drawn = sn.Rng(7)
+            X, y = sn.make_dataset(n, dim, classes, drawn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert same_bits(X, want) and np.array_equal(y, labels) and drawn.state == rng.state
+        assert peak <= 1.5 * X.nbytes, f"peak {peak / X.nbytes:.2f}x"
+
     def test_dataset_validation(self):
         with pytest.raises(ValueError):
             sn.make_dataset(0, 2, 2, sn.Rng(0))
@@ -684,6 +711,47 @@ class TestAddSchedule:
                 assert len(set(slots)) == len(slots)
                 adds += pairs
             assert len(adds) == n - 1 and sorted(adds) == sorted(sched.walk)
+
+
+def chain_fold_reference(t: np.ndarray, profile: sn.DeviceProfile) -> np.ndarray:
+    """One FP64 add at a time over the first axis: each chunk left to right,
+    then the chunk sums left to right (one chunk of all terms when unchunked)."""
+    terms = [np.array(row) for row in (t[::-1] if profile.strategy == "reversed" else t)]
+    c = profile.chunk_size or len(terms)
+    sums = []
+    for lo in range(0, len(terms), c):
+        acc = terms[lo].copy()
+        for term in terms[lo + 1 : lo + c]:
+            acc = acc + term
+        sums.append(acc)
+    total = sums[0]
+    for chunk_sum in sums[1:]:
+        total = total + chunk_sum
+    return np.asarray(total)
+
+
+def _chain_cases():
+    for c in (1, 3, 7, 64):
+        for n in sorted({1, 2, c - 1, c, c + 1, 3 * c, 64, 65} - {0}):
+            yield c, n
+
+
+class TestRunningSums:
+    """At b_tr = 64 every chain-shaped order is running sums, one chunk of n
+    terms when unchunked; each must be the add-by-add fold, bit for bit."""
+
+    @pytest.mark.parametrize("inner", [(), (5,), (4, 3)], ids=str)
+    @pytest.mark.parametrize("c, n", list(_chain_cases()))
+    def test_matches_add_by_add_fold(self, c, n, inner):
+        rng = np.random.default_rng(1000 * c + n)
+        shape = (n, *inner)
+        t = rng.normal(size=shape) * np.exp2(rng.integers(-30, 30, size=shape))
+        t[rng.random(size=shape) < 0.2] = 0.0
+        t[rng.random(size=shape) < 0.2] = -0.0
+        for p in (SEQ, REV, sn.get_profile(f"chunked:{c}")):
+            for terms in (t, np.full(shape, -0.0), np.where(t > 0, 0.0, -0.0)):
+                got = sn._sum_terms(terms.copy(), p)
+                assert same_bits(np.asarray(got), chain_fold_reference(terms, p)), (p.name, n)
 
 
 def test_kernels_leave_their_inputs_alone():
