@@ -19,7 +19,6 @@ from .protocol import (
     audit_without_corrections,
     estimate_log_entries,
     threshold_search,
-    weight_l2_distance,
 )
 from .merkle import MerkleTree, MerklePath, build, hash_weights
 from .game import VerdictReport, challenge, judge_check, listen, serve
@@ -42,7 +41,6 @@ __all__ = [
     "audit_without_corrections",
     "estimate_log_entries",
     "threshold_search",
-    "weight_l2_distance",
     "MerkleTree",
     "MerklePath",
     "build",

@@ -12,7 +12,8 @@ Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
 non-finite, or a value leaves the grid's range) ends ``train`` with exit 2
 and one ``training diverged at step N`` line, and ``audit`` with exit 4.
 A port outside 0-65535, a ``--timeout`` that is not a finite number above
-0 and a ``--sessions`` below 1 are usage errors.
+0 and a ``--sessions`` below 1 are usage errors. A file that cannot be
+written, ``dispute --transcript`` included, is an I/O error.
 """
 
 from __future__ import annotations
@@ -287,7 +288,11 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
         sys.exit(EXIT_PROTOCOL)
     if transcript_path:
         lines = [json.dumps(entry, sort_keys=True) for entry in report.transcript]
-        Path(transcript_path).write_text("\n".join(lines) + "\n")
+        try:
+            Path(transcript_path).write_text("\n".join(lines) + "\n")
+        except OSError as e:
+            click.echo(f"i/o error: {e}", err=True)
+            sys.exit(EXIT_IO)
     click.echo(json.dumps(report.to_json_dict(), indent=2))
     if report.outcome == game.TRAINING_VERIFIED:
         sys.exit(EXIT_OK)

@@ -238,13 +238,13 @@ def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def exponent_scale_array(x) -> np.ndarray:
-    """2^E per element, where 1 <= |x| / 2^E < 2. Zero maps to 2^-126."""
+    """2^E per element, where 1 <= |x| / 2^E < 2, floored at 2^-126: the
+    scale ``round_and_code`` measures tau against. Zero maps to 2^-126."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if not np.isfinite(arr).all():
+    exponent = arr.view(np.uint64) & _EXPONENT
+    if np.maximum.reduce(exponent, axis=None, initial=_ZERO) == _EXPONENT:
         raise OutOfRange("non-finite value")
-    _, e = np.frexp(arr)
-    scale = np.ldexp(1.0, e - 1)
-    out = np.where(arr == 0.0, SCALE_FLOOR, scale)
+    out = np.maximum(exponent, _FLOOR, out=exponent).view(np.float64)
     return out.reshape(np.shape(x)) if np.shape(x) else out
 
 

@@ -167,19 +167,6 @@ def bisect(tree: MerkleTree, other_root: bytes, fetch) -> MerklePath:
     return MerklePath(leaf_index=index, leaf=digest, siblings=siblings)
 
 
-def first_divergence(a: MerkleTree, b: MerkleTree) -> int | None:
-    """Smallest leaf index where the trees disagree, or None if roots match.
-
-    Descends only into children of mismatching nodes, so the work is
-    logarithmic in the leaf count.
-    """
-    if len(a.leaves) != len(b.leaves):
-        raise ValueError("checkpoint schedule mismatch")
-    if a.root == b.root:
-        return None
-    return bisect(a, b.root, lambda level, i: b.levels[level][i]).leaf_index
-
-
 def hash_weights(tensors) -> bytes:
     """SHA-256 over the canonical FP32 serialization of parameter tensors."""
     h = hashlib.sha256()

@@ -50,7 +50,6 @@ import numpy as np
 from . import merkle, roundlog
 from .fpround import (
     IGNORE,
-    SCALE_FLOOR,
     OutOfRange,
     check_b_tr,
     exponent_scale_array,
@@ -63,16 +62,14 @@ from .fpround import (
 from .fpround import direction_array, rev_array  # noqa: F401
 from .roundlog import LogExhaustedError, LogReader, LogWriter
 from .simnet import (
-    SEQUENTIAL,
-    BatchSchedule,
     DeviceProfile,
     Rng,
+    batches,
     bce_forward,
     check_count,
     get_profile,
     layer_from_entry,
     make_dataset,
-    reduce_values,
     softmax_xent_forward,
 )
 
@@ -317,7 +314,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     X, y = make_dataset(cfg.dataset_size, cfg.dim, cfg.classes, rng)
     layers = cfg.layers
     params = [[rnd_array(p, cfg.b_r) for p in layer.init(rng)] for layer in layers]
-    schedule = BatchSchedule(cfg.dataset_size, cfg.batch_size, rng)
+    batch_indices = batches(cfg.dataset_size, cfg.batch_size, rng)
 
     taus = _slot_taus(cfg)
     leaves: list[bytes] = []
@@ -326,8 +323,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
 
     t = 0
     try:
-        for t in range(1, cfg.steps + 1):
-            idx = schedule.next_batch()
+        for t, idx in zip(range(1, cfg.steps + 1), batch_indices):
             values, forward = _forward(layers, params, X[idx], profile, channel.process, taus)
 
             loss_raw, grad_raw = _loss_forward(cfg.loss, values[-1], y[idx], profile)
@@ -422,15 +418,14 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
                        final_loss=final_loss, train_accuracy=accuracy)
 
 
-def audit(cfg: TrainConfig, auditor_profile: str, log_path,
-          keep_checkpoints: bool = False) -> RunOutput:
+def audit(cfg: TrainConfig, auditor_profile: str, log_path) -> RunOutput:
     """Replay the run on the named profile, consuming the trainer's log."""
     profile = get_profile(auditor_profile)
     reader = LogReader(log_path)
     if reader.b_r != cfg.b_r:
         raise AuditFailure(f"log b_r {reader.b_r} does not match config b_r {cfg.b_r}")
     try:
-        run, _ = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), keep_checkpoints)
+        run, _ = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), False)
     except LogExhaustedError as e:
         raise AuditFailure("operation-count mismatch") from e
     except TrainingDiverged as e:
@@ -449,23 +444,6 @@ def audit_without_corrections(cfg: TrainConfig, auditor_profile: str,
     except TrainingDiverged as e:
         raise AuditFailure(str(e)) from e
     return run
-
-
-def weight_l2_distance(a, b) -> float:
-    """Euclidean distance between two parameter sets, sequential accumulation."""
-    if len(a) != len(b):
-        raise ValueError("parameter lists differ in length")
-    squares = []
-    for ta, tb in zip(a, b):
-        ta = np.asarray(ta, dtype=np.float64)
-        tb = np.asarray(tb, dtype=np.float64)
-        if ta.shape != tb.shape:
-            raise ValueError(f"parameter shape mismatch: {ta.shape} vs {tb.shape}")
-        squares.append(((ta - tb) ** 2).reshape(-1))
-    if not squares:
-        return 0.0
-    flat = np.concatenate(squares)
-    return float(np.sqrt(reduce_values(flat, SEQUENTIAL)))
 
 
 @dataclass(frozen=True)
@@ -516,7 +494,7 @@ def collect_divergence_samples(layer, b_r: int,
         if not straddle.any():
             continue
         for y, r in ((y1, r1), (y2, r2)):
-            scale = np.maximum(exponent_scale_array(y[straddle]), SCALE_FLOOR)
+            scale = exponent_scale_array(y[straddle])
             samples.extend((np.abs(y[straddle] - r[straddle]) / scale).tolist())
     return samples
 

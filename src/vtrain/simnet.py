@@ -99,9 +99,6 @@ class Rng:
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         return z ^ (z >> 31)
 
-    def next_below(self, n: int) -> int:
-        return self.next_u64() % n
-
     def _fill(self, out: np.ndarray):
         """Write the next ``out.size`` draws into the flat uint64 array ``out``,
         yielding each block once it holds its draws."""
@@ -138,7 +135,7 @@ class Rng:
         return self.floats_into(np.empty(n))
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates; swap i takes ``next_below(i + 1)``, i from n - 1 down."""
+        """In-place Fisher-Yates; swap i takes ``next_u64() % (i + 1)``, i from n - 1 down."""
         n = len(items)
         if n < 2:
             return
@@ -324,11 +321,6 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     if a.shape[-1] == 0:
         return np.zeros(a.shape[:-1])
     return _sum_terms(a.transpose(-1, *range(a.ndim - 1)).copy(), profile)
-
-
-def reduce_values(values, profile: DeviceProfile) -> float:
-    """Scalar reduction of a 1-d sequence."""
-    return float(reduce_last_axis(np.asarray(values, dtype=np.float64), profile))
 
 
 # Below this many elements per term, building all n terms at once and
@@ -593,24 +585,17 @@ def make_dataset(n: int, dim: int, classes: int, rng: Rng) -> tuple[np.ndarray, 
     return X, labels
 
 
-class BatchSchedule:
-    """Consecutive B-slices of a fresh Fisher-Yates permutation per epoch."""
+def batches(n: int, batch_size: int, rng: Rng):
+    """Consecutive ``batch_size`` slices of a fresh Fisher-Yates permutation
+    per epoch, without end; each epoch's shuffle is drawn at its first batch.
 
-    def __init__(self, n: int, batch_size: int, rng: Rng):
-        if batch_size > n:
-            raise ValueError("batch size exceeds dataset size")
-        self.n = n
-        self.batch_size = batch_size
-        self.rng = rng
-        self.steps_per_epoch = n // batch_size
-        self._perm: list[int] = []
-        self._step_in_epoch = 0
-
-    def next_batch(self) -> np.ndarray:
-        if self._step_in_epoch == 0 or self._step_in_epoch >= self.steps_per_epoch:
-            self._perm = list(range(self.n))
-            self.rng.shuffle(self._perm)
-            self._step_in_epoch = 0
-        lo = self._step_in_epoch * self.batch_size
-        self._step_in_epoch += 1
-        return np.asarray(self._perm[lo : lo + self.batch_size])
+    A ``batch_size`` above n raises ValueError at the first draw.
+    """
+    if batch_size > n:
+        raise ValueError("batch size exceeds dataset size")
+    while True:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        perm = np.asarray(perm)
+        for lo in range(0, n - batch_size + 1, batch_size):
+            yield perm[lo : lo + batch_size]

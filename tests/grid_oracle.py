@@ -3,7 +3,8 @@
 Nothing in the package needs them: the protocol runs only ``rnd_array``,
 ``round_and_code`` and ``replay``. They are built from float arithmetic
 and FP32 conversion, not from the kernels' bit split, so they are
-independent checks of it.
+independent checks of it. ``frexp_scale`` is the exponent scale from
+``np.frexp``; floored at 2^-126 it is ``fpround.exponent_scale_array``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,18 @@ def epsilon(b_r: int, exponent_scale: float) -> float:
     return exponent_scale * 2.0 ** (9 - b_r)
 
 
+def frexp_scale(x) -> np.ndarray:
+    """2^E per element, where 1 <= |x| / 2^E < 2, from ``np.frexp``; zero maps
+    to 2^-126. Not floored: an FP64 subnormal keeps its own binade."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(arr).all():
+        raise fp.OutOfRange("non-finite value")
+    _, e = np.frexp(arr)
+    scale = np.ldexp(1.0, e - 1)
+    out = np.where(arr == 0.0, fp.SCALE_FLOOR, scale)
+    return out.reshape(np.shape(x)) if np.shape(x) else out
+
+
 def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
     """Largest grid value <= x and smallest grid value >= x, per element.
 
@@ -27,7 +40,7 @@ def grid_neighbors_array(x, b_r: int) -> tuple[np.ndarray, np.ndarray]:
     the bottom normal binade, as on the FP32-subnormal grid.
     """
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    spacing = epsilon(b_r, np.maximum(fp.exponent_scale_array(arr), fp.SCALE_FLOOR))
+    spacing = epsilon(b_r, np.maximum(frexp_scale(arr), fp.SCALE_FLOOR))
     below = np.floor(arr / spacing) * spacing
     above = np.ceil(arr / spacing) * spacing
     if max(np.abs(below).max(initial=0.0), np.abs(above).max(initial=0.0)) > fp.grid_max(b_r):

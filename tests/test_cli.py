@@ -511,6 +511,20 @@ class TestServeDispute:
         lines = (tmp_path / "tr.jsonl").read_text().strip().splitlines()
         assert all(json.loads(line) for line in lines)
 
+    def test_unwritable_transcript_is_io_error(self, runner, tmp_path):
+        # exit 1 would read as "dispute found"
+        train_tiny(runner, tmp_path)
+        addr, thread = self._serve_in_thread(tmp_path / "tiny.vtmt")
+        result = runner.invoke(main, [
+            "dispute", str(tmp_path / "tiny.vtmt"), "--connect", addr, "--timeout", "5",
+            "--transcript", str(tmp_path / "missing" / "tr.jsonl"),
+        ])
+        thread.join(timeout=5)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1, result.output
+        assert result.output.startswith("i/o error: ")
+
     def test_timeout_flow(self, runner, tmp_path):
         train_tiny(runner, tmp_path)
         listener = socket.socket()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from vtrain import fpround as fp
 
-from grid_oracle import epsilon, grid_neighbors_array, is_on_grid
+from grid_oracle import epsilon, frexp_scale, grid_neighbors_array, is_on_grid
 
 B_VALUES = (10, 26, 29, 32)
 
@@ -117,7 +117,7 @@ class TestRnd:
         xs = rng.normal(size=20000) * np.exp2(rng.integers(-50, 38, size=20000))
         for b in B_VALUES:
             r = fp.rnd_array(xs, b)
-            scale = np.maximum(fp.exponent_scale_array(r), fp.SCALE_FLOOR)
+            scale = fp.exponent_scale_array(r)
             assert np.all(np.abs(r - xs) <= 0.5 * epsilon(b, 1.0) * scale)
 
 
@@ -135,9 +135,30 @@ class TestEpsilonAndScale:
         rng = np.random.default_rng(12)
         xs = rng.normal(size=5000) * np.exp2(rng.integers(-100, 100, size=5000))
         xs = xs[xs != 0]
-        scale = fp.exponent_scale_array(xs)
-        ratio = np.abs(xs) / scale
-        assert np.all((ratio >= 1.0) & (ratio < 2.0))
+        for scale in (fp.exponent_scale_array(xs), frexp_scale(xs)):
+            ratio = np.abs(xs) / scale
+            assert np.all((ratio >= 1.0) & (ratio < 2.0))
+
+    def test_exponent_scale_is_the_floored_frexp_scale(self):
+        floor = fp.SCALE_FLOOR
+        gm = fp.grid_max(32)
+        edges = [0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 12345, 2.0**-1022 * (1 - 2.0**-52),
+                 2.0**-1022, 2.0**-1000, floor, -floor, np.nextafter(floor, 0.0),
+                 np.nextafter(floor, 1.0), -np.nextafter(floor, 0.0), floor * 0.75,
+                 floor / 2, 2.0**-149, gm, -gm, 1.0, -1.5, np.nextafter(2.0, 0.0)]
+        xs = np.array(edges)
+        want = np.maximum(frexp_scale(xs), floor)
+        got = fp.exponent_scale_array(xs)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert fp.exponent_scale_array(floor / 2).tolist() == [floor]
+        assert fp.exponent_scale_array(xs.reshape(3, 7)).shape == (3, 7)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_exponent_scale_rejects_non_finite(self, bad):
+        with pytest.raises(fp.OutOfRange, match="non-finite"):
+            fp.exponent_scale_array([1.0, bad])
+        with pytest.raises(fp.OutOfRange, match="non-finite"):
+            fp.exponent_scale_array(bad)
 
 
 class TestDirection:
@@ -269,7 +290,7 @@ def _sync_check(b_r: int, tau: float, n: int, seed: int) -> None:
     """Perturbations within the guarantee stay replayable to the same point."""
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n) * np.exp2(rng.integers(-30, 30, size=n))
-    scale = np.maximum(fp.exponent_scale_array(x), fp.SCALE_FLOOR)
+    scale = fp.exponent_scale_array(x)
     bound = np.minimum(0.25 * epsilon(b_r, 1.0) * scale, tau * scale)
     x_p = x + rng.uniform(-1.0, 1.0, size=n) * bound
     keep = (
@@ -321,9 +342,9 @@ def test_rev_shape_mismatch_rejected():
 
 
 def oracle_code(x: float, b_r: int, tau: float) -> int:
-    """Direction code from oracle_rnd and the frexp exponent scale."""
+    """Direction code from oracle_rnd and the frexp exponent scale, floored at 2^-126."""
     r = oracle_rnd(x, b_r)
-    scale = max(fp.exponent_scale_array(x)[0], fp.SCALE_FLOOR)
+    scale = max(frexp_scale(x)[0], fp.SCALE_FLOOR)
     if abs(x - r) <= tau * scale:
         return fp.IGNORE
     return fp.UP if x < r else fp.DOWN

@@ -161,24 +161,17 @@ class TestNodeAndPath:
 
 
 class TestFirstDivergence:
-    def test_identical_trees(self):
-        t = merkle.build([leaf(i) for i in range(8)])
-        assert merkle.first_divergence(t, t) is None
+    """``bisect`` over two local trees finds the leftmost differing leaf."""
 
     def test_last_leaf_differs(self):
         a = merkle.build([leaf(i) for i in range(8)])
         b_leaves = [leaf(i) for i in range(7)] + [leaf(99)]
         b = merkle.build(b_leaves)
-        assert merkle.first_divergence(a, b) == 7
-
-    def test_count_mismatch(self):
-        a = merkle.build([leaf(1)])
-        b = merkle.build([leaf(1), leaf(2)])
-        with pytest.raises(ValueError, match="checkpoint schedule mismatch"):
-            merkle.first_divergence(a, b)
+        assert merkle.bisect(a, b.root, lambda level, i: b.levels[level][i]).leaf_index == 7
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(3)
+        checked = 0
         for trial in range(200):
             n = int(rng.integers(1, 40))
             base = [leaf(i) for i in range(n)]
@@ -188,7 +181,12 @@ class TestFirstDivergence:
                 other[int(f)] = leaf(1000 + trial * 100 + int(f))
             a, b = merkle.build(base), merkle.build(other)
             oracle = next((i for i in range(n) if base[i] != other[i]), None)
-            assert merkle.first_divergence(a, b) == oracle
+            assert (a.root == b.root) == (oracle is None)
+            if oracle is not None:
+                got = merkle.bisect(a, b.root, lambda level, i: b.levels[level][i])
+                assert got.leaf_index == oracle
+                checked += 1
+        assert checked > 100
 
     @pytest.mark.parametrize("n", range(1, 65))
     def test_query_bound(self, n):

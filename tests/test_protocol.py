@@ -1,4 +1,4 @@
-"""Trainer/auditor loops, estimator, threshold search, weight distance."""
+"""Trainer/auditor loops, estimator, threshold search."""
 
 import json
 import math
@@ -276,7 +276,9 @@ class TestAudit:
         tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper=flip)
         # first checkpoint at or after the tampered step (ceil(s/k), 0-based)
         want = -(-s // cfg.checkpoint_interval) - 1
-        assert merkle.first_divergence(honest.tree, tampered.tree) == want
+        got = merkle.bisect(honest.tree, tampered.tree.root,
+                            lambda level, i: tampered.tree.levels[level][i])
+        assert got.leaf_index == want
 
 
 class TestChannels:
@@ -421,30 +423,9 @@ class TestNegativeControlMechanics:
         assert out.checkpoints is not None
         assert len(out.checkpoints) == len(out.tree.leaves)
         nr = pr.audit_without_corrections(cfg, "pairwise", keep_checkpoints=True)
-        series = [
-            pr.weight_l2_distance(a, b)
-            for a, b in zip(out.checkpoints, nr.checkpoints)
-        ]
-        assert len(series) == len(out.tree.leaves)
-
-
-class TestWeightL2:
-    def test_zero_distance(self):
-        w = [np.ones((2, 2)), np.zeros(3)]
-        assert pr.weight_l2_distance(w, w) == 0.0
-
-    def test_symmetry(self):
-        rng = np.random.default_rng(0)
-        a = [rng.normal(size=(3, 4))]
-        b = [rng.normal(size=(3, 4))]
-        assert pr.weight_l2_distance(a, b) == pr.weight_l2_distance(b, a)
-
-    def test_single_parameter(self):
-        assert pr.weight_l2_distance([np.array([2.0])], [np.array([-1.5])]) == 3.5
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            pr.weight_l2_distance([np.zeros(2)], [np.zeros(3)])
+        assert len(nr.checkpoints) == len(out.tree.leaves)
+        for a, b in zip(out.checkpoints, nr.checkpoints):
+            assert [t.shape for t in a] == [t.shape for t in b]
 
 
 class TestEstimate:
