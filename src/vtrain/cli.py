@@ -12,15 +12,20 @@ Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
 non-finite, or a value leaves the grid's range) ends ``train`` with exit 2
 and one ``training diverged at step N`` line, and ``audit`` with exit 4.
 A port outside 0-65535, a ``--timeout`` that is not a finite number above
-0 and a ``--sessions`` below 1 are usage errors. A file that cannot be
-written, ``dispute --transcript`` included, is an I/O error.
+0, a ``--sessions`` below 1 and an ``--expect-root`` that is not 64 hex
+digits are usage errors, found before any file is read; so is a config that
+is not UTF-8 JSON or is nested too deep to parse. A config that cannot be
+read, or a file that cannot be written, ``dispute --transcript`` included,
+is an I/O error.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -41,12 +46,23 @@ EXIT_PROTOCOL = 4
 WEIGHTS_MAGIC = b"VTWT"
 
 
-def load_config(path) -> TrainConfig:
+@contextlib.contextmanager
+def _failing(errors, code: int, prefix: str):
+    """Any of ``errors`` raised inside ends the command: one stderr line, exit ``code``."""
     try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as e:
-        raise click.ClickException(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+        yield
+    except errors as e:
+        click.echo(f"{prefix}{e}", err=True)
+        sys.exit(code)
+
+
+def load_config(path) -> TrainConfig:
+    with _failing(OSError, EXIT_IO, "i/o error: "):
+        raw = Path(path).read_bytes()
+    # ValueError covers bad JSON, bad UTF-8 and an integer too long to convert
+    try:
+        doc = json.loads(raw.decode())
+    except (ValueError, RecursionError) as e:
         raise click.UsageError(f"config is not valid JSON: {e}") from e
     try:
         return TrainConfig.from_dict(doc)
@@ -67,23 +83,26 @@ def save_weights(path, tensors) -> None:
 
 
 def load_weights(path) -> list[np.ndarray]:
-    raw = Path(path).read_bytes()
-    if raw[:4] != WEIGHTS_MAGIC or raw[4] != 1:
+    """Tensors of a ``save_weights`` file; ValueError unless the file is exactly one."""
+    raw = memoryview(Path(path).read_bytes())
+    if len(raw) < 9 or raw[:4] != WEIGHTS_MAGIC or raw[4] != 1:
         raise ValueError("not a weights file")
-    count = int.from_bytes(raw[5:9], "little")
-    pos = 9
+    pos = 9  # past magic, version and tensor count
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(raw):
+            raise ValueError("weights file is truncated")
+        pos += n
+        return raw[pos - n : pos]
+
     tensors = []
-    for _ in range(count):
-        ndim = raw[pos]
-        pos += 1
-        shape = []
-        for _ in range(ndim):
-            shape.append(int.from_bytes(raw[pos : pos + 4], "little"))
-            pos += 4
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=n, offset=pos).reshape(shape)
-        pos += 4 * n
-        tensors.append(arr.copy())
+    for _ in range(int.from_bytes(raw[5:9], "little")):
+        shape = [int.from_bytes(take(4), "little") for _ in range(take(1)[0])]
+        data = take(4 * math.prod(shape))
+        tensors.append(np.frombuffer(data, dtype="<f4").reshape(shape).copy())
+    if pos != len(raw):
+        raise ValueError(f"weights file has {len(raw) - pos} bytes after its last tensor")
     return tensors
 
 
@@ -95,6 +114,18 @@ def _artifact_paths(cfg: TrainConfig, out_dir: Path) -> dict[str, Path]:
         "weights": base.with_suffix(".weights"),
         "report": Path(f"{base}.report.json"),
     }
+
+
+def _check_profile(name: str) -> None:
+    try:
+        get_profile(name)
+    except ValueError as e:
+        raise click.UsageError(str(e)) from e
+
+
+def _load_tree(path) -> merkle.MerkleTree:
+    with _failing((OSError, ValueError), EXIT_IO, "cannot load tree: "):
+        return merkle.read_tree(path)
 
 
 @click.group()
@@ -114,13 +145,11 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
     """Run training; write log, checkpoint tree, final weights, and report."""
     cfg = load_config(config_path)
     if profile:
-        try:
-            get_profile(profile)
-        except ValueError as e:
-            raise click.UsageError(str(e)) from e
+        _check_profile(profile)
         cfg = dataclasses.replace(cfg, trainer_profile=profile)
     out = Path(out_dir)
-    try:
+    with (_failing(protocol.TrainingDiverged, EXIT_USAGE, ""),
+          _failing(OSError, EXIT_IO, "i/o error: ")):
         out.mkdir(parents=True, exist_ok=True)
         paths = _artifact_paths(cfg, out)
         start = time.perf_counter()
@@ -154,12 +183,6 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             ],
         }
         paths["report"].write_text(json.dumps(report, indent=2) + "\n")
-    except protocol.TrainingDiverged as e:
-        click.echo(str(e), err=True)
-        sys.exit(EXIT_USAGE)
-    except OSError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
     click.echo(result.root_hex)
 
 
@@ -180,30 +203,26 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
     """
     if log_path is None and not no_corrections:
         raise click.UsageError("Missing option '--log' (required unless --no-corrections).")
+    if not re.fullmatch(r"[0-9a-fA-F]{64}", expect_root):
+        raise click.UsageError(f"--expect-root must be 64 hex digits, got {expect_root!r}")
+    expect_root = expect_root.lower()
     cfg = load_config(config_path)
-    try:
-        get_profile(profile)
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
+    _check_profile(profile)
     start = time.perf_counter()
-    try:
+    with (_failing((protocol.AuditFailure, roundlog.LogFormatError), EXIT_PROTOCOL,
+                   "audit failed: "),
+          _failing(OSError, EXIT_IO, "i/o error: ")):
         if no_corrections:
             result = protocol.audit_without_corrections(cfg, profile)
         else:
             result = protocol.audit(cfg, profile, log_path)
-    except (protocol.AuditFailure, roundlog.LogFormatError) as e:
-        click.echo(f"audit failed: {e}", err=True)
-        sys.exit(EXIT_PROTOCOL)
-    except OSError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
-    match = result.root_hex == expect_root.lower()
+    match = result.root_hex == expect_root
     report = {
         "config": cfg.name,
         "profile": profile,
         "b_r": cfg.b_r,
         "root": result.root_hex,
-        "expected_root": expect_root.lower(),
+        "expected_root": expect_root,
         "match": match,
         "corrections_forward_total": sum(f for f, _ in result.per_step),
         "corrections_backward_total": sum(b for _, b in result.per_step),
@@ -216,13 +235,10 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
         report["log_bytes"] = Path(log_path).stat().st_size
     report["audit_seconds"] = time.perf_counter() - start
     out = Path(out_dir)
-    try:
+    with _failing(OSError, EXIT_IO, "i/o error: "):
         out.mkdir(parents=True, exist_ok=True)
         (out / f"{cfg.name}.audit.json").write_text(json.dumps(report, indent=2) + "\n")
         merkle.write_tree(result.tree, out / f"{cfg.name}.audit.vtmt")
-    except OSError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
     click.echo(result.root_hex)
     if not match:
         click.echo("root mismatch", err=True)
@@ -248,20 +264,13 @@ def cmd_serve(tree_path, listen_addr, sessions):
     Once bound, writes "listening on HOST:PORT" to stderr; from then on
     clients can connect.
     """
-    try:
-        tree = merkle.read_tree(tree_path)
-    except (OSError, ValueError) as e:
-        click.echo(f"cannot load tree: {e}", err=True)
-        sys.exit(EXIT_IO)
     addr = _parse_addr(listen_addr)
-    try:
+    tree = _load_tree(tree_path)
+    with _failing(OSError, EXIT_IO, "socket error: "):
         listener = game.listen(addr)
         host, port = listener.getsockname()
         click.echo(f"listening on {host}:{port}", err=True)
         game.serve(tree, listener, max_sessions=sessions)
-    except OSError as e:
-        click.echo(f"socket error: {e}", err=True)
-        sys.exit(EXIT_IO)
 
 
 @main.command("dispute")
@@ -273,32 +282,19 @@ def cmd_serve(tree_path, listen_addr, sessions):
               type=click.Path(dir_okay=False), help="Write the message log as JSON lines.")
 def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
     """Challenge a served tree with the local one; print the verdict report."""
-    try:
-        tree = merkle.read_tree(tree_path)
-    except (OSError, ValueError) as e:
-        click.echo(f"cannot load tree: {e}", err=True)
-        sys.exit(EXIT_IO)
     addr = _parse_addr(connect_addr)
     if not 0 < timeout < math.inf:
         raise click.UsageError(f"--timeout must be finite and above 0, got {timeout!r}")
-    try:
+    tree = _load_tree(tree_path)
+    with _failing(game.GameProtocolError, EXIT_PROTOCOL, "protocol error: "):
         report = game.challenge(tree, addr, timeout=timeout)
-    except game.GameProtocolError as e:
-        click.echo(f"protocol error: {e}", err=True)
-        sys.exit(EXIT_PROTOCOL)
     if transcript_path:
         lines = [json.dumps(entry, sort_keys=True) for entry in report.transcript]
-        try:
+        with _failing(OSError, EXIT_IO, "i/o error: "):
             Path(transcript_path).write_text("\n".join(lines) + "\n")
-        except OSError as e:
-            click.echo(f"i/o error: {e}", err=True)
-            sys.exit(EXIT_IO)
     click.echo(json.dumps(report.to_json_dict(), indent=2))
-    if report.outcome == game.TRAINING_VERIFIED:
-        sys.exit(EXIT_OK)
-    if report.outcome == game.DISPUTE_AT_LEAF:
-        sys.exit(EXIT_DISPUTE)
-    sys.exit(EXIT_PROTOCOL)
+    codes = {game.TRAINING_VERIFIED: EXIT_OK, game.DISPUTE_AT_LEAF: EXIT_DISPUTE}
+    sys.exit(codes.get(report.outcome, EXIT_PROTOCOL))
 
 
 @main.command("threshold")
@@ -336,14 +332,9 @@ def cmd_threshold(layer_kind, shape, b_r, profiles, b_tr, samples, seed):
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_inspect_log(log_path):
     """Print a rounding log's header fields and direction histogram."""
-    try:
+    with (_failing(roundlog.LogFormatError, EXIT_PROTOCOL, "bad log: "),
+          _failing(OSError, EXIT_IO, "i/o error: ")):
         reader = roundlog.LogReader(log_path)
-    except roundlog.LogFormatError as e:
-        click.echo(f"bad log: {e}", err=True)
-        sys.exit(EXIT_PROTOCOL)
-    except OSError as e:
-        click.echo(f"i/o error: {e}", err=True)
-        sys.exit(EXIT_IO)
     hist = reader.histogram()
     click.echo(f"b_r: {reader.b_r}")
     click.echo(f"flags: {reader.flags:#04x}")

@@ -143,12 +143,21 @@ class LogReader:
             self.entry_count = int.from_bytes(header[7:15], "little")
             payload = f.read()
         if self.flags & FLAG_DEFLATE:
+            inflater = zlib.decompressobj()
             try:
-                payload = zlib.decompress(payload)
+                payload = inflater.decompress(payload)
             except zlib.error as e:
                 raise LogFormatError(f"corrupt compressed payload: {e}") from e
-        if len(payload) < (self.entry_count + 4) // 5:
+            if not inflater.eof:
+                raise LogFormatError("corrupt compressed payload: incomplete or truncated stream")
+            if inflater.unused_data:
+                raise LogFormatError(f"{len(inflater.unused_data)} bytes after the "
+                                     "compressed payload")
+        extra = len(payload) - payload_bytes_for(self.entry_count)
+        if extra < 0:
             raise LogFormatError("truncated rounding log")
+        if extra > 0:
+            raise LogFormatError(f"{extra} bytes after the rounding log's payload")
         self._digits = _unpack_block(payload)
         self._pos = 0
 

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestAudit:
         ])
         assert result.exit_code == 4
 
+    @pytest.mark.parametrize("root", ["not-a-root", "00" * 31, "0g" * 32],
+                             ids=["not-hex", "62-digits", "g-digit"])
+    def test_malformed_root_is_usage_error(self, runner, tmp_path, root):
+        # exit 1 after a whole replay would read as "dispute found"
+        train_tiny(runner, tmp_path)
+        result = runner.invoke(main, [
+            "audit", TINY, "--profile", "sequential",
+            "--log", str(tmp_path / "tiny.vtrl"), "--expect-root", root, "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "--expect-root must be 64 hex digits" in result.output
+        assert not (tmp_path / "tiny.audit.json").exists()
+
 
 class TestNegativeControl:
     """``--no-corrections`` replays with plain rounding and reads no log."""
@@ -169,6 +184,30 @@ class TestDamagedCompressedLog:
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
         assert len([l for l in result.output.splitlines() if l.startswith(prefix)]) == 1
+
+
+class TestLogTrailingBytes:
+    @pytest.mark.parametrize("command", ["audit", "inspect-log"])
+    @pytest.mark.parametrize("compress", [[], ["--compress-log"]], ids=["plain", "deflate"])
+    def test_is_protocol_error(self, runner, tmp_path, compress, command):
+        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)] + compress)
+        assert result.exit_code == 0, result.output
+        root = result.output.split()[-1]
+        log = tmp_path / "tiny.vtrl"
+        log.write_bytes(log.read_bytes() + bytes(3))
+        if command == "audit":
+            args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
+                    "--expect-root", root, "--out", str(tmp_path)]
+            prefix = "audit failed:"
+        else:
+            args = ["inspect-log", str(log)]
+            prefix = "bad log:"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"{prefix} 3 bytes after the "
+                                              + ("compressed payload" if compress
+                                                 else "rounding log's payload")]
 
 
 def _tiny_with(edit):
@@ -277,6 +316,32 @@ class TestBadConfig:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert len([l for l in result.output.splitlines() if "bad config" in l]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    @pytest.mark.parametrize("raw", [b'{"name": "\xff"}', b"[" * 200_000, b"1" * 5000],
+                             ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+    def test_unparsable_is_usage_error(self, runner, tmp_path, raw, command):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        args = [command, str(path)] + (["--out", str(tmp_path)] if command == "train" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len([l for l in result.output.splitlines()
+                    if "config is not valid JSON" in l]) == 1
+
+    @pytest.mark.parametrize("command", ["train", "estimate"])
+    def test_unreadable_is_io_error(self, runner, tmp_path, monkeypatch, command):
+        # exit 1 would read as "dispute found"; a mode bit does not stop root
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_bytes", denied)
+        args = [command, TINY] + (["--out", str(tmp_path)] if command == "train" else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"i/o error: [Errno 13] Permission denied: {TINY!r}"]
 
 
 class TestDivergedRun:
@@ -463,6 +528,17 @@ class TestBadArguments:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("args", [
+        ["serve", "--listen", "127.0.0.1:99999"],
+        ["dispute", "--connect", "127.0.0.1:99999"],
+        ["dispute", "--connect", "127.0.0.1:9", "--timeout", "nan"],
+    ], ids=["serve-port", "dispute-port", "timeout-nan"])
+    def test_checked_before_the_tree_is_read(self, runner, tmp_path, args):
+        zero_leaf_tree(tmp_path / "t.vtmt")
+        result = runner.invoke(main, args[:1] + [str(tmp_path / "t.vtmt")] + args[1:])
+        assert result.exit_code == 2, result.output
+        assert "cannot load tree" not in result.output
 
 
 class TestServeDispute:
@@ -722,6 +798,23 @@ class TestWeightsFile:
         (tmp_path / "bad.weights").write_bytes(b"XXXX\x01")
         with pytest.raises(ValueError):
             cli.load_weights(tmp_path / "bad.weights")
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "w.weights"
+        cli.save_weights(path, [np.ones((2, 3), np.float32)])
+        path.write_bytes(path.read_bytes() + b"\0\0")
+        with pytest.raises(ValueError, match="2 bytes after its last tensor"):
+            cli.load_weights(path)
+
+    def test_every_cut_is_refused(self, tmp_path):
+        path = tmp_path / "w.weights"
+        cli.save_weights(path, [np.arange(6, dtype=np.float32).reshape(2, 3)])
+        whole = path.read_bytes()
+        for cut in range(len(whole)):
+            path.write_bytes(whole[:cut])
+            # the 9-byte header is magic, version and tensor count
+            with pytest.raises(ValueError, match="truncated" if cut >= 9 else "not a weights"):
+                cli.load_weights(path)
 
 
 class TestKeepCheckpoints:

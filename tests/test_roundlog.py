@@ -220,3 +220,13 @@ def test_truncated_payload_rejected(tmp_path):
     path.write_bytes(raw[:-3])
     with pytest.raises(rl.LogFormatError, match="truncated"):
         rl.LogReader(path)
+
+
+@pytest.mark.parametrize("compress", [False, True], ids=["plain", "deflate"])
+def test_bytes_after_payload_rejected(tmp_path, compress):
+    path = tmp_path / "extra.vtrl"
+    with rl.LogWriter(path, 32, compress=compress) as w:
+        w.write_array(np.ones(7, dtype=np.uint8))
+    path.write_bytes(path.read_bytes() + bytes(3))
+    with pytest.raises(rl.LogFormatError, match="3 bytes after"):
+        rl.LogReader(path)
