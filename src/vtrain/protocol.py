@@ -62,6 +62,7 @@ from .fpround import (
 from .fpround import direction_array, rev_array  # noqa: F401
 from .roundlog import LogExhaustedError, LogReader, LogWriter
 from .simnet import (
+    _ELEMENT_BUDGET,
     DeviceProfile,
     Rng,
     batches,
@@ -372,16 +373,19 @@ def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[fl
     """Loss and accuracy of per-layer parameters over a dataset, rounded as
     the negative control rounds.
 
-    The network runs ``batch_size`` rows at a time, so memory does not grow
-    with the dataset; each output row depends only on its own input row.
-    The loss runs once, over all the outputs, so its sum keeps its order.
+    The network runs a chunk of rows at a time, so memory does not grow
+    with the dataset: ``batch_size`` rows, or more while the widest dense
+    layer's product tensor stays within ``simnet``'s element budget. Each
+    output row depends only on its own input row, and the loss runs once,
+    over all the outputs, so its sum keeps its order.
     """
     profile = replace(profile, b_tr=cfg.b_tr)
     process, taus = _PlainChannel(cfg.b_r).process, _slot_taus(cfg)
+    widest = max([p.size for ps in params for p in ps], default=1)
+    rows = max(cfg.batch_size, _ELEMENT_BUDGET // widest)
     outputs = []
-    for lo in range(0, len(X), cfg.batch_size):
-        values, _ = _forward(cfg.layers, params, X[lo : lo + cfg.batch_size], profile, process,
-                             taus)
+    for lo in range(0, len(X), rows):
+        values, _ = _forward(cfg.layers, params, X[lo : lo + rows], profile, process, taus)
         outputs.append(values[-1])
     out = np.concatenate(outputs)
     loss, _ = _loss_forward(cfg.loss, out, y, profile)

@@ -142,18 +142,24 @@ class LogReader:
             self.flags = header[6]
             self.entry_count = int.from_bytes(header[7:15], "little")
             payload = f.read()
+        expected = payload_bytes_for(self.entry_count)
         if self.flags & FLAG_DEFLATE:
             inflater = zlib.decompressobj()
             try:
-                payload = inflater.decompress(payload)
+                # one byte past the header's claim shows a longer stream, so
+                # memory follows the header, not what the stream inflates to
+                payload = inflater.decompress(payload, expected + 1)
             except zlib.error as e:
                 raise LogFormatError(f"corrupt compressed payload: {e}") from e
+            if len(payload) > expected:
+                raise LogFormatError("bytes after the rounding log's payload: the compressed "
+                                     f"payload inflates past {expected} bytes")
             if not inflater.eof:
                 raise LogFormatError("corrupt compressed payload: incomplete or truncated stream")
             if inflater.unused_data:
                 raise LogFormatError(f"{len(inflater.unused_data)} bytes after the "
                                      "compressed payload")
-        extra = len(payload) - payload_bytes_for(self.entry_count)
+        extra = len(payload) - expected
         if extra < 0:
             raise LogFormatError("truncated rounding log")
         if extra > 0:

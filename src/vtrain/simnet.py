@@ -32,23 +32,22 @@ input gradient.
 Every profile-ordered sum of n terms runs the profile's ``add_schedule``,
 built once per (strategy, chunk size, n): the adds of the association
 order, grouped into levels of independent adds, each level a few strided
-runs of slots. ``reduce_last_axis`` copies its terms to the front axis and
-runs one whole-array add per run, so a ``pairwise`` sum of 256 terms is 8
-adds, not 255 adds and 256 leaf folds. At ``b_tr = 64`` no partial sum is
-rounded, so the chain-shaped orders (``sequential``, ``reversed``,
-``chunked``) are running sums instead (``np.add.accumulate``, a strict
-left-to-right recurrence): one inside every chunk at once, one over the
-chunk sums, and one add for a partial last chunk. ``sequential`` is the
-case of one chunk of n terms, so a ``chunked7`` sum of 64 terms is four
-calls, not 15 adds.
+runs of slots, run as one whole-array add per run (a ``pairwise`` sum of
+256 terms is 8 adds). At ``b_tr = 64`` no partial sum is rounded, so the
+chain-shaped orders (``sequential``, ``reversed``, ``chunked``) are chain
+sums instead: one inside every chunk at once, one over the chunk sums,
+and one add for a partial last chunk. Over two or more lanes each is one
+``np.add.reduce`` off the fast axis (numpy's one-add-at-a-time summation,
+at memory speed); on one lane it is a running sum.
 
 A dense layer's sums (output, input gradient, weight gradient) are each a
-sum of outer products, one per term of the reduced axis. Terms under 512
-elements are built at once and summed a level at a time. Larger terms are
-formed one at a time, in the order of the schedule's depth-first ``walk``,
-into a few reused buffers, so the (batch, out, in) product tensor is never
-built. Both ways perform the same IEEE products and the same adds, so
-results, logs and roots are bit-identical either way.
+sum of outer products, one per term of the reduced axis, built with the
+longer side innermost. A sum whose whole product tensor fits
+``_ELEMENT_BUDGET`` elements is built at once and summed as above. A bigger
+one is formed a term at a time, in the order of the schedule's
+depth-first ``walk``, into a few reused buffers, so its product tensor is
+never built. Both ways perform the same IEEE products and the same adds,
+so results, logs and roots are bit-identical either way.
 
 Randomness is SplitMix64, specified by constants and identical on every
 platform, so two parties given the same seed draw the same datasets,
@@ -280,15 +279,16 @@ def add_schedule(strategy: str, chunk_size: int | None, n: int) -> AddSchedule:
 
 
 def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
-    """Sum over the first axis in the profile's order.
+    """Sum over the first axis of C-contiguous terms in the profile's order.
 
     ``t`` may be overwritten: the caller hands over an array no one else
-    holds. At ``b_tr = 64`` no partial sum is rounded, so a chain-shaped
-    order is running sums (``np.add.accumulate``, a strict one-add-at-a-time
-    recurrence): inside each chunk, then over the chunk sums, then the
-    partial last chunk's sum. ``sequential`` is one chunk of all n terms,
-    ``reversed`` the same over the terms reversed. ``pairwise``, and every
-    order below 64, run the ``add_schedule``, one whole-array add per run.
+    holds. At ``b_tr = 64`` a chain-shaped order is chain sums (inside every
+    chunk, over the chunk sums, plus a partial last chunk). Over lanes each
+    is ``np.add.reduce`` from ``-0.0``, IEEE's exact additive identity
+    (numpy's own is +0.0), which adds in index order: numpy's reductions
+    never negate a stride, so ``reversed`` reduces a reversed view. On one
+    lane, where numpy would sum pairwise, they are running sums. Every other
+    order runs the ``add_schedule``.
     """
     n = t.shape[0]
     if profile.b_tr == 64 and profile.strategy != "pairwise":
@@ -297,6 +297,11 @@ def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
         c = min(profile.chunk_size or n, n)
         whole = n - n % c
         chunks = t[:whole].reshape(whole // c, c, *t.shape[1:])
+        if t[0].size > 1:
+            sums = np.add.reduce(chunks, axis=1, initial=-0.0)
+            total = np.add.reduce(sums, axis=0, initial=-0.0)
+            total += np.add.reduce(t[whole:], axis=0, initial=-0.0)  # -0.0 if none
+            return total
         total = np.add.accumulate(np.add.accumulate(chunks, axis=1)[:, -1], axis=0)[-1, ...]
         if whole < n:
             np.add(total, np.add.accumulate(t[whole:], axis=0)[-1, ...], out=total)
@@ -323,9 +328,9 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     return _sum_terms(a.transpose(-1, *range(a.ndim - 1)).copy(), profile)
 
 
-# Below this many elements per term, building all n terms at once and
-# summing them a level at a time beats a Python loop over the terms.
-_MIN_FOLD_TERM = 512
+# A dense sum whose (n, p, q) product tensor has at most this many elements
+# (512 KiB) is built at once; a bigger one is formed a term at a time.
+_ELEMENT_BUDGET = 1 << 16
 
 
 def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarray:
@@ -333,15 +338,19 @@ def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarr
 
     Each element is the same IEEE product and the same sequence of adds as
     reducing the materialised (n, p, q) product tensor over its first axis.
-    Large terms are formed one at a time, in the order of the schedule's
-    walk, into a few reused buffers, so that tensor is never built.
+    For p > q it sums B[k] x A[k] and transposes (products commute exactly),
+    so each term's longer side is innermost. Above ``_ELEMENT_BUDGET`` terms
+    are formed one at a time, in the order of the schedule's walk, into a
+    few reused buffers, so that tensor is never built.
     """
     n, p, q = A.shape[0], A.shape[1], B.shape[1]
     if n == 0:
         return np.zeros((p, q))
-    if p * q < _MIN_FOLD_TERM:
-        return _sum_terms(A[:, :, None] * B[:, None, :], profile)
+    if p > q:
+        return np.ascontiguousarray(_outer_sum(B, A, profile).T)
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
+    if n * p * q <= _ELEMENT_BUDGET:
+        return _sum_terms(A[:, :, None] * B[:, None, :], profile)
     sched = add_schedule(profile.strategy, profile.chunk_size, n)
     slots: dict[int, np.ndarray] = {}
     free: list[np.ndarray] = []

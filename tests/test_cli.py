@@ -9,13 +9,14 @@ import subprocess
 import sys
 import threading
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vtrain import cli, game, merkle, protocol, simnet
+from vtrain import cli, game, merkle, protocol, roundlog, simnet
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -208,6 +209,24 @@ class TestLogTrailingBytes:
         assert result.output.splitlines() == [f"{prefix} 3 bytes after the "
                                               + ("compressed payload" if compress
                                                  else "rounding log's payload")]
+
+    @pytest.mark.parametrize("command", ["audit", "inspect-log"])
+    def test_inflating_past_the_header_is_protocol_error(self, runner, tmp_path, command):
+        # a header claiming 7 entries over a stream that inflates to 8 MiB
+        log = tmp_path / "tiny.vtrl"
+        header = (roundlog.MAGIC + bytes([roundlog.VERSION, 32, roundlog.FLAG_DEFLATE])
+                  + (7).to_bytes(8, "little"))
+        log.write_bytes(header + zlib.compress(bytes(8 << 20), 9))
+        if command == "audit":
+            args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
+                    "--expect-root", "0" * 64, "--out", str(tmp_path)]
+            prefix = "audit failed:"
+        else:
+            args = ["inspect-log", str(log)]
+            prefix = "bad log:"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.output.startswith(f"{prefix} bytes after the rounding log's payload")
 
 
 def _tiny_with(edit):

@@ -203,6 +203,24 @@ class TestEvaluate:
         loss, _ = pr.evaluate(cfg, params, get_profile("chunked7"), X, y)
         assert loss.hex() == want.hex()
 
+    @pytest.mark.parametrize("name, rows", [("logreg", 1024), ("trend", 32)])
+    def test_rows_per_chunk(self, shipped_config, monkeypatch, name, rows):
+        # batch_size rows, or more while the widest dense layer's product
+        # tensor fits simnet's element budget: 2^16 // (64 x 1) for logreg,
+        # where trend's 32 x 256 allows fewer than its batch of 32
+        cfg = shipped_config(name)
+        params, X, y = self._initial(cfg)
+        seen = []
+
+        def forward(layers, params, x, *rest):
+            seen.append(len(x))
+            return forward_(layers, params, x, *rest)
+
+        forward_ = pr._forward
+        monkeypatch.setattr(pr, "_forward", forward)
+        pr.evaluate(cfg, params, get_profile("sequential"), X, y)
+        assert seen == [rows] * (len(X) // rows)
+
     def test_memory_does_not_grow_with_the_dataset(self, shipped_config):
         cfg = shipped_config("trend")
         params, X, y = self._initial(cfg)

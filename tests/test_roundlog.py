@@ -1,5 +1,6 @@
 """Packed ternary log: codec, streaming, size law, compression."""
 
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -229,4 +230,43 @@ def test_bytes_after_payload_rejected(tmp_path, compress):
         w.write_array(np.ones(7, dtype=np.uint8))
     path.write_bytes(path.read_bytes() + bytes(3))
     with pytest.raises(rl.LogFormatError, match="3 bytes after"):
+        rl.LogReader(path)
+
+
+def _deflate_log(path, entry_count: int, payload: bytes) -> None:
+    """A DEFLATE log whose header claims ``entry_count`` over ``payload``."""
+    header = rl.MAGIC + bytes([rl.VERSION, 32, rl.FLAG_DEFLATE]) + entry_count.to_bytes(8, "little")
+    path.write_bytes(header + zlib.compress(payload, 9))
+
+
+def test_inflation_bounded_by_the_header(tmp_path):
+    """A stream that inflates far past the header's claim is refused while
+    memory still follows the claim, not the inflated size."""
+    path = tmp_path / "bomb.vtrl"
+    inflated = 32 << 20
+    _deflate_log(path, 7, bytes(inflated))
+    assert path.stat().st_size < inflated // 500
+    tracemalloc.start()
+    try:
+        with pytest.raises(rl.LogFormatError, match="bytes after the rounding log's payload"):
+            rl.LogReader(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < inflated // 64, f"peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("extra", [1, 2])
+def test_inflation_past_the_payload_by_a_few_bytes(tmp_path, extra):
+    path = tmp_path / "long.vtrl"
+    _deflate_log(path, 10, bytes(2 + extra))
+    with pytest.raises(rl.LogFormatError, match="bytes after the rounding log's payload"):
+        rl.LogReader(path)
+
+
+def test_largest_entry_count_on_deflate_is_truncated(tmp_path):
+    # the inflate limit, payload_bytes_for(2^64 - 1) + 1, still fits a C ssize_t
+    path = tmp_path / "huge.vtrl"
+    _deflate_log(path, 2**64 - 1, bytes(5))
+    with pytest.raises(rl.LogFormatError, match="truncated"):
         rl.LogReader(path)

@@ -320,16 +320,21 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
     return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-# (batch, in, out). Terms of 512 or more elements are folded one at a time,
-# smaller ones materialised: forward terms are batch x out, input-gradient
-# terms batch x in, weight-gradient terms in x out.
+# (batch, in, out). Forward terms are batch x out, input-gradient terms
+# batch x in, weight-gradient terms in x out. A sum whose terms have more
+# rows than columns is swapped (summed transposed, longer side innermost).
+# A sum whose product tensor (terms x term elements) is within
+# simnet._ELEMENT_BUDGET (2^16) is built at once, a bigger one folded a
+# term at a time.
 DENSE_SHAPES = [
-    (3, 5, 7),  # every sum materialised
-    (24, 9, 32),  # forward folded (768), both gradients materialised
-    (32, 33, 16),  # all three folded, forward at exactly 512, odd n = 33
+    (3, 5, 7),  # every sum built at once, none swapped
+    (24, 9, 32),  # input gradient swapped
+    (32, 33, 16),  # forward and weight gradient swapped, odd n = 33
     (600, 1, 1),  # n = 1 for forward and grad_x, width-1 output
-    (640, 5, 1),  # width-1 output folded, chunk of 7 longer than n = 5
-    (1, 700, 3),  # single-sample batch, grad_W folded over n = 1
+    (640, 5, 1),  # width-1 output, chunk of 7 longer than n = 5
+    (1, 700, 3),  # single-sample batch, grad_W over n = 1
+    (64, 16, 64),  # all three product tensors exactly the budget
+    (65537, 1, 1),  # all three one past it (65537 is prime): folded
 ]
 
 
@@ -691,20 +696,23 @@ class TestAddSchedule:
 
     @pytest.mark.parametrize("b_tr", (64, 50))
     @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
-    def test_dense_matches_reference(self, profile, b_tr):
-        # forward terms of 2 x 3 elements are summed a level at a time, of
-        # 8 x 64 one term at a time
-        rng = np.random.default_rng(41)
+    def test_dense_matches_reference(self, profile, b_tr, monkeypatch):
+        # under the shipped element budget every sum here is built at once
+        # and summed a level at a time; under a budget of 0, one term at a time
         p = replace(profile, b_tr=b_tr)
-        for n in range(1, 71):
-            for batch, n_out in ((2, 3), (8, 64)):
-                x = rng.normal(size=(batch, n)) * np.exp2(rng.integers(-20, 20, size=(batch, n)))
-                W = rng.normal(size=(n, n_out))
-                want = fold_reference(x[:, None, :] * W.T[None, :, :], p)
-                assert same_bits(sn.dense_forward(x, W, np.zeros(n_out), p), want + 0.0), n
-                g = rng.normal(size=(batch, n))
-                want = fold_reference(g[:, None, :] * W.T[None, :, :], p)
-                assert same_bits(sn.dense_input_grad(g, W.T, p), want), n
+        for budget in (sn._ELEMENT_BUDGET, 0):
+            monkeypatch.setattr(sn, "_ELEMENT_BUDGET", budget)
+            rng = np.random.default_rng(41)
+            for n in range(1, 71):
+                for batch, n_out in ((2, 3), (8, 64)):
+                    scale = np.exp2(rng.integers(-20, 20, size=(batch, n)))
+                    x = rng.normal(size=(batch, n)) * scale
+                    W = rng.normal(size=(n, n_out))
+                    want = fold_reference(x[:, None, :] * W.T[None, :, :], p)
+                    assert same_bits(sn.dense_forward(x, W, np.zeros(n_out), p), want + 0.0), n
+                    g = rng.normal(size=(batch, n))
+                    want = fold_reference(g[:, None, :] * W.T[None, :, :], p)
+                    assert same_bits(sn.dense_input_grad(g, W.T, p), want), n
 
     def test_level_counts(self):
         for n in range(1, 300):
@@ -735,10 +743,12 @@ def _chain_cases():
 
 
 class TestRunningSums:
-    """At b_tr = 64 every chain-shaped order is running sums, one chunk of n
-    terms when unchunked; each must be the add-by-add fold, bit for bit."""
+    """At b_tr = 64 every chain-shaped order is chain sums, one chunk of n
+    terms when unchunked: ``np.add.reduce`` on two or more lanes, running
+    sums on one. Each must be the add-by-add fold, bit for bit, as must the
+    schedule that runs at b_tr = 50."""
 
-    @pytest.mark.parametrize("inner", [(), (5,), (4, 3)], ids=str)
+    @pytest.mark.parametrize("inner", [(), (1,), (2,), (3,), (5,), (4, 3), (512,)], ids=str)
     @pytest.mark.parametrize("c, n", list(_chain_cases()))
     def test_matches_add_by_add_fold(self, c, n, inner):
         rng = np.random.default_rng(1000 * c + n)
@@ -746,11 +756,12 @@ class TestRunningSums:
         t = rng.normal(size=shape) * np.exp2(rng.integers(-30, 30, size=shape))
         t[rng.random(size=shape) < 0.2] = 0.0
         t[rng.random(size=shape) < 0.2] = -0.0
-        for p in (SEQ, REV, sn.get_profile(f"chunked:{c}")):
-            for terms in (t, np.full(shape, -0.0), np.where(t > 0, 0.0, -0.0)):
-                got = sn._sum_terms(terms.copy(), p)
-                want = fold_reference(np.moveaxis(terms, 0, -1), p)
-                assert same_bits(np.asarray(got), want), (p.name, n)
+        for profile in (SEQ, REV, sn.get_profile(f"chunked:{c}")):
+            for p in (profile, replace(profile, b_tr=50)):
+                for terms in (t, np.full(shape, -0.0), np.where(t > 0, 0.0, -0.0)):
+                    got = sn._sum_terms(terms.copy(), p)
+                    want = fold_reference(np.moveaxis(terms, 0, -1), p)
+                    assert same_bits(np.asarray(got), want), (p.name, p.b_tr, n)
 
 
 def test_kernels_leave_their_inputs_alone():
