@@ -247,7 +247,7 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
 
 def _parse_addr(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit() or int(port) > 65535:
+    if not host or not re.fullmatch("[0-9]{1,5}", port) or int(port) > 65535:
         raise click.UsageError(f"address must be HOST:PORT with a port in 0-65535, got {text!r}")
     return host, int(port)
 

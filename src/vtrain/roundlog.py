@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fpround import IGNORE
+from .fpround import IGNORE, MAX_B, MIN_B
 
 MAGIC = b"VTRL"
 VERSION = 2
@@ -139,7 +139,11 @@ class LogReader:
             if header[4] != VERSION:
                 raise LogFormatError(f"unsupported log version {header[4]}")
             self.b_r = header[5]
+            if not MIN_B <= self.b_r <= MAX_B:
+                raise LogFormatError(f"log b_r {self.b_r} outside [{MIN_B}, {MAX_B}]")
             self.flags = header[6]
+            if self.flags & ~FLAG_DEFLATE:
+                raise LogFormatError(f"unknown log flags 0x{self.flags:02x}")
             self.entry_count = int.from_bytes(header[7:15], "little")
             payload = f.read()
         expected = payload_bytes_for(self.entry_count)

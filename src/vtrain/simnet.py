@@ -42,12 +42,12 @@ at memory speed); on one lane it is a running sum.
 
 A dense layer's sums (output, input gradient, weight gradient) are each a
 sum of outer products, one per term of the reduced axis, built with the
-longer side innermost. A sum whose whole product tensor fits
-``_ELEMENT_BUDGET`` elements is built at once and summed as above. A bigger
-one is formed a term at a time, in the order of the schedule's
-depth-first ``walk``, into a few reused buffers, so its product tensor is
-never built. Both ways perform the same IEEE products and the same adds,
-so results, logs and roots are bit-identical either way.
+longer side innermost. Each is built and summed, as above, in blocks of
+rows: as many rows as keep a block's products within ``_ELEMENT_BUDGET``
+elements, and at least one, so a large sum's whole product tensor is
+never built. Every output element gets the same IEEE products and the
+same adds whatever the block size, so results, logs and roots do not
+depend on it.
 
 Randomness is SplitMix64, specified by constants and identical on every
 platform, so two parties given the same seed draw the same datasets,
@@ -202,14 +202,11 @@ class AddSchedule:
     the sum ends in slot ``out``. ``levels`` groups the adds into levels of
     independent adds, each level a tuple of strided runs ``(dst, src,
     count, stride)``: the adds ``(dst + i * stride, src + i * stride)`` for
-    ``i < count``. ``walk`` lists the same adds as ``(dst, src)`` pairs,
-    depth first, so that a term-at-a-time executor holds only a few partial
-    sums at once. Any order of the adds that respects the levels gives the
+    ``i < count``. Any order of the adds that respects the levels gives the
     same bits, since IEEE addition is commutative.
     """
 
     levels: tuple
-    walk: tuple
     out: int
 
 
@@ -262,20 +259,7 @@ def add_schedule(strategy: str, chunk_size: int | None, n: int) -> AddSchedule:
         c = chunk_size
         levels = [[(j, j + i) for j in range(0, n - i, c)] for i in range(1, min(c, n))]
         levels += [[(0, j)] for j in range(c, n, c)]
-
-    into: dict[int, list[int]] = {}
-    for pairs in levels:
-        for dst, src in pairs:
-            into.setdefault(dst, []).append(src)
-    walk: list[tuple[int, int]] = []
-
-    def visit(slot: int) -> None:
-        for src in into.get(slot, ()):
-            visit(src)
-            walk.append((slot, src))
-
-    visit(out)
-    return AddSchedule(tuple(_runs(pairs) for pairs in levels), tuple(walk), out)
+    return AddSchedule(tuple(_runs(pairs) for pairs in levels), out)
 
 
 def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
@@ -288,9 +272,11 @@ def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     (numpy's own is +0.0), which adds in index order: numpy's reductions
     never negate a stride, so ``reversed`` reduces a reversed view. On one
     lane, where numpy would sum pairwise, they are running sums. Every other
-    order runs the ``add_schedule``.
+    order runs the ``add_schedule``. An empty sum is +0.0.
     """
     n = t.shape[0]
+    if n == 0:
+        return np.zeros(t.shape[1:])
     if profile.b_tr == 64 and profile.strategy != "pairwise":
         if profile.strategy == "reversed":
             t = t[::-1]
@@ -323,14 +309,13 @@ def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     width. The input is not modified.
     """
     a = np.asarray(a, dtype=np.float64)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
     return _sum_terms(a.transpose(-1, *range(a.ndim - 1)).copy(), profile)
 
 
-# A dense sum whose (n, p, q) product tensor has at most this many elements
-# (512 KiB) is built at once; a bigger one is formed a term at a time.
-_ELEMENT_BUDGET = 1 << 16
+# Products per block of a dense sum (1 MiB), unless one row of terms holds
+# more. Each block runs the sum's schedule again, so smaller blocks pay its
+# strided level adds more often.
+_ELEMENT_BUDGET = 1 << 17
 
 
 def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarray:
@@ -339,31 +324,22 @@ def _outer_sum(A: np.ndarray, B: np.ndarray, profile: DeviceProfile) -> np.ndarr
     Each element is the same IEEE product and the same sequence of adds as
     reducing the materialised (n, p, q) product tensor over its first axis.
     For p > q it sums B[k] x A[k] and transposes (products commute exactly),
-    so each term's longer side is innermost. Above ``_ELEMENT_BUDGET`` terms
-    are formed one at a time, in the order of the schedule's walk, into a
-    few reused buffers, so that tensor is never built.
+    so each term's longer side is innermost. The products are built and
+    summed a block of rows of p at a time, as many as fit
+    ``_ELEMENT_BUDGET`` (at least one), so a block holds at most
+    max(``_ELEMENT_BUDGET``, n * q) products.
     """
     n, p, q = A.shape[0], A.shape[1], B.shape[1]
-    if n == 0:
-        return np.zeros((p, q))
     if p > q:
         return np.ascontiguousarray(_outer_sum(B, A, profile).T)
     A, B = np.ascontiguousarray(A), np.ascontiguousarray(B)
     if n * p * q <= _ELEMENT_BUDGET:
         return _sum_terms(A[:, :, None] * B[:, None, :], profile)
-    sched = add_schedule(profile.strategy, profile.chunk_size, n)
-    slots: dict[int, np.ndarray] = {}
-    free: list[np.ndarray] = []
-
-    def term(k: int) -> np.ndarray:
-        if k not in slots:
-            slots[k] = np.multiply.outer(A[k], B[k], out=free.pop() if free else None)
-        return slots[k]
-
-    for dst, src in sched.walk:
-        _add(term(dst), term(src), profile.b_tr)
-        free.append(slots.pop(src))
-    return term(sched.out)
+    rows = max(1, _ELEMENT_BUDGET // (n * q))
+    out = np.empty((p, q))
+    for lo in range(0, p, rows):
+        out[lo : lo + rows] = _sum_terms(A[:, lo : lo + rows, None] * B[:, None, :], profile)
+    return out
 
 
 def dense_forward(x: np.ndarray, W: np.ndarray, b: np.ndarray, profile: DeviceProfile) -> np.ndarray:
@@ -393,7 +369,8 @@ def dense_param_grads(grad_out: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, 
     if grad_out.shape[0] != x.shape[0]:
         raise ValueError(f"dense backward shape mismatch: g{grad_out.shape} x{x.shape}")
     grad_W = _outer_sum(x, grad_out, SEQUENTIAL)
-    grad_b = reduce_last_axis(np.ascontiguousarray(grad_out.T), SEQUENTIAL)
+    # exact sequential sums only read their terms, so grad_out is not copied
+    grad_b = _sum_terms(np.ascontiguousarray(grad_out, dtype=np.float64), SEQUENTIAL)
     return grad_W, grad_b
 
 

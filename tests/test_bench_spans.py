@@ -34,7 +34,7 @@ def test_dense_stage_calls_the_wrapped_kernel():
     # so a Dense layer that bypasses them would zero the per-layer metrics
     spans = load_spans()
     rng = np.random.default_rng(0)
-    for batch, n_in, n_out in ((4, 3, 5), (32, 32, 64)):  # both sides of the fold size rule
+    for batch, n_in, n_out in ((4, 3, 5), (32, 32, 256)):  # within and past the element budget
         layer = simnet.Dense(n_in, n_out)
         params = [rng.normal(size=(n_in, n_out)), np.zeros(n_out)]
         x, g = rng.normal(size=(batch, n_in)), rng.normal(size=(batch, n_out))

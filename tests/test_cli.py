@@ -229,6 +229,33 @@ class TestLogTrailingBytes:
         assert result.output.startswith(f"{prefix} bytes after the rounding log's payload")
 
 
+class TestLogHeader:
+    @pytest.mark.parametrize("command", ["audit", "inspect-log"])
+    @pytest.mark.parametrize("offset, value, message", [
+        (6, 0x06, "unknown log flags 0x06"),
+        (5, 200, "log b_r 200 outside [10, 32]"),
+    ], ids=["flags", "b_r"])
+    def test_is_protocol_error(self, runner, tmp_path, command, offset, value, message):
+        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        root = result.output.split()[-1]
+        log = tmp_path / "tiny.vtrl"
+        raw = bytearray(log.read_bytes())
+        raw[offset] = value
+        log.write_bytes(bytes(raw))
+        if command == "audit":
+            args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
+                    "--expect-root", root, "--out", str(tmp_path)]
+            prefix = "audit failed:"
+        else:
+            args = ["inspect-log", str(log)]
+            prefix = "bad log:"
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"{prefix} {message}"]
+
+
 def _tiny_with(edit):
     doc = json.loads((CONFIG_DIR / "tiny.json").read_text())
     edit(doc)
@@ -539,8 +566,14 @@ class TestBadArguments:
         ["dispute", "--connect", "127.0.0.1:9", "--timeout", "nan"],
         ["dispute", "--connect", "127.0.0.1:9", "--timeout", "inf"],
         ["dispute", "--connect", "127.0.0.1:9", "--timeout", "0"],
+        ["serve", "--listen", "127.0.0.1:\u00b2"],
+        ["serve", "--listen", "127.0.0.1:" + "1" * 5000],
+        ["dispute", "--connect", "127.0.0.1:\u00b2"],
+        ["dispute", "--connect", "127.0.0.1:" + "1" * 5000],
     ], ids=["serve-port", "sessions-negative", "sessions-zero", "dispute-port",
-            "timeout-negative", "timeout-nan", "timeout-inf", "timeout-zero"])
+            "timeout-negative", "timeout-nan", "timeout-inf", "timeout-zero",
+            "serve-port-superscript", "serve-port-5000-digits",
+            "dispute-port-superscript", "dispute-port-5000-digits"])
     def test_usage_error(self, runner, tmp_path, args):
         four_leaf_tree(tmp_path / "t.vtmt")
         result = runner.invoke(main, args[:1] + [str(tmp_path / "t.vtmt")] + args[1:])

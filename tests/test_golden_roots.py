@@ -36,8 +36,8 @@ FINAL_LOSS = {
 # configs/trend.json cut to 512 samples and one epoch (16 steps, a
 # checkpoint each), seed 1: the benchmark's wide-replay shape. Its first
 # layer's forward sum and weight gradient (32 terms of 32 x 256) have
-# product tensors past simnet._ELEMENT_BUDGET, so they take the
-# term-at-a-time walk that the small configs never reach. (root,
+# product tensors past simnet._ELEMENT_BUDGET, so they are summed in
+# blocks of rows, which the small configs never reach. (root,
 # entries_logged), the same for every trainer profile, with no correction
 # on any auditor.
 WIDE = ("3f107b3c169eae4e7097248c764e31f8d8785f20c56ca14eb58f5434d4826323", 266240)

@@ -203,10 +203,10 @@ class TestEvaluate:
         loss, _ = pr.evaluate(cfg, params, get_profile("chunked7"), X, y)
         assert loss.hex() == want.hex()
 
-    @pytest.mark.parametrize("name, rows", [("logreg", 1024), ("trend", 32)])
+    @pytest.mark.parametrize("name, rows", [("logreg", 2048), ("trend", 32)])
     def test_rows_per_chunk(self, shipped_config, monkeypatch, name, rows):
         # batch_size rows, or more while the widest dense layer's product
-        # tensor fits simnet's element budget: 2^16 // (64 x 1) for logreg,
+        # tensor fits simnet's element budget: 2^17 // (64 x 1) for logreg,
         # where trend's 32 x 256 allows fewer than its batch of 32
         cfg = shipped_config(name)
         params, X, y = self._initial(cfg)

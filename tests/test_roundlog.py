@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vtrain import fpround
 from vtrain import roundlog as rl
 
 
@@ -210,6 +211,28 @@ def test_version_mismatch_rejected(tmp_path):
     raw[4] = 9
     path.write_bytes(bytes(raw))
     with pytest.raises(rl.LogFormatError, match="version"):
+        rl.LogReader(path)
+
+
+@pytest.mark.parametrize("flags", [0x06, 0x02, 0x81])
+def test_unknown_flag_bits_rejected(tmp_path, flags):
+    path = tmp_path / "flags.vtrl"
+    written(path, [1])
+    raw = bytearray(path.read_bytes())
+    raw[6] = flags
+    path.write_bytes(bytes(raw))
+    with pytest.raises(rl.LogFormatError, match=f"unknown log flags 0x{flags:02x}"):
+        rl.LogReader(path)
+
+
+@pytest.mark.parametrize("b_r", [0, fpround.MIN_B - 1, fpround.MAX_B + 1, 200])
+def test_b_r_outside_the_grid_range_rejected(tmp_path, b_r):
+    path = tmp_path / "b_r.vtrl"
+    written(path, [1])
+    raw = bytearray(path.read_bytes())
+    raw[5] = b_r
+    path.write_bytes(bytes(raw))
+    with pytest.raises(rl.LogFormatError, match=f"log b_r {b_r} outside"):
         rl.LogReader(path)
 
 

@@ -324,8 +324,8 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
 # batch x in, weight-gradient terms in x out. A sum whose terms have more
 # rows than columns is swapped (summed transposed, longer side innermost).
 # A sum whose product tensor (terms x term elements) is within
-# simnet._ELEMENT_BUDGET (2^16) is built at once, a bigger one folded a
-# term at a time.
+# simnet._ELEMENT_BUDGET (2^17) is built at once, a bigger one in blocks
+# of term rows, at least one row a block.
 DENSE_SHAPES = [
     (3, 5, 7),  # every sum built at once, none swapped
     (24, 9, 32),  # input gradient swapped
@@ -333,8 +333,11 @@ DENSE_SHAPES = [
     (600, 1, 1),  # n = 1 for forward and grad_x, width-1 output
     (640, 5, 1),  # width-1 output, chunk of 7 longer than n = 5
     (1, 700, 3),  # single-sample batch, grad_W over n = 1
-    (64, 16, 64),  # all three product tensors exactly the budget
-    (65537, 1, 1),  # all three one past it (65537 is prime): folded
+    (64, 16, 64),  # all three product tensors half the budget
+    (65537, 1, 1),  # n = 65537 (prime) for grad_W and grad_b
+    (64, 32, 64),  # all three product tensors exactly the budget
+    (32, 32, 256),  # trend's first layer: all three twice it, blocks of 16 rows
+    (3, 2, 65537),  # n x q alone past it: blocks of one row
 ]
 
 
@@ -363,6 +366,16 @@ class TestDenseKernelExact:
         # weight gradients are the exact FP64 sequential fold on every profile
         assert same_bits(grad_W, fold_reference(x.T[:, None, :] * g.T[None, :, :], SEQ))
         assert same_bits(grad_b, fold_reference(g.T, SEQ))
+
+
+def test_empty_sums_are_positive_zero():
+    for p in ALL_PROFILES:
+        assert same_bits(sn.reduce_last_axis(np.zeros((2, 0)), p), np.zeros(2))
+        x, W, g = np.zeros((0, 3)), np.ones((3, 2)), np.zeros((0, 2))
+        assert sn.dense_forward(x, W, np.zeros(2), p).shape == (0, 2)
+        grad_x, grad_W, grad_b = sn.dense_backward(g, x, W, p)
+        assert grad_x.shape == (0, 3)
+        assert same_bits(grad_W, np.zeros((3, 2))) and same_bits(grad_b, np.zeros(2))
 
 
 class TestDenseMemory:
@@ -697,14 +710,17 @@ class TestAddSchedule:
     @pytest.mark.parametrize("b_tr", (64, 50))
     @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
     def test_dense_matches_reference(self, profile, b_tr, monkeypatch):
-        # under the shipped element budget every sum here is built at once
-        # and summed a level at a time; under a budget of 0, one term at a time
+        # under the shipped element budget every sum here is built at once;
+        # under a budget of 0 a row of terms at a time, and under 3 rows'
+        # worth, batch 8 in blocks of 3, 3 and 2 rows
         p = replace(profile, b_tr=b_tr)
-        for budget in (sn._ELEMENT_BUDGET, 0):
-            monkeypatch.setattr(sn, "_ELEMENT_BUDGET", budget)
+        shipped = sn._ELEMENT_BUDGET
+        for rows in (None, 0, 3):
             rng = np.random.default_rng(41)
             for n in range(1, 71):
                 for batch, n_out in ((2, 3), (8, 64)):
+                    budget = shipped if rows is None else rows * n * n_out
+                    monkeypatch.setattr(sn, "_ELEMENT_BUDGET", budget)
                     scale = np.exp2(rng.integers(-20, 20, size=(batch, n)))
                     x = rng.normal(size=(batch, n)) * scale
                     W = rng.normal(size=(n, n_out))
@@ -733,7 +749,7 @@ class TestAddSchedule:
                 slots = [slot for pair in pairs for slot in pair]
                 assert len(set(slots)) == len(slots)
                 adds += pairs
-            assert len(adds) == n - 1 and sorted(adds) == sorted(sched.walk)
+            assert len(adds) == n - 1 and len(set(adds)) == n - 1
 
 
 def _chain_cases():
