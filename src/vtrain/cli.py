@@ -107,13 +107,10 @@ def load_weights(path) -> list[np.ndarray]:
 
 
 def _artifact_paths(cfg: TrainConfig, out_dir: Path) -> dict[str, Path]:
-    base = out_dir / cfg.name
-    return {
-        "log": base.with_suffix(".vtrl"),
-        "tree": base.with_suffix(".vtmt"),
-        "weights": base.with_suffix(".weights"),
-        "report": Path(f"{base}.report.json"),
-    }
+    """Each suffix follows the whole run name, dots and all."""
+    suffixes = {"log": ".vtrl", "tree": ".vtmt", "weights": ".weights",
+                "report": ".report.json"}
+    return {key: out_dir / f"{cfg.name}{suffix}" for key, suffix in suffixes.items()}
 
 
 def _check_profile(name: str) -> None:

@@ -43,6 +43,7 @@ gradients in reverse stage order, elements row-major.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +100,15 @@ class Slot:
     entries: int
 
 
+def _finite_number(name: str, value) -> float:
+    """``value`` as a float if it is a JSON number in float range: not a bool
+    or a string, NaN, an infinity or an integer past float range."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     dataset_size: int
@@ -128,9 +138,7 @@ class TrainConfig:
             raise ValueError("b_r must lie in [26, 32]")
         if self.loss not in ("softmax_xent", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
-        lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not math.isfinite(lr):
-            raise ValueError(f"learning rate must be a finite number, got {lr!r}")
+        _finite_number("learning rate", self.learning_rate)
         slots = self.log_slots()
         width = next(s.entries for s in slots if s.stage == len(self.layers)) // self.batch_size
         want = self.classes if self.loss == "softmax_xent" else 1
@@ -171,8 +179,9 @@ class TrainConfig:
             policy = doc["tau"]["policy"]
             if policy not in ("fixed", "adaptive"):
                 raise ValueError(f"unknown tau policy {policy!r}, want 'fixed' or 'adaptive'")
-            given["tau"] = (float(doc["tau"]["value"]) if policy == "fixed" else
-                            {key: float(v) for key, v in dict(doc["tau"]["table"]).items()})
+            given["tau"] = (_finite_number("tau", doc["tau"]["value"]) if policy == "fixed" else
+                            {key: _finite_number(f"tau of {key!r}", v)
+                             for key, v in dict(doc["tau"]["table"]).items()})
         ds = doc["dataset"]
         required = ("epochs", "batch_size", "learning_rate", "checkpoint_interval", "seed")
         return cls(dataset_size=ds["size"], dim=ds["dim"], classes=ds["classes"], layers=layers,

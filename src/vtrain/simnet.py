@@ -29,16 +29,18 @@ profile-ordered sum that flows on to the previous layer, and
 only ``param_grads`` on the first layer, because nothing consumes its
 input gradient.
 
-Every profile-ordered sum of n terms runs the profile's ``add_schedule``,
-built once per (strategy, chunk size, n): the adds of the association
-order, grouped into levels of independent adds, each level a few strided
-runs of slots, run as one whole-array add per run (a ``pairwise`` sum of
-256 terms is 8 adds). At ``b_tr = 64`` no partial sum is rounded, so the
-chain-shaped orders (``sequential``, ``reversed``, ``chunked``) are chain
-sums instead: one inside every chunk at once, one over the chunk sums,
-and one add for a partial last chunk. Over two or more lanes each is one
-``np.add.reduce`` off the fast axis (numpy's one-add-at-a-time summation,
-at memory speed); on one lane it is a running sum.
+Each order has one route at every width. ``sequential``, ``reversed``
+and ``chunked`` are recursive summation, a chain of adds: a sum inside
+every chunk at once (an unchunked order is one chunk of all n terms, and
+``reversed`` reads a reversed view), a chain over the chunk sums, and one
+add for a partial last chunk. Only the chain step depends on ``b_tr``:
+below 64 it is a running sum rounded after every add; at 64 it is one
+``np.add.reduce`` off the fast axis over two or more lanes (numpy's
+one-add-at-a-time summation, at memory speed) and a running sum on one.
+``pairwise`` is a tree: its adds, built once per n by
+``pairwise_levels``, fall into levels of independent adds, each level a
+few strided runs of slots, run as one whole-array add per run (256 terms
+are 8 adds).
 
 A dense layer's sums (output, input gradient, weight gradient) are each a
 sum of outer products, one per term of the reduced axis, built with the
@@ -188,28 +190,6 @@ def get_profile(name: str) -> DeviceProfile:
     raise ValueError(f"unknown device profile {name!r}; known: {sorted(PROFILES)}")
 
 
-def _add(acc: np.ndarray, y: np.ndarray, b_tr: int) -> np.ndarray:
-    """One accumulator add, in place: acc + y, rounded to the accumulator width."""
-    acc += y
-    return acc if b_tr == 64 else round_to_width(acc, b_tr)
-
-
-@dataclass(frozen=True)
-class AddSchedule:
-    """The adds of one association order over n terms, as slot operations.
-
-    Term k starts in slot k, and each add is ``slot[dst] += slot[src]``;
-    the sum ends in slot ``out``. ``levels`` groups the adds into levels of
-    independent adds, each level a tuple of strided runs ``(dst, src,
-    count, stride)``: the adds ``(dst + i * stride, src + i * stride)`` for
-    ``i < count``. Any order of the adds that respects the levels gives the
-    same bits, since IEEE addition is commutative.
-    """
-
-    levels: tuple
-    out: int
-
-
 def _runs(pairs: list[tuple[int, int]]) -> tuple:
     """Independent adds, grouped into strided runs."""
     runs: list[list[int]] = []
@@ -225,79 +205,85 @@ def _runs(pairs: list[tuple[int, int]]) -> tuple:
 
 
 @functools.lru_cache(maxsize=256)
-def add_schedule(strategy: str, chunk_size: int | None, n: int) -> AddSchedule:
-    """The schedule of adds that sums n terms in a strategy's association order.
+def pairwise_levels(n: int) -> tuple:
+    """The adds of a ``pairwise`` sum of n terms, in levels of independent adds.
 
-    ``sequential`` and ``reversed`` are one chain of n - 1 levels.
-    ``pairwise`` sums each half recursively (the left half has ``n // 2``
-    terms) and adds the right half's sum into the left's; an add runs one
-    level above the higher of its halves, so there are ceil(log2 n)
-    levels. ``chunked`` folds each chunk of ``chunk_size`` terms left to
-    right, all chunks together, then folds the chunk sums left to right.
+    Term k starts in slot k, each add is ``slot[dst] += slot[src]``, and the
+    sum ends in slot 0. Each half is summed recursively (the left half has
+    ``n // 2`` terms), then the right half's sum is added into the left's,
+    one level above the higher half: ceil(log2 n) levels. A level is a
+    tuple of strided runs ``(dst, src, count, stride)``, the adds ``(dst +
+    i * stride, src + i * stride)`` for ``i < count``.
     """
-    out = 0
-    if strategy == "sequential":
-        levels = [[(0, k)] for k in range(1, n)]
-    elif strategy == "reversed":
-        out = n - 1
-        levels = [[(out, k)] for k in range(n - 2, -1, -1)]
-    elif strategy == "pairwise":
-        levels = []
+    levels: list[list[tuple[int, int]]] = []
 
-        def split(lo: int, hi: int) -> int:
-            if hi - lo == 1:
-                return 0
-            mid = lo + (hi - lo) // 2
-            level = max(split(lo, mid), split(mid, hi))
-            if level == len(levels):
-                levels.append([])
-            levels[level].append((lo, mid))
-            return level + 1
+    def split(lo: int, hi: int) -> int:
+        if hi - lo == 1:
+            return 0
+        mid = lo + (hi - lo) // 2
+        level = max(split(lo, mid), split(mid, hi))
+        if level == len(levels):
+            levels.append([])
+        levels[level].append((lo, mid))
+        return level + 1
 
-        split(0, n)
-    else:
-        c = chunk_size
-        levels = [[(j, j + i) for j in range(0, n - i, c)] for i in range(1, min(c, n))]
-        levels += [[(0, j)] for j in range(c, n, c)]
-    return AddSchedule(tuple(_runs(pairs) for pairs in levels), out)
+    split(0, n)
+    return tuple(_runs(pairs) for pairs in levels)
+
+
+def _running_sum(t: np.ndarray, b_tr: int) -> np.ndarray:
+    """Sum over the first axis left to right into ``t[0, ...]``, each partial
+    sum rounded to the accumulator width."""
+    acc = t[0, ...]  # a view even when t is 1-D, so it is rounded in place
+    for term in t[1:]:
+        np.add(acc, term, out=acc)
+        round_to_width(acc, b_tr)
+    return acc
 
 
 def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     """Sum over the first axis of C-contiguous terms in the profile's order.
 
     ``t`` may be overwritten: the caller hands over an array no one else
-    holds. At ``b_tr = 64`` a chain-shaped order is chain sums (inside every
-    chunk, over the chunk sums, plus a partial last chunk). Over lanes each
-    is ``np.add.reduce`` from ``-0.0``, IEEE's exact additive identity
-    (numpy's own is +0.0), which adds in index order: numpy's reductions
-    never negate a stride, so ``reversed`` reduces a reversed view. On one
-    lane, where numpy would sum pairwise, they are running sums. Every other
-    order runs the ``add_schedule``. An empty sum is +0.0.
+    holds. ``pairwise`` runs ``pairwise_levels`` in place; every other
+    order is the chain the module docstring describes. At 64 a chain over
+    two or more lanes is ``np.add.reduce`` from ``-0.0``, IEEE's exact
+    additive identity (numpy's own is +0.0), which adds in index order
+    (numpy's reductions never negate a stride); on one lane, where numpy
+    would sum pairwise, it is ``np.add.accumulate``. An empty sum is +0.0.
     """
-    n = t.shape[0]
+    n, b_tr = t.shape[0], profile.b_tr
     if n == 0:
         return np.zeros(t.shape[1:])
-    if profile.b_tr == 64 and profile.strategy != "pairwise":
-        if profile.strategy == "reversed":
-            t = t[::-1]
-        c = min(profile.chunk_size or n, n)
-        whole = n - n % c
-        chunks = t[:whole].reshape(whole // c, c, *t.shape[1:])
-        if t[0].size > 1:
-            sums = np.add.reduce(chunks, axis=1, initial=-0.0)
-            total = np.add.reduce(sums, axis=0, initial=-0.0)
-            total += np.add.reduce(t[whole:], axis=0, initial=-0.0)  # -0.0 if none
-            return total
-        total = np.add.accumulate(np.add.accumulate(chunks, axis=1)[:, -1], axis=0)[-1, ...]
+    if profile.strategy == "pairwise":
+        for level in pairwise_levels(n):
+            for dst, src, count, stride in level:
+                span = (count - 1) * stride + 1
+                acc = t[dst : dst + span : stride]
+                acc += t[src : src + span : stride]
+                if b_tr < 64:
+                    round_to_width(acc, b_tr)
+        return t[0, ...].copy()
+    if profile.strategy == "reversed":
+        t = t[::-1]
+    c = min(profile.chunk_size or n, n)
+    whole = n - n % c
+    chunks = t[:whole].reshape(whole // c, c, *t.shape[1:])
+    if b_tr < 64:
+        total = _running_sum(_running_sum(chunks.swapaxes(0, 1), b_tr), b_tr)
         if whole < n:
-            np.add(total, np.add.accumulate(t[whole:], axis=0)[-1, ...], out=total)
+            total += _running_sum(t[whole:], b_tr)
+            round_to_width(total, b_tr)
+        return total.copy()
+    if t[0].size > 1:
+        sums = np.add.reduce(chunks, axis=1, initial=-0.0)
+        total = np.add.reduce(sums, axis=0, initial=-0.0)
+        total += np.add.reduce(t[whole:], axis=0, initial=-0.0)  # -0.0 if none
         return total
-    sched = add_schedule(profile.strategy, profile.chunk_size, n)
-    for level in sched.levels:
-        for dst, src, count, stride in level:
-            span = (count - 1) * stride + 1
-            _add(t[dst : dst + span : stride], t[src : src + span : stride], profile.b_tr)
-    return t[sched.out, ...].copy()
+    total = np.add.accumulate(np.add.accumulate(chunks, axis=1)[:, -1], axis=0)[-1, ...]
+    if whole < n:
+        np.add(total, np.add.accumulate(t[whole:], axis=0)[-1, ...], out=total)
+    return total
 
 
 def reduce_last_axis(a: np.ndarray, profile: DeviceProfile) -> np.ndarray:

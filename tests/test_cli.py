@@ -81,6 +81,34 @@ class TestTrain:
         train_tiny(runner, tmp_path)
         assert built == [4]  # 16 steps, a checkpoint every 4
 
+    def test_dotted_run_names_keep_every_artifact_apart(self, runner, tmp_path):
+        # Path.with_suffix would take ".v1" and ".v2" for suffixes: both logs in tiny.vtrl
+        roots = {}
+        for name, lr in (("tiny.v1", 0.1), ("tiny.v2", 0.2)):
+            path = tmp_path / f"{name}.json"
+            doc = _tiny_with(_set(("name",), name))
+            doc["learning_rate"] = lr
+            path.write_text(json.dumps(doc))
+            result = runner.invoke(main, ["train", str(path), "--out", str(tmp_path)])
+            assert result.exit_code == 0, result.output
+            roots[name] = result.output.strip().splitlines()[-1]
+        assert roots["tiny.v1"] != roots["tiny.v2"]
+        for name, root in roots.items():
+            for suffix in (".vtrl", ".vtmt", ".weights", ".report.json"):
+                assert (tmp_path / f"{name}{suffix}").exists(), (name, suffix)
+            assert json.loads((tmp_path / f"{name}.report.json").read_text())["root"] == root
+            assert merkle.read_tree(tmp_path / f"{name}.vtmt").root_hex == root
+            result = runner.invoke(main, [
+                "audit", str(tmp_path / f"{name}.json"), "--profile", "pairwise",
+                "--log", str(tmp_path / f"{name}.vtrl"), "--expect-root", root,
+                "--out", str(tmp_path),
+            ])
+            assert result.exit_code == 0, result.output
+            assert json.loads((tmp_path / f"{name}.audit.json").read_text())["match"] is True
+            result = runner.invoke(main, ["inspect-log", str(tmp_path / f"{name}.vtrl")])
+            assert result.exit_code == 0, result.output
+        assert not list(tmp_path.glob("tiny.vtrl"))
+
 
 class TestAudit:
     def test_honest_audit_exits_zero(self, runner, tmp_path):
@@ -303,6 +331,8 @@ BAD_CONFIGS = {
     "learning-rate-bool": _set(("learning_rate",), True),
     "learning-rate-nan": _set(("learning_rate",), float("nan")),
     "learning-rate-inf": _set(("learning_rate",), float("inf")),
+    # integers past float range, which float() cannot convert
+    "learning-rate-past-float": _set(("learning_rate",), 10**400),
     "final-width-not-classes": _set(("dataset", "classes"), 3),
     "bce-final-width-not-1": _set(("model", "loss"), "bce"),
     "adaptive-tau-one": _set(("tau",), {"policy": "adaptive", "table": {"dense:8x12": 1.0}}),
@@ -310,6 +340,11 @@ BAD_CONFIGS = {
                                              "table": {"dense:8x12": -1e-8}}),
     "adaptive-tau-nan": _set(("tau",), {"policy": "adaptive",
                                         "table": {"dense:8x12": float("nan")}}),
+    "adaptive-tau-past-float": _set(("tau",), {"policy": "adaptive",
+                                               "table": {"dense:8x12": 10**400}}),
+    "tau-past-float": _set(("tau",), {"policy": "fixed", "value": 10**400}),
+    "tau-string": _set(("tau",), {"policy": "fixed", "value": "3e-8"}),
+    "tau-bool": _set(("tau",), {"policy": "fixed", "value": False}),
     "adaptive-table-misses-loss": _set(("tau",), {"policy": "adaptive", "table": {
         "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU}}),
     "zero-hidden-width": _zero_hidden_width,

@@ -8,8 +8,10 @@ import threading
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from vtrain import game, merkle
+from vtrain.cli import main
 
 
 def leaf(i: int) -> bytes:
@@ -400,3 +402,120 @@ def test_frame_fuzzer_leaves_the_server_serving(served):
     assert report.outcome == game.TRAINING_VERIFIED
     server.thread.join(timeout=5)
     assert not server.thread.is_alive()
+
+
+DROP = object()  # a field value that leaves the field out
+
+
+def client_fuzz_cases(rng: random.Random) -> list[tuple[str, int, object]]:
+    """(label, k, edit): a trainer that answers honestly except its k-th
+    answer (0 answers the hello; i answers the i-th node_request).
+
+    A dict edit changes fields of the honest answer (``DROP`` deletes one)
+    and the trainer then goes on answering; bytes are sent as they are,
+    and the trainer then closes.
+    """
+    bad_digests = ["zz" * 32, "ab" * 31, "ab" * 33, "", " a" * 32, 7, None, ["ab"] * 32]
+    cases = []
+    for k in range(7):  # a dispute over 8 leaves makes 6 node requests
+        field = "root" if k == 0 else "digest"
+        other = "node_response" if k == 0 else "root_announce"
+        edits = [
+            ("wrong type", {"type": rng.choice([other, "refuse", "hello", "", 7, None, ["x"]])}),
+            ("no type", {"type": DROP}),
+            (f"bad {field}", {field: rng.choice(bad_digests)}),
+            (f"no {field}", {field: DROP}),
+            (f"{field} not served", {field: rng.randbytes(32).hex()}),
+            ("truncated length prefix", (40).to_bytes(4, "little")[: rng.randrange(4)]),
+            ("oversized length prefix",
+             ((1 << 24) + rng.randrange(1, 1 << 20)).to_bytes(4, "little") + b"{}"),
+            ("length past the body", (2 + rng.randrange(1, 64)).to_bytes(4, "little") + b"{}"),
+            ("non-JSON body", _frame(rng.choice(
+                [b"\xff\xfe", b"{", b"NaN", b"[1, 2]", b'"root_announce"', b"", b"null",
+                 b"[" * 100_000]))),
+            ("early close", b""),
+        ]
+        if k == 0:
+            edits += [("leaf_count not an int",
+                       {"leaf_count": rng.choice(["8", 8.0, True, None, [8], float("nan")])}),
+                      ("no leaf_count", {"leaf_count": DROP})]
+        cases += [(f"answer {k}: {label}", k, edit) for label, edit in edits]
+    return cases
+
+
+def _fake_trainer(listener, served: merkle.MerkleTree, cases) -> None:
+    """One session per case of ``client_fuzz_cases``, on ``served``'s tree."""
+    for _, k, edit in cases:
+        conn, _ = listener.accept()
+        with conn:
+            conn.settimeout(5)
+            try:
+                for i in range(8):  # a hello, 6 node requests, the verdict claim
+                    msg = game._recv(conn)
+                    if msg["type"] not in ("hello", "node_request"):  # the verdict claim
+                        break
+                    if msg["type"] == "hello":
+                        doc = {"type": "root_announce", "root": served.root_hex,
+                               "leaf_count": len(served.leaves)}
+                    else:
+                        level, index = msg["level"], msg["index"]
+                        doc = {"type": "node_response", "level": level, "index": index,
+                               "digest": merkle.node(served, level, index).hex()}
+                    if i != k:
+                        game._send(conn, doc)
+                    elif isinstance(edit, bytes):
+                        conn.sendall(edit)
+                        break
+                    else:
+                        edited = {**doc, **edit}
+                        game._send(conn, {f: v for f, v in edited.items() if v is not DROP})
+                # the client sees the end of the frames, and closes first
+                conn.shutdown(socket.SHUT_WR)
+                while conn.recv(65536):
+                    pass
+            except (OSError, game.GameProtocolError):  # the client hung up
+                pass
+
+
+def test_client_frame_fuzzer_ends_in_a_documented_outcome(tmp_path):
+    local = tree_of(8)
+    merkle.write_tree(local, tmp_path / "local.vtmt")
+    cases = client_fuzz_cases(random.Random(21))
+    listener = game.listen(("127.0.0.1", 0))
+    host, port = listener.getsockname()
+    # each case is served twice: to game.challenge, then to vtrain dispute
+    served = tree_of(8, flips=(5,))
+    trainer = threading.Thread(target=_fake_trainer, daemon=True, args=(
+        listener, served, [case for case in cases for _ in range(2)]))
+    trainer.start()
+    outcomes = set()
+    try:
+        for label, _, _ in cases:
+            try:
+                report = game.challenge(local, (host, port), timeout=5)
+                outcome = report.outcome
+            except game.GameProtocolError:
+                outcome = "protocol error"
+            if outcome == game.DISPUTE_AT_LEAF:
+                # an inner node the tree does not have, off the path it sends:
+                # the claim still holds, with the evidence of the real tree
+                assert report.leaf_index == 5, label
+                assert game.judge_check(report, served.root, local.root), label
+            else:
+                assert outcome in ("protocol error", game.TRAINER_UNRESPONSIVE), label
+            outcomes.add(outcome)
+            result = CliRunner().invoke(main, [
+                "dispute", str(tmp_path / "local.vtmt"), "--connect", f"{host}:{port}",
+                "--timeout", "5"])
+            assert isinstance(result.exception, SystemExit), (label, result.exception)
+            if outcome == "protocol error":
+                assert result.exit_code == 4, (label, result.output)
+                assert result.output.count("protocol error: ") == 1, (label, result.output)
+            else:
+                assert result.exit_code == (1 if outcome == game.DISPUTE_AT_LEAF else 4), label
+                assert json.loads(result.output)["outcome"] == outcome, label
+        trainer.join(timeout=5)
+        assert not trainer.is_alive()
+    finally:
+        listener.close()
+    assert {"protocol error", game.TRAINER_UNRESPONSIVE} <= outcomes

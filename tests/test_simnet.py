@@ -695,7 +695,8 @@ EVERY_ORDER = ALL_PROFILES + (sn.get_profile("chunked:3"), sn.get_profile("chunk
 
 
 class TestAddSchedule:
-    """Every kernel sum runs an ``add_schedule``; the reference folds one add at a time."""
+    """Every kernel sum against the reference, which folds one add at a time;
+    a ``pairwise`` sum runs ``pairwise_levels``."""
 
     @pytest.mark.parametrize("b_tr", (64, 50))
     @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
@@ -732,19 +733,13 @@ class TestAddSchedule:
 
     def test_level_counts(self):
         for n in range(1, 300):
-            assert len(sn.add_schedule("pairwise", None, n).levels) == math.ceil(math.log2(n))
-            for c in (1, 2, 3, 7, 16, 64):
-                levels = sn.add_schedule("chunked", c, n).levels
-                assert len(levels) <= (c - 1) + math.ceil(n / c) - 1, (n, c)
-            for strategy in ("sequential", "reversed"):
-                assert len(sn.add_schedule(strategy, None, n).levels) == n - 1
+            assert len(sn.pairwise_levels(n)) == math.ceil(math.log2(n))
 
-    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", [PW], ids=lambda p: p.name)
     def test_each_add_once_and_levels_independent(self, profile):
         for n in (1, 2, 5, 33, 64, 100):
-            sched = sn.add_schedule(profile.strategy, profile.chunk_size, n)
             adds = []
-            for level in sched.levels:
+            for level in sn.pairwise_levels(n):
                 pairs = [(d + i * k, s + i * k) for d, s, count, k in level for i in range(count)]
                 slots = [slot for pair in pairs for slot in pair]
                 assert len(set(slots)) == len(slots)
@@ -759,10 +754,10 @@ def _chain_cases():
 
 
 class TestRunningSums:
-    """At b_tr = 64 every chain-shaped order is chain sums, one chunk of n
-    terms when unchunked: ``np.add.reduce`` on two or more lanes, running
-    sums on one. Each must be the add-by-add fold, bit for bit, as must the
-    schedule that runs at b_tr = 50."""
+    """Every chain-shaped order is chain sums, one chunk of n terms when
+    unchunked. At b_tr = 64 each is ``np.add.reduce`` on two or more lanes
+    and ``np.add.accumulate`` on one; at b_tr = 50 it is a running sum
+    rounded after every add. Each must be the add-by-add fold, bit for bit."""
 
     @pytest.mark.parametrize("inner", [(), (1,), (2,), (3,), (5,), (4, 3), (512,)], ids=str)
     @pytest.mark.parametrize("c, n", list(_chain_cases()))
