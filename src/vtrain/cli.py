@@ -9,8 +9,9 @@ executes, where artifacts land, network addresses.
 
 Exit codes: 0 success or verified, 1 dispute found, 2 usage error,
 3 I/O error, 4 protocol error. A run that diverges (its loss turns
-non-finite, or a value leaves the grid's range) ends ``train`` with exit 2
-and one ``training diverged at step N`` line, and ``audit`` with exit 4.
+non-finite, or a value leaves the grid's range) ends ``train`` and
+``threshold`` with exit 2 and one ``training diverged at step N`` line,
+and ``audit`` with exit 4.
 A port outside 0-65535, a ``--timeout`` that is not a finite number above
 0, a ``--sessions`` below 1 and an ``--expect-root`` that is not 64 hex
 digits are usage errors, found before any file is read; so is a config that
@@ -34,8 +35,9 @@ import click
 import numpy as np
 
 from . import game, merkle, protocol, roundlog
+from .fpround import tau_bounds
 from .protocol import TrainConfig
-from .simnet import LAYER_KINDS, Rng, get_profile, layer_from_entry
+from .simnet import get_profile
 
 EXIT_OK = 0
 EXIT_DISPUTE = 1
@@ -295,34 +297,24 @@ def cmd_dispute(tree_path, connect_addr, timeout, transcript_path):
 
 
 @main.command("threshold")
-@click.option("--layer", "layer_kind", required=True, type=click.Choice(sorted(LAYER_KINDS)))
-@click.option("--shape", default=None,
-              help="INxOUT for dense layers, e.g. 64x64; the width of others (default 16).")
-@click.option("--b-r", "b_r", default=32, type=int)
-@click.option("--profiles", default="sequential,pairwise",
-              help="Comma-separated pair of profiles to compare.")
-@click.option("--b-tr", "b_tr", default=64, type=int,
-              help="Accumulator width both profiles run at (default 64, exact FP64 adds).")
-@click.option("--samples", default=1000, type=int)
-@click.option("--seed", default=0, type=int)
-def cmd_threshold(layer_kind, shape, b_r, profiles, b_tr, samples, seed):
-    """Search the largest safe logging threshold for one layer."""
-    try:
-        widths = [int(v) for v in shape.lower().split("x")] if shape else []
-        if len(widths) > 2:
-            raise ValueError("want IN or INxOUT")
-        layer = layer_from_entry({"kind": layer_kind, **dict(zip(("in", "out"), widths))})
-    except ValueError as e:
-        raise click.UsageError(f"bad --shape {shape!r}: {e}") from e
-    names = profiles.split(",")
-    if len(names) != 2:
-        raise click.UsageError("--profiles needs exactly two names")
-    try:
-        pair = tuple(dataclasses.replace(get_profile(name), b_tr=b_tr) for name in names)
-        tau = protocol.threshold_search(layer, b_r, pair, samples, Rng(seed))
-    except ValueError as e:
-        raise click.UsageError(str(e)) from e
-    click.echo(repr(tau))
+@click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
+def cmd_threshold(config_path):
+    """Search an adaptive tau table on the run a config describes.
+
+    Prints {"policy": "adaptive", "table": ...}, ready to paste as the
+    config's "tau", with one entry per logged slot's key. A slot whose tau
+    is the floor of the tau bounds gets one stderr line: a straddle there
+    sits at or below the floor, so no tau in the bounds directs it.
+    """
+    cfg = load_config(config_path)
+    with _failing(protocol.TrainingDiverged, EXIT_USAGE, ""):
+        table = protocol.threshold_search(cfg)
+    floor, _ = tau_bounds(cfg.b_r)
+    for key, tau in table.items():
+        if tau == floor:
+            click.echo(f"slot {key}: smallest straddle at or below the tau floor {floor!r}",
+                       err=True)
+    click.echo(json.dumps({"policy": "adaptive", "table": table}, indent=2))
 
 
 @main.command("inspect-log")

@@ -239,8 +239,7 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
         try:
             sock.connect(address)
             session = _Session(sock, transcript)
-            session.send({"type": "hello", "protocol_version": PROTOCOL_VERSION,
-                          "run_id": local_root[:16]})
+            session.send({"type": "hello", "protocol_version": PROTOCOL_VERSION})
             announce = session.recv()
         except (socket.timeout, ConnectionError, OSError):
             report.outcome = TRAINER_UNRESPONSIVE

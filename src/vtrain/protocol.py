@@ -1,4 +1,4 @@
-"""Trainer and auditor loops, threshold search, and the storage estimator.
+"""Trainer and auditor loops, the threshold search, and the storage estimator.
 
 Both parties execute the same replay engine; they differ only in how a
 tensor leaves a computation stage. The trainer classifies each element
@@ -15,6 +15,11 @@ one count: directed entries for the trainer, corrections for the auditor,
 with a (forward, backward) pair of counts per step; ``audit`` returns it
 as is and ``train`` adds the log size, final loss and accuracy. A run that
 diverges raises ``TrainingDiverged`` with the step.
+
+``threshold_search`` runs the same engine with two more channels: a
+reference on the trainer's profile keeps each raw logged tensor, and a
+comparison on each other profile passes on the reference's rounded ones
+and records where its own rounding straddles them.
 
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
@@ -42,6 +47,7 @@ gradients in reverse stage order, elements row-major.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -64,6 +70,7 @@ from .fpround import direction_array, rev_array  # noqa: F401
 from .roundlog import LogExhaustedError, LogReader, LogWriter
 from .simnet import (
     _ELEMENT_BUDGET,
+    PROFILES,
     DeviceProfile,
     Rng,
     batches,
@@ -134,8 +141,6 @@ class TrainConfig:
     def __post_init__(self):
         for name, minimum in self._COUNTS.items():
             check_count(name, getattr(self, name), minimum)
-        if not 26 <= self.b_r <= 32:
-            raise ValueError("b_r must lie in [26, 32]")
         if self.loss not in ("softmax_xent", "bce"):
             raise ValueError(f"unknown loss {self.loss!r}")
         _finite_number("learning rate", self.learning_rate)
@@ -218,11 +223,11 @@ class TrainConfig:
         forward, backward = [], []
         width = self.dim
         for i, layer in enumerate(self.layers):
-            in_width, width = width, layer.out_width(width)
+            incoming, width = width, layer.out_width(width)
             if i == 0 or not layer.grid_closed:
                 forward.append(Slot("forward", i, layer.key, self.batch_size * width))
             if i > 0 and not layer.grid_closed:
-                backward.append(Slot("backward", i, layer.key, self.batch_size * in_width))
+                backward.append(Slot("backward", i, layer.key, self.batch_size * incoming))
         loss = Slot("backward", len(self.layers), f"loss:{self.loss}", self.batch_size * width)
         return forward + [loss] + backward[::-1]
 
@@ -243,11 +248,6 @@ class RunOutput:
     @property
     def root_hex(self) -> str:
         return self.tree.root_hex
-
-    @property
-    def total_count(self) -> int:
-        """Directed entries for the trainer, replay corrections for the auditor."""
-        return sum(f + b for f, b in self.per_step)
 
 
 @dataclass
@@ -476,42 +476,6 @@ def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
     )
 
 
-def collect_divergence_samples(layer, b_r: int,
-                               profiles: tuple[DeviceProfile, DeviceProfile],
-                               n_samples: int, rng: Rng) -> list[float]:
-    """Normalized distances from straddle cases between two profiles.
-
-    Runs the layer on both profiles over random inputs whose magnitudes
-    span several binades (accumulation error is easiest to surface when
-    sums cancel). Whenever the grid-rounded outputs differ and the raw
-    outputs sit on opposite sides of the shared grid target, both
-    distances, scaled by each value's binary exponent, are recorded. An
-    elementwise layer given no width is sampled 16 wide.
-    """
-    params = layer.init(rng)
-    in_dim = layer.in_width or 16
-    samples: list[float] = []
-    chunk = 256
-    done = 0
-    while done < n_samples:
-        m = min(chunk, n_samples - done)
-        done += m
-        u1 = rng.floats_block(m * in_dim).reshape(m, in_dim)
-        u2 = rng.floats_block(m * in_dim).reshape(m, in_dim)
-        x = (2.0 * u1 - 1.0) * np.exp2(-np.floor(u2 * 12.0))
-        y1 = layer.forward(x, params, profiles[0])
-        y2 = layer.forward(x, params, profiles[1])
-        r1 = rnd_array(y1, b_r)
-        r2 = rnd_array(y2, b_r)
-        straddle = (r1 != r2) & (((y1 > r1) & (y2 < r2)) | ((y1 < r1) & (y2 > r2)))
-        if not straddle.any():
-            continue
-        for y, r in ((y1, r1), (y2, r2)):
-            scale = exponent_scale_array(y[straddle])
-            samples.extend((np.abs(y[straddle] - r[straddle]) / scale).tolist())
-    return samples
-
-
 def search_tau(samples, b_r: int) -> float:
     """The largest threshold below every recorded straddle, clipped to ``tau_bounds``.
 
@@ -527,11 +491,53 @@ def search_tau(samples, b_r: int) -> float:
     return min(upper, max(lower, math.nextafter(min(samples), 0.0)))
 
 
-def threshold_search(layer, b_r: int,
-                     profiles: tuple[DeviceProfile, DeviceProfile],
-                     n_samples: int, rng: Rng) -> float:
-    """Per-layer adaptive threshold from observed cross-profile straddles."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    samples = collect_divergence_samples(layer, b_r, profiles, n_samples, rng)
-    return search_tau(samples, b_r)
+class _ReferenceChannel:
+    """Round like the negative control, and keep each raw slot tensor in log order."""
+
+    def __init__(self, b_r: int):
+        self.b_r = b_r
+        self.raw: list[np.ndarray] = []
+
+    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+        self.raw.append(values)
+        return rnd_array(values, self.b_r), 0
+
+
+class _ComparisonChannel:
+    """Pass on the reference's rounded tensors, so the run stays synced with it.
+
+    At each straddle (the two nearest roundings differ and the raw values
+    sit on opposite sides of them: what a code resyncs) it adds to
+    ``distances``, under the slot's key, the reference's distance from its
+    grid point, ``|y1 - r1|`` over ``y1``'s exponent scale: the distance
+    the trainer's code is tested against. Counts the straddles.
+    """
+
+    def __init__(self, reference: _ReferenceChannel, keys: list[str], distances: dict):
+        self.b_r = reference.b_r
+        self.raw = iter(reference.raw)
+        self.keys = itertools.cycle(keys)
+        self.distances = distances
+
+    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
+        y1, key = next(self.raw), next(self.keys)
+        r1, r2 = rnd_array(y1, self.b_r), rnd_array(values, self.b_r)
+        straddle = (r1 != r2) & (((y1 > r1) & (values < r2)) | ((y1 < r1) & (values > r2)))
+        y, r = y1[straddle], r1[straddle]
+        self.distances[key].append(np.abs(y - r) / exponent_scale_array(y))
+        return r1, y.size
+
+
+def threshold_search(cfg: TrainConfig) -> dict[str, float]:
+    """The adaptive tau table for a run, searched on the run itself: per
+    ``log_slots`` key, ``search_tau`` of the straddles every other registered
+    profile finds against the trainer's. A diverging run raises ``TrainingDiverged``."""
+    reference = _ReferenceChannel(cfg.b_r)
+    _run(cfg, get_profile(cfg.trainer_profile), reference, False)
+    keys = [s.key for s in cfg.log_slots()]
+    distances: dict[str, list[np.ndarray]] = {key: [] for key in keys}
+    for name, profile in PROFILES.items():
+        if name != cfg.trainer_profile:
+            _run(cfg, profile, _ComparisonChannel(reference, keys, distances), False)
+    return {key: search_tau(np.concatenate(found).tolist(), cfg.b_r)
+            for key, found in distances.items()}

@@ -62,6 +62,7 @@ run of draws in cache-sized blocks, written straight into the output, and
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,12 +183,14 @@ PROFILES: dict[str, DeviceProfile] = {
 
 
 def get_profile(name: str) -> DeviceProfile:
-    """Look up a registered profile, or parse "chunked:N"."""
+    """Look up a registered profile, or parse "chunked:N": N is ASCII digits
+    without a leading zero, so each chunk size has one name."""
     if name in PROFILES:
         return PROFILES[name]
-    if name.startswith("chunked:"):
-        return DeviceProfile(name, "chunked", int(name.split(":", 1)[1]))
-    raise ValueError(f"unknown device profile {name!r}; known: {sorted(PROFILES)}")
+    if re.fullmatch("chunked:[1-9][0-9]*", name):
+        return DeviceProfile(name, "chunked", int(name[len("chunked:"):]))
+    raise ValueError(f"unknown device profile {name!r}; known: {sorted(PROFILES)} "
+                     "and chunked:N for N >= 1")
 
 
 def _runs(pairs: list[tuple[int, int]]) -> tuple:
@@ -427,10 +430,6 @@ class Dense:
         return f"dense:{self.in_dim}x{self.out_dim}"
 
     @property
-    def in_width(self) -> int:
-        return self.in_dim
-
-    @property
     def fan_in(self) -> int:
         """The forward sums ``in_dim`` terms, the input gradient ``out_dim``."""
         return max(self.in_dim, self.out_dim)
@@ -483,10 +482,6 @@ class _Elementwise:
         if entry.get("out", width) != width:
             raise ValueError(f"{cls.key} layer in {width!r} and out {entry['out']!r} differ")
         return cls(width)
-
-    @property
-    def in_width(self) -> int | None:
-        return self.width
 
     def out_width(self, width: int) -> int:
         if self.width not in (None, width):

@@ -19,7 +19,7 @@ from vtrain import game, merkle, protocol as pr
 from vtrain import simnet as sn
 from vtrain.cli import main as cli_main
 from vtrain.roundlog import HEADER_LEN, LogReader, LogWriter
-from vtrain.simnet import Rng, get_profile
+from vtrain.simnet import get_profile
 
 from conftest import CONFIG_DIR, record_criterion
 from grid_oracle import epsilon, grid_neighbors_array, is_on_grid
@@ -89,7 +89,7 @@ def test_criterion_2_negative_control(run_cache, shipped_config):
                 # a device model so noisy that honest audits fail too would
                 # diverge here for the wrong reason
                 honest = pr.audit(cfg, auditor_profile, log)
-                honest_ok = honest.root == out.root and honest.total_count > 0
+                honest_ok = honest.root == out.root and sum(map(sum, honest.per_step)) > 0
                 break
         if diverged_on:
             break
@@ -113,13 +113,13 @@ def test_criterion_3_correction_sparsity_trend(run_cache, shipped_config):
         cfg, log, out = get_train(run_cache, shipped_config, "trend", b_r=b_r)
         audit = pr.audit(cfg, "pairwise", log)
         assert audit.root == out.root, f"honest audit failed at b_r={b_r}"
-        counts[b_r] = audit.total_count
+        counts[b_r] = sum(map(sum, audit.per_step))
     small_zero = True
     for name in ("mlp", "logreg", "tiny"):
         cfg, log, out = get_train(run_cache, shipped_config, name, b_r=26)
         audit = pr.audit(cfg, "pairwise", log)
         assert audit.root == out.root
-        small_zero = small_zero and audit.total_count == 0
+        small_zero = small_zero and sum(map(sum, audit.per_step)) == 0
     ok = (
         counts[26] <= counts[29] <= counts[32]
         and counts[26] == 0
@@ -155,33 +155,29 @@ def test_criterion_4_encoding_efficiency(tmp_path, run_cache, shipped_config):
     assert ok
 
 
-def test_criterion_5_threshold_bounds_and_ordering():
-    """Search stays inside its bracket; reduction layers need smaller tau.
+def test_criterion_5_threshold_bounds_and_ordering(shipped_config):
+    """The search on the run stays inside its bracket; reduction slots need smaller tau.
 
-    The profiles carry ``b_tr = 50``, the width ``divergence`` ships at. At
-    64 the dense layer records no straddle at any ``b_r``, so every tau is
-    the upper bound and the ordering compares equal numbers. At 50 it
-    records some at ``b_r`` 29 and 32, where its tau must fall strictly
-    below both elementwise taus; at 26 it records none, so ``<=`` holds.
+    ``logreg`` at ``b_tr = 44``: at every ``b_r`` its dense output
+    straddles, so its tau falls strictly below the upper bound, while the
+    sigmoid and the loss gradient, the same expression on every profile,
+    record no straddle and get exactly the upper bound. At 64 no slot
+    straddles, so every tau is the upper bound.
     """
-    pair = tuple(replace(get_profile(n), b_tr=50) for n in ("sequential", "pairwise"))
-    taus, recorded = {}, {}
-    in_bracket = True
+    taus = {}
+    ok = True
     for b_r in (26, 29, 32):
         lo, hi = fp.tau_bounds(b_r)
-        for layer in (sn.Dense(64, 64), sn.Relu(64), sn.Sigmoid(64)):
-            label = layer.key.split(":")[0]
-            samples = pr.collect_divergence_samples(layer, b_r, pair, 1200, Rng(b_r * 7 + 1))
-            tau = pr.threshold_search(layer, b_r, pair, 1200, Rng(b_r * 7 + 1))
-            taus[label, b_r], recorded[label, b_r] = tau, len(samples)
-            in_bracket = in_bracket and lo <= tau <= hi and tau == pr.search_tau(samples, b_r)
-    measured = all(recorded["dense", b] > 0 for b in (29, 32))
-    strict = all(taus["dense", b] < min(taus["relu", b], taus["sigmoid", b]) for b in (29, 32))
-    ok = in_bracket and measured and strict and taus["dense", 26] <= min(
-        taus["relu", 26], taus["sigmoid", 26])
-    record_criterion(5, "adaptive threshold bracket and dense < elementwise ordering at b_tr=50",
-                     ok)
-    assert ok, (taus, recorded)
+        for b_tr in (44, 64):
+            cfg = replace(shipped_config("logreg"), b_r=b_r, b_tr=b_tr)
+            taus[b_r, b_tr] = table = pr.threshold_search(cfg)
+            ok = ok and all(lo <= tau <= hi for tau in table.values())
+        at44, at64 = taus[b_r, 44], taus[b_r, 64]
+        ok = (ok and at44["dense:64x1"] < at44["sigmoid"] == at44["loss:bce"] == hi
+              and set(at64.values()) == {hi})
+    record_criterion(5, "adaptive tau table searched on the run: bracket, and dense < "
+                     "elementwise at b_tr=44", ok)
+    assert ok, taus
 
 
 def _serve_tree(tree):

@@ -1,6 +1,5 @@
 """Command-line interface: artifacts, exit codes, determinism."""
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -16,7 +15,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from vtrain import cli, game, merkle, protocol, roundlog, simnet
+from vtrain import cli, fpround, game, merkle, protocol, roundlog
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
@@ -55,6 +54,25 @@ class TestTrain:
     def test_bad_profile_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["train", TINY, "--profile", "warp9", "--out", str(tmp_path)])
         assert result.exit_code == 2
+
+    # each would parse as chunked:7 (int() takes them) under another name
+    @pytest.mark.parametrize("name", ["chunked:\u0667", "chunked:1_0", "chunked: 7",
+                                      "chunked:+7", "chunked:07"],
+                             ids=["arabic-indic-digit", "underscore", "space", "plus",
+                                  "leading-zero"])
+    def test_chunk_size_spelled_one_way(self, runner, tmp_path, name):
+        for args in (["train", TINY, "--profile", name],
+                     ["audit", TINY, "--profile", name, "--no-corrections",
+                      "--expect-root", "00" * 32]):
+            result = runner.invoke(main, args + ["--out", str(tmp_path)])
+            assert result.exit_code == 2, (args, result.output)
+            assert "unknown device profile" in result.output
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_tiny_with(_set(("trainer_profile",), name))))
+        result = runner.invoke(main, ["train", str(path), "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "bad config" in result.output and "unknown device profile" in result.output
+        assert not list(tmp_path.glob("*.vtrl"))
 
     def test_rerun_byte_identical(self, runner, tmp_path):
         train_tiny(runner, tmp_path / "a")
@@ -475,7 +493,7 @@ class TestBenchReportContract:
         for key in keys:
             assert type(report[key]) is int, key
         audited = protocol.audit(cli.load_config(config), "reversed", log)
-        assert sum(report[k] for k in keys) == audited.total_count > 0
+        assert sum(report[k] for k in keys) == sum(map(sum, audited.per_step)) > 0
 
 
 def version_1_log(path):
@@ -785,57 +803,103 @@ class TestMalformedTrainer:
 
 
 class TestThreshold:
-    def test_bounds_respected(self, runner):
-        result = runner.invoke(main, [
-            "threshold", "--layer", "dense", "--shape", "16x16", "--b-r", "32",
-            "--profiles", "sequential,pairwise", "--samples", "200", "--seed", "3",
-        ])
+    """``vtrain threshold CONFIG`` searches the tau table on the run itself."""
+
+    @staticmethod
+    def _config(tmp_path, name="tiny", edit=None):
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        if edit is not None:
+            edit(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        return str(path), doc
+
+    def test_bounds_respected(self, runner, tmp_path):
+        config, doc = self._config(tmp_path)
+        result = runner.invoke(main, ["threshold", config])
         assert result.exit_code == 0, result.output
-        tau = float(result.output.strip())
-        assert 0.25 * 2.0**-23 <= tau <= 0.5 * 2.0**-23
+        printed = json.loads(result.stdout)
+        assert printed["policy"] == "adaptive"
+        cfg = cli.load_config(config)
+        lo, hi = fpround.tau_bounds(cfg.b_r)
+        assert list(printed["table"]) == list(dict.fromkeys(s.key for s in cfg.log_slots()))
+        assert all(lo <= tau <= hi for tau in printed["table"].values())
+        # ready to paste: the config takes it as its tau unchanged
+        doc["tau"] = printed
+        assert protocol.TrainConfig.from_dict(doc).tau == printed["table"]
 
     def test_deterministic(self, runner):
-        args = ["threshold", "--layer", "relu", "--b-r", "29", "--samples", "50",
-                "--seed", "11"]
-        first = runner.invoke(main, args)
-        second = runner.invoke(main, args)
+        first = runner.invoke(main, ["threshold", TINY])
+        second = runner.invoke(main, ["threshold", TINY])
         assert first.exit_code == second.exit_code == 0, first.output
         assert first.output == second.output
 
-    def test_accumulator_width(self, runner):
-        # the library gives 5.96e-8 at 64 and 4.818e-8 at 50 for this layer
-        args = ["threshold", "--layer", "dense", "--shape", "256x4", "--b-r", "32",
-                "--samples", "1200", "--seed", "1"]
-        default, at64, at50 = (runner.invoke(main, args + extra)
-                               for extra in ([], ["--b-tr", "64"], ["--b-tr", "50"]))
-        assert default.exit_code == at64.exit_code == at50.exit_code == 0, at50.output
-        assert default.output == at64.output == "5.960464477539063e-08\n"
-        pair = tuple(dataclasses.replace(simnet.get_profile(name), b_tr=50)
-                     for name in ("sequential", "pairwise"))
-        want = protocol.threshold_search(simnet.Dense(256, 4), 32, pair, 1200, simnet.Rng(1))
-        assert float(at50.output) == want < float(at64.output)
+    def test_accumulator_width(self, runner, tmp_path):
+        """The search runs at the config's b_tr: ``logreg``'s dense output
+        straddles at 44 and nowhere at 64, where every tau is the upper bound."""
+        hi = fpround.tau_bounds(32)[1]
+        tables = {}
+        for b_tr in (44, 64):
+            config, _ = self._config(tmp_path, "logreg", _set(("b_tr",), b_tr))
+            result = runner.invoke(main, ["threshold", config])
+            assert result.exit_code == 0, result.output
+            assert result.stderr == ""
+            tables[b_tr] = json.loads(result.stdout)["table"]
+            assert tables[b_tr] == protocol.threshold_search(cli.load_config(config))
+        assert set(tables[64].values()) == {hi}
+        assert tables[44]["dense:64x1"] < tables[44]["sigmoid"] == tables[44]["loss:bce"] == hi
+
+    def test_clipped_slot_is_named(self, runner, tmp_path):
+        # tiny at b_tr = 42: dense:8x12 straddles at or below the floor
+        config, _ = self._config(tmp_path, edit=_set(("b_tr",), 42))
+        result = runner.invoke(main, ["threshold", config])
+        assert result.exit_code == 0, result.output
+        table = json.loads(result.stdout)["table"]
+        floor = fpround.tau_bounds(32)[0]
+        assert [key for key, tau in table.items() if tau == floor] == ["dense:8x12"]
+        assert result.stderr.splitlines() == [
+            f"slot dense:8x12: smallest straddle at or below the tau floor {floor!r}"]
+
+    def test_diverging_run_is_usage_error(self, runner, tmp_path):
+        config, _ = self._config(tmp_path, edit=_set(("learning_rate",), 1e11))
+        result = runner.invoke(main, ["threshold", config])
+        assert result.exit_code == 2, result.output
+        assert result.stdout == ""
+        assert result.stderr.startswith("training diverged at step ")
+
+    def test_help_lists_only_help(self, runner):
+        result = runner.invoke(main, ["threshold", "--help"])
+        assert result.exit_code == 0, result.output
+        options = result.output.split("Options:")[1].split()
+        assert [word for word in options if word.startswith("-")] == ["--help"]
 
     @pytest.mark.parametrize("b_tr", ["12", "65", "50.5"])
-    def test_refused_width_is_usage_error(self, runner, b_tr):
-        result = runner.invoke(main, ["threshold", "--layer", "relu", "--samples", "20",
-                                      "--b-tr", b_tr])
+    def test_refused_width_is_usage_error(self, runner, tmp_path, b_tr):
+        config, _ = self._config(tmp_path, edit=_set(("b_tr",), json.loads(b_tr)))
+        result = runner.invoke(main, ["threshold", config])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
 
-    def test_dense_needs_shape(self, runner):
-        result = runner.invoke(main, ["threshold", "--layer", "dense"])
-        assert result.exit_code == 2
+    def test_dense_needs_shape(self, runner, tmp_path):
+        config, _ = self._config(tmp_path, edit=_set(("model", "layers", 0), {"kind": "dense"}))
+        result = runner.invoke(main, ["threshold", config])
+        assert result.exit_code == 2, result.output
+        assert "bad config" in result.output
 
     @pytest.mark.parametrize("layer,shape", [("relu", "abc"), ("dense", "0x4"),
                                              ("dense", "4x0"), ("sigmoid", "0")])
-    def test_bad_shape_is_usage_error(self, runner, layer, shape):
+    def test_bad_shape_is_usage_error(self, runner, tmp_path, layer, shape):
+        """A layer entry whose widths are not counts of at least 1."""
+        widths = [int(w) if w.isdigit() else w for w in shape.split("x")]
+        entry = {"kind": layer, **dict(zip(("in", "out"), widths))}
+        stage = 0 if layer == "dense" else 1
+        config, _ = self._config(tmp_path, edit=_set(("model", "layers", stage), entry))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = runner.invoke(main, ["threshold", "--layer", layer, "--shape", shape,
-                                          "--samples", "20"])
+            result = runner.invoke(main, ["threshold", config])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert "bad --shape" in result.output
+        assert "bad config" in result.output
 
 
 class TestInspectEstimate:

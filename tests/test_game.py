@@ -60,6 +60,9 @@ class TestChallenge:
         report = game.challenge(tree, addr, timeout=5)
         assert report.outcome == game.TRAINING_VERIFIED
         assert report.node_requests == 0
+        # the hello names the wire version and nothing the server does not read
+        assert report.transcript[0] == {"dir": "send", "msg": {
+            "type": "hello", "protocol_version": game.PROTOCOL_VERSION}}
 
     def test_dispute_at_flipped_leaf(self, served):
         addr, launch = served
@@ -155,7 +158,7 @@ class TestServerBehavior:
         tree = tree_of(5)
         launch(tree)
         (resp,) = self._talk(addr, [
-            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
         ])
         assert resp["type"] == "root_announce"
         assert resp["root"] == tree.root_hex
@@ -166,7 +169,7 @@ class TestServerBehavior:
         tree = tree_of(4)
         launch(tree)
         resps = self._talk(addr, [
-            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
             {"type": "node_request", "level": 0, "index": 0},
         ])
         assert resps[1] == {
@@ -178,7 +181,7 @@ class TestServerBehavior:
         addr, launch = served
         launch(tree_of(4))
         resps = self._talk(addr, [
-            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION, "run_id": "x"},
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
             {"type": "node_request", "level": 0, "index": 9},
         ])
         assert resps[1]["type"] == "refuse"
@@ -187,7 +190,7 @@ class TestServerBehavior:
         addr, launch = served
         tree = tree_of(8)
         server = launch(tree, sessions=2)
-        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": 1, "run_id": "x"}])
+        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": 1}])
         assert resp == {"type": "refuse", "reason": "unsupported protocol version"}
         report = game.challenge(tree, addr, timeout=5)
         assert report.outcome == game.TRAINING_VERIFIED
@@ -331,8 +334,7 @@ def fuzz_cases(rng: random.Random) -> list[tuple[str, bytes, list]]:
     No case sends anything after a frame the server ends the session on,
     so the server never closes with unread input.
     """
-    hello = _json_frame({"type": "hello", "protocol_version": game.PROTOCOL_VERSION,
-                         "run_id": "fuzz"})
+    hello = _json_frame({"type": "hello", "protocol_version": game.PROTOCOL_VERSION})
     node_request = _json_frame({"type": "node_request", "level": 0, "index": 0})
     refused = ["refuse"]
     cases = []
@@ -351,7 +353,7 @@ def fuzz_cases(rng: random.Random) -> list[tuple[str, bytes, list]]:
     for kind in (5, ["hello"], None, {"type": "hello"}):
         cases.append(("wrong-typed type", _json_frame({"type": kind}), refused))
     for nonfinite in (float("nan"), float("inf"), float("-inf")):
-        doc = {"type": "hello", "protocol_version": nonfinite, "run_id": "fuzz"}
+        doc = {"type": "hello", "protocol_version": nonfinite}
         cases.append(("non-finite version", _json_frame(doc), refused))
     for value in (1.0, 0.5, float("inf"), float("-inf"), float("nan"), "0", True, False,
                   [0], None, {"level": 0}, 10**30, -(10**30), 2**64, -1):

@@ -62,7 +62,8 @@ def test_small_config_roots(shipped_config, tmp_path, name, trainer):
     for auditor in PROFILES:
         if auditor != trainer:
             result = pr.audit(cfg, auditor, log)
-            assert (auditor, result.root_hex, result.total_count) == (auditor, root, 0)
+            corrections = sum(map(sum, result.per_step))
+            assert (auditor, result.root_hex, corrections) == (auditor, root, 0)
 
 
 @pytest.mark.parametrize("trainer", PROFILES)
@@ -78,7 +79,8 @@ def test_wide_replay_roots(shipped_config, tmp_path, trainer):
     for auditor in PROFILES:
         if auditor != trainer:
             result = pr.audit(cfg, auditor, log)
-            assert (auditor, result.root_hex, result.total_count) == (auditor, root, 0)
+            corrections = sum(map(sum, result.per_step))
+            assert (auditor, result.root_hex, corrections) == (auditor, root, 0)
 
 
 def test_divergence_roots(shipped_config, tmp_path):
@@ -88,6 +90,6 @@ def test_divergence_roots(shipped_config, tmp_path):
     assert pr.train(cfg, log).root_hex == DIVERGENCE_ROOT
     for auditor, corrections in DIVERGENCE_CORRECTIONS.items():
         result = pr.audit(cfg, auditor, log)
-        assert (auditor, result.root_hex, result.total_count) == (
+        assert (auditor, result.root_hex, sum(map(sum, result.per_step))) == (
             auditor, DIVERGENCE_ROOT, corrections)
     assert pr.audit_without_corrections(cfg, "reversed").root_hex == DIVERGENCE_UNCORRECTED_ROOT

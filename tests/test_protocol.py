@@ -15,6 +15,8 @@ from vtrain.protocol import TrainConfig
 from vtrain.roundlog import LogReader, LogWriter
 from vtrain.simnet import Dense, Relu, Rng, Sigmoid, get_profile, make_dataset
 
+from conftest import CONFIG_DIR
+
 
 def tiny_config(**overrides):
     base = dict(
@@ -41,10 +43,11 @@ class TestConfigValidation:
         assert tiny_config().steps == 16
 
     def test_b_r_range(self):
-        with pytest.raises(ValueError):
-            tiny_config(b_r=25)
-        with pytest.raises(ValueError):
-            tiny_config(b_r=33)
+        # fpround's [10, 32] is the one range: tau_bounds checks it
+        assert tiny_config(b_r=25).b_r == 25
+        for bad in (9, 33, 30.0):
+            with pytest.raises(ValueError, match="b_r must be an integer in"):
+                tiny_config(b_r=bad)
 
     def test_batch_divides_dataset(self):
         with pytest.raises(ValueError):
@@ -239,7 +242,7 @@ class TestAudit:
         out = pr.train(cfg, tmp_path / "log.vtrl")
         a = pr.audit(cfg, "sequential", tmp_path / "log.vtrl")
         assert a.root == out.root
-        assert a.total_count == 0
+        assert sum(map(sum, a.per_step)) == 0
 
     @pytest.mark.parametrize("profile", ["reversed", "pairwise", "chunked7"])
     def test_cross_profile_exact(self, tmp_path, profile):
@@ -501,19 +504,54 @@ class TestThresholdSearch:
                 tau = pr.search_tau(samples, b_r)
                 assert lo <= tau <= hi
 
-    def test_search_deterministic(self):
-        layer = Dense(16, 16)
-        pair = (get_profile("sequential"), get_profile("pairwise"))
-        t1 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
-        t2 = pr.threshold_search(layer, 32, pair, 200, Rng(5))
-        assert t1 == t2
+    def test_search_deterministic(self, shipped_config):
+        cfg = replace(shipped_config("logreg"), b_tr=44)
+        assert pr.threshold_search(cfg) == pr.threshold_search(cfg)
 
-    def test_elementwise_layer_sees_no_divergence(self):
-        layer = Relu(16)
-        pair = (get_profile("sequential"), get_profile("pairwise"))
-        samples = pr.collect_divergence_samples(layer, 32, pair, 300, Rng(6))
-        assert samples == []
-        assert pr.threshold_search(layer, 32, pair, 300, Rng(6)) == 0.5 * 2.0**-23
+    def test_elementwise_layer_sees_no_divergence(self, shipped_config):
+        """On ``logreg`` at ``b_tr = 44`` only the dense output straddles: the
+        sigmoid and the loss gradient are the same expression on every profile."""
+        table = pr.threshold_search(replace(shipped_config("logreg"), b_tr=44))
+        lo, hi = fpround.tau_bounds(32)
+        assert list(table) == ["dense:64x1", "sigmoid", "loss:bce"]
+        assert lo < table["dense:64x1"] < hi
+        assert table["sigmoid"] == table["loss:bce"] == hi
+
+    @pytest.mark.parametrize("name", ["logreg", "divergence"])
+    def test_comparison_runs_end_on_the_trainer_root(self, tmp_path, shipped_config, name):
+        """Each comparison run passes on the reference's tensors, so it ends
+        where the trainer does; its count is the straddles it recorded."""
+        cfg = shipped_config(name)
+        # divergence's first epoch straddles on every profile already
+        cfg = replace(cfg, b_tr=44) if name == "logreg" else replace(cfg, epochs=1)
+        trained = pr.train(cfg, tmp_path / "run.vtrl")
+        reference = pr._ReferenceChannel(cfg.b_r)
+        ref_run, _ = pr._run(cfg, get_profile(cfg.trainer_profile), reference, False)
+        assert ref_run.root == trained.root
+        keys = [s.key for s in cfg.log_slots()]
+        for auditor in ("reversed", "pairwise", "chunked7"):
+            distances = {key: [] for key in keys}
+            channel = pr._ComparisonChannel(reference, keys, distances)
+            run, _ = pr._run(cfg, get_profile(auditor), channel, False)
+            assert run.root == trained.root, auditor
+            found = sum(d.size for ds in distances.values() for d in ds)
+            assert found == sum(map(sum, run.per_step)) > 0, auditor
+
+    def test_table_pastes_into_the_config(self, tmp_path, shipped_config):
+        """The table has one entry per distinct slot key, ``from_dict`` takes it
+        as the config's tau, and honest audits of the run it tunes match."""
+        for name in ("mlp", "divergence"):
+            cfg = shipped_config(name)
+            table = pr.threshold_search(cfg)
+            assert list(table) == list(dict.fromkeys(s.key for s in cfg.log_slots()))
+            doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+            doc["tau"] = json.loads(json.dumps({"policy": "adaptive", "table": table}))
+            tuned = TrainConfig.from_dict(doc)
+            assert tuned.tau == table
+            log = tmp_path / f"{name}.vtrl"
+            out = pr.train(tuned, log)
+            for auditor in ("reversed", "pairwise", "chunked7"):
+                assert pr.audit(tuned, auditor, log).root == out.root, (name, auditor)
 
 
 @st.composite
@@ -538,6 +576,16 @@ def test_search_tau_undercuts_every_straddle(case):
     assert lo <= tau <= hi
     assert tau < min(samples) or tau == lo
     assert tau == hi or math.nextafter(tau, 1.0) >= min(samples)
+
+
+def test_bf16_grid_replays(tmp_path):
+    """``tiny`` on the bfloat16 grid (``b_r = 16``) with an FP32-width
+    accumulator (``b_tr = 35``), at a quarter of a bf16 grid step."""
+    cfg = tiny_config(b_r=16, b_tr=35, tau=0.25 * 2.0**-7)
+    log = tmp_path / "bf16.vtrl"
+    out = pr.train(cfg, log)
+    for auditor in ("reversed", "pairwise", "chunked7"):
+        assert pr.audit(cfg, auditor, log).root == out.root, auditor
 
 
 @pytest.mark.parametrize("b_r", (26, 29, 32))
