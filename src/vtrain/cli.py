@@ -167,8 +167,9 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             "b_r": cfg.b_r,
             "steps": cfg.steps,
             "root": result.root_hex,
-            "final_weights_digest": result.tree.leaves[-1].hex(),
-            "leaf_count": len(result.tree.leaves),
+            "final_weights_digest": merkle.node(
+                result.tree, 0, result.tree.leaf_count - 1).hex(),
+            "leaf_count": result.tree.leaf_count,
             "entries_logged": result.entries_logged,
             "log_file_bytes": paths["log"].stat().st_size,
             "estimated_entries": estimate.entries,

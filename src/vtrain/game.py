@@ -1,21 +1,25 @@
 """Interactive verification game over a length-prefixed JSON wire protocol.
 
 The trainer serves its Merkle tree; the auditor compares roots and, on a
-mismatch, runs ``merkle.bisect`` with a fetch that asks the trainer for
-one node per request: at each level both children of the disagreeing
-node, left first. The walk ends at the first divergent leaf with the
-trainer's authentication path, which the auditor checks against the
-announced root before it claims; its own path comes from its tree. A
+mismatch, runs ``merkle.bisect`` with a fetch that makes one round trip
+per level: a ``children_request`` names the disagreeing node and the
+``children_response`` carries both its children. A level where that node
+has one child costs nothing. The walk ends at the first divergent leaf
+with the trainer's authentication path, which the auditor checks against
+the announced root before it claims; its own path comes from its tree. A
 judge can check the claim with constant work. A trainer that stops
 answering within the timeout fails the audit; one that sends a malformed
 or inconsistent reply raises ``GameProtocolError``.
 
-Wire format: 4-byte little-endian length prefix, then a UTF-8 JSON object
-with a "type" field. Digests travel as lowercase hex. Tree coordinates
-are (level, index) with level 0 the leaves. A path is its leaf index, its
-leaf and a list with one sibling per level, leaf first, ``null`` where the
-node was promoted; sides follow from the index (protocol version 2). The
-server refuses a ``hello`` that names another version.
+Wire format (protocol version 3): 4-byte little-endian length prefix,
+then a UTF-8 JSON object with a "type" field. Digests travel as lowercase
+hex. Tree coordinates are (level, index) with level 0 the leaves. A path
+is its leaf index, its leaf and a list with one sibling per level, leaf
+first, ``null`` where the node was promoted; sides follow from the index.
+The server refuses a ``hello`` whose version is not the integer 3, and
+refuses, then goes on serving, a ``children_request`` for a leaf, for a
+node it does not have, for a node with one child, or with a coordinate
+that is not an integer.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 from .merkle import DIGEST_LEN, MerklePath, MerkleTree, bisect, node, path, verify_path
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 DEFAULT_TIMEOUT = 30.0
 SESSION_TIMEOUT = 30.0  # seconds the server waits on each read from a client
 
@@ -47,13 +51,16 @@ def _send(sock: socket.socket, msg: dict) -> bytes:
     return data
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("peer closed the connection")
-        buf += chunk
+def _recv_exact(sock: socket.socket, n: int) -> bytearray:
+    """Read n bytes into one buffer, however many segments they come in."""
+    buf = bytearray(n)
+    with memoryview(buf) as view:
+        got = 0
+        while got < n:
+            k = sock.recv_into(view[got:])
+            if not k:
+                raise ConnectionError("peer closed the connection")
+            got += k
     return buf
 
 
@@ -147,26 +154,17 @@ class GameServer:
                     return
                 kind = msg["type"]
                 if kind == "hello":
-                    if msg.get("protocol_version") != PROTOCOL_VERSION:
+                    version = msg.get("protocol_version")
+                    if type(version) is not int or version != PROTOCOL_VERSION:
                         _send(conn, {"type": "refuse", "reason": "unsupported protocol version"})
                         return
                     _send(conn, {
                         "type": "root_announce",
                         "root": self.tree.root_hex,
-                        "leaf_count": len(self.tree.leaves),
+                        "leaf_count": self.tree.leaf_count,
                     })
-                elif kind == "node_request":
-                    level, index = msg.get("level"), msg.get("index")
-                    if type(level) is not int or type(index) is not int:
-                        _send(conn, {"type": "refuse", "reason": "node coordinates must be ints"})
-                        continue
-                    try:
-                        digest = node(self.tree, level, index)
-                    except IndexError:
-                        _send(conn, {"type": "refuse", "reason": "node out of range"})
-                        continue
-                    _send(conn, {"type": "node_response", "level": level, "index": index,
-                                 "digest": digest.hex()})
+                elif kind == "children_request":
+                    _send(conn, self._children(msg.get("level"), msg.get("index")))
                 elif kind == "accept":
                     return
                 elif kind == "verdict_claim":
@@ -179,6 +177,24 @@ class GameServer:
             return
         finally:
             conn.close()
+
+    def _children(self, level, index) -> dict:
+        """The ``children_response`` for node (level, index), or a ``refuse``."""
+        if type(level) is not int or type(index) is not int:
+            return {"type": "refuse", "reason": "node coordinates must be ints"}
+        try:
+            node(self.tree, level, index)
+        except IndexError:
+            return {"type": "refuse", "reason": "node out of range"}
+        if level == 0:
+            return {"type": "refuse", "reason": "a leaf has no children"}
+        tree, below = self.tree, 2 * index
+        try:
+            left, right = node(tree, level - 1, below), node(tree, level - 1, below + 1)
+        except IndexError:
+            return {"type": "refuse", "reason": "node has one child"}
+        return {"type": "children_response", "level": level, "index": index,
+                "left": left.hex(), "right": right.hex()}
 
     def serve_forever(self, listener: socket.socket, max_sessions: int | None = None) -> None:
         served = 0
@@ -251,23 +267,23 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
         if type(leaf_count) is not int:
             raise GameProtocolError(f"bad leaf_count {leaf_count!r}")
         report.trainer_root = trainer_root.hex()
-        if leaf_count != len(local_tree.leaves):
+        if leaf_count != local_tree.leaf_count:
             report.outcome = SCHEDULE_MISMATCH
             return report
         if trainer_root == local_tree.root:
             session.send({"type": "accept"})
             return report
 
-        def fetch(level: int, index: int) -> bytes:
-            session.send({"type": "node_request", "level": level, "index": index})
+        def fetch(level: int, index: int) -> tuple[bytes, bytes]:
+            session.send({"type": "children_request", "level": level, "index": index})
             report.node_requests += 1
             try:
                 resp = session.recv()
             except (socket.timeout, ConnectionError, OSError):
                 raise TimeoutError
-            if resp["type"] != "node_response":
-                raise GameProtocolError(f"expected node_response, got {resp['type']!r}")
-            return _digest(resp.get("digest"), "node digest")
+            if resp["type"] != "children_response":
+                raise GameProtocolError(f"expected children_response, got {resp['type']!r}")
+            return _digest(resp.get("left"), "left child"), _digest(resp.get("right"), "right child")
 
         try:
             trainer_path = bisect(local_tree, trainer_root, fetch)

@@ -5,22 +5,26 @@ at any level is promoted unchanged (no duplication, which avoids the
 duplicate-leaf malleability of the doubling rule). A path stores no
 sibling sides; as in RFC 6962 they follow from the leaf index. ``bisect``
 is the one descent to the first divergent leaf, for a local tree and for
-the socket game alike. Weight hashing fixes a canonical serialization so
-two independent runs hash identically: tensors in declared order,
-row-major elements, each cast to FP32 and written as four little-endian
-bytes.
+the socket game alike; it asks for both children of a node at once.
+Weight hashing fixes a canonical serialization so two independent runs
+hash identically: tensors in declared order, row-major elements, each
+cast to FP32 and written as four little-endian bytes.
 
-A tree of n leaves costs its n - 1 SHA-256 calls and little else:
-``build`` checks every leaf is a 32-byte ``bytes`` in one pass, and
-``read_tree`` checks the magic, the version, a nonzero leaf count and a
-body of exactly 32 bytes per leaf, which proves the same of every leaf,
-so both hand the leaf row straight to the one level loop.
+A tree holds each level as one ``bytes`` buffer of 32-byte digests, read
+through ``node``, and costs its n - 1 SHA-256 calls and little else: a
+level is hashed in C-level iterators with no bytecode and no object kept
+per node. ``build`` checks every leaf is a 32-byte ``bytes`` and joins
+them; ``read_tree`` checks the magic, the version, a nonzero leaf count
+and a body of exactly 32 bytes per leaf, and takes the body as the leaf
+level as it stands. ``write_tree`` writes the header and that level.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -35,17 +39,24 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+_PAIR = f"{2 * DIGEST_LEN}s"  # two sibling digests, back to back
+_HASH_DIGEST = type(hashlib.sha256()).digest  # the method, unbound, for map
+
+
 @dataclass
 class MerkleTree:
-    levels: list[list[bytes]] = field(repr=False)
+    """Each level is one ``bytes`` buffer of its 32-byte digests; level 0
+    holds the leaves, and the last level the root alone."""
+
+    levels: list[bytes] = field(repr=False)
 
     @property
-    def leaves(self) -> list[bytes]:
-        return self.levels[0]
+    def leaf_count(self) -> int:
+        return len(self.levels[0]) // DIGEST_LEN
 
     @property
     def root(self) -> bytes:
-        return self.levels[-1][0]
+        return self.levels[-1]
 
     @property
     def root_hex(self) -> str:
@@ -75,22 +86,24 @@ def build(leaves: list[bytes]) -> MerkleTree:
         bad = next(i for i, leaf in enumerate(row)
                    if not isinstance(leaf, bytes) or len(leaf) != DIGEST_LEN)
         raise ValueError(f"leaf {bad} is not a 32-byte digest")
-    return _build(row)
+    return _build(b"".join(row))
 
 
-def _build(row: list[bytes]) -> MerkleTree:
-    """Hash a nonempty row of checked 32-byte leaves up to the root.
+def _build(row: bytes) -> MerkleTree:
+    """Hash a nonempty buffer of whole 32-byte leaves up to the root.
 
-    ``row`` itself becomes the leaf level, uncopied.
+    ``row`` itself becomes the leaf level. Each level above hashes its
+    pairs with no bytecode per node: one ``unpack_from`` cuts the level
+    into its pairs, ``map`` runs the SHA-256 calls, and an odd last digest
+    joins the level as it is. (``iter_unpack`` with ``starmap`` does the
+    same but makes a tuple per pair, which costs about 6% of a build.)
     """
-    sha256 = hashlib.sha256
     levels = [row]
-    while len(row) > 1:
-        nxt = [sha256(left + right).digest() for left, right in zip(row[::2], row[1::2])]
-        if len(row) % 2:
-            nxt.append(row[-1])
-        levels.append(nxt)
-        row = nxt
+    while len(row) > DIGEST_LEN:
+        pairs = len(row) // (2 * DIGEST_LEN)
+        hashed = map(_HASH_DIGEST, map(hashlib.sha256, struct.unpack_from(_PAIR * pairs, row)))
+        row = b"".join(chain(hashed, (row[pairs * 2 * DIGEST_LEN :],)))
+        levels.append(row)
     return MerkleTree(levels)
 
 
@@ -99,22 +112,22 @@ def node(tree: MerkleTree, level: int, index: int) -> bytes:
     if not 0 <= level < len(tree.levels):
         raise IndexError(f"level {level} out of range")
     row = tree.levels[level]
-    if not 0 <= index < len(row):
+    start = index * DIGEST_LEN
+    if not 0 <= start < len(row):
         raise IndexError(f"index {index} out of range at level {level}")
-    return row[index]
+    return row[start : start + DIGEST_LEN]
 
 
 def path(tree: MerkleTree, leaf_index: int) -> MerklePath:
     """Authentication path for one leaf."""
-    if not 0 <= leaf_index < len(tree.leaves):
-        raise IndexError(f"leaf index {leaf_index} out of range")
+    leaf = node(tree, 0, leaf_index)
     siblings: list[bytes | None] = []
     idx = leaf_index
-    for row in tree.levels[:-1]:
+    for level, row in enumerate(tree.levels[:-1]):
         sib = idx ^ 1
-        siblings.append(row[sib] if sib < len(row) else None)
+        siblings.append(node(tree, level, sib) if sib * DIGEST_LEN < len(row) else None)
         idx //= 2
-    return MerklePath(leaf_index=leaf_index, leaf=tree.leaves[leaf_index], siblings=siblings)
+    return MerklePath(leaf_index=leaf_index, leaf=leaf, siblings=siblings)
 
 
 def verify_path(p: MerklePath, root: bytes) -> bool:
@@ -140,25 +153,25 @@ def bisect(tree: MerkleTree, other_root: bytes, fetch) -> MerklePath:
     """The other party's path to the leftmost leaf where it differs from ``tree``.
 
     ``other_root`` must differ from ``tree.root``. At each level where the
-    disagreeing node has two children, calls ``fetch(level, index)`` for
-    both, left first, and descends into the leftmost child whose digest
-    differs from ``tree``; a promoted child carries its parent's digest
-    and is not fetched. Raises ValueError when both children match.
+    disagreeing node (level, index) has two children, calls
+    ``fetch(level, index)`` once for the other party's ``(left, right)``
+    children and descends into the leftmost one whose digest differs from
+    ``tree``; a promoted child carries its parent's digest and is not
+    fetched. Raises ValueError when both children match.
     """
     index, digest = 0, other_root
     siblings: list[bytes | None] = []
-    for level in range(len(tree.levels) - 2, -1, -1):
-        row = tree.levels[level]
+    for level in range(len(tree.levels) - 1, 0, -1):
         li = 2 * index
-        if li + 1 >= len(row):
+        if (li + 1) * DIGEST_LEN >= len(tree.levels[level - 1]):
             siblings.append(None)
             index = li
             continue
-        left, right = fetch(level, li), fetch(level, li + 1)
-        if left != row[li]:
+        left, right = fetch(level, index)
+        if left != node(tree, level - 1, li):
             index, digest = li, left
             siblings.append(right)
-        elif right != row[li + 1]:
+        elif right != node(tree, level - 1, li + 1):
             index, digest = li + 1, right
             siblings.append(left)
         else:
@@ -181,8 +194,8 @@ def hash_weights(tensors) -> bytes:
 
 def write_tree(tree: MerkleTree, path_out) -> None:
     """Persist leaf digests to the binary sidecar format."""
-    data = TREE_MAGIC + bytes([TREE_VERSION]) + len(tree.leaves).to_bytes(8, "little")
-    Path(path_out).write_bytes(data + b"".join(tree.leaves))
+    header = TREE_MAGIC + bytes([TREE_VERSION]) + tree.leaf_count.to_bytes(8, "little")
+    Path(path_out).write_bytes(header + tree.levels[0])
 
 
 def read_tree(path_in) -> MerkleTree:
@@ -201,4 +214,4 @@ def read_tree(path_in) -> MerkleTree:
     if extra > 0:
         raise ValueError("checkpoint tree file length does not match its leaf count "
                          f"({extra} bytes after the last digest)")
-    return _build([raw[i : i + DIGEST_LEN] for i in range(_HEADER_LEN, len(raw), DIGEST_LEN)])
+    return _build(raw[_HEADER_LEN:])

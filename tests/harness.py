@@ -1,9 +1,11 @@
-"""Fault-injection helpers shared by protocol and acceptance tests."""
+"""Helpers shared by the tests: fault injection, and a local tree in the
+place of a served one."""
 
 from __future__ import annotations
 
 import numpy as np
 
+from vtrain import merkle
 from vtrain import protocol as pr
 from vtrain.roundlog import LogWriter
 
@@ -44,3 +46,19 @@ def find_corruptible_entry(cfg, digits: np.ndarray, honest_root: bytes, path,
             if tampered_root != honest_root:
                 return entry, step
     return None
+
+
+def children_fetch(tree: merkle.MerkleTree):
+    """A ``merkle.bisect`` fetch answered from a local tree, as a server would."""
+
+    def fetch(level: int, index: int) -> tuple[bytes, bytes]:
+        return merkle.node(tree, level - 1, 2 * index), merkle.node(tree, level - 1, 2 * index + 1)
+
+    return fetch
+
+
+def two_child_levels(tree: merkle.MerkleTree, leaf_index: int) -> int:
+    """Levels whose node on the leaf's path has two children: the requests
+    a bisection to that leaf makes, one per level."""
+    return sum(2 * (leaf_index >> level) + 1 < len(tree.levels[level - 1]) // merkle.DIGEST_LEN
+               for level in range(1, len(tree.levels)))

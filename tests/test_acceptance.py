@@ -23,7 +23,7 @@ from vtrain.simnet import get_profile
 
 from conftest import CONFIG_DIR, record_criterion
 from grid_oracle import epsilon, grid_neighbors_array, is_on_grid
-from harness import find_corruptible_entry
+from harness import children_fetch, find_corruptible_entry, two_child_levels
 
 PROFILE_NAMES = ("sequential", "reversed", "pairwise", "chunked7")
 SHIPPED = ("mlp", "logreg", "trend", "divergence", "tiny")
@@ -75,14 +75,13 @@ def test_criterion_2_negative_control(run_cache, shipped_config):
             plain = pr.audit_without_corrections(cfg, auditor_profile, keep_checkpoints=True)
             if plain.root != out.root:
                 diverged_on = (name, auditor_profile)
-                first = merkle.bisect(out.tree, plain.root,
-                                      lambda level, i: plain.tree.levels[level][i]).leaf_index
+                first = merkle.bisect(out.tree, plain.root, children_fetch(plain.tree)).leaf_index
                 same = [
                     all(np.array_equal(ta, tb) for ta, tb in zip(a, b))
                     for a, b in zip(out.checkpoints, plain.checkpoints)
                 ]
                 evidence_ok = (
-                    len(same) == len(out.tree.leaves)
+                    len(same) == out.tree.leaf_count
                     and all(same[:first])
                     and not any(same[first:])
                 )
@@ -229,7 +228,7 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             # corruption is read at step s; divergence cannot precede it
             min_leaf = (s - 1) // k
             location_ok = auditor_tree.root != trainer_tree.root and merkle.bisect(
-                trainer_tree, auditor_tree.root, lambda level, i: auditor_tree.levels[level][i]
+                trainer_tree, auditor_tree.root, children_fetch(auditor_tree)
             ).leaf_index >= min_leaf
         else:
             s = int(rng.integers(1, cfg.steps + 1))
@@ -245,8 +244,8 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
             auditor_tree = honest_tree
             expected = -(-s // k) - 1  # first checkpoint index at/after step s
             oracle = next(
-                (x for x in range(len(trainer_tree.leaves))
-                 if trainer_tree.leaves[x] != auditor_tree.leaves[x]),
+                (x for x in range(trainer_tree.leaf_count)
+                 if merkle.node(trainer_tree, 0, x) != merkle.node(auditor_tree, 0, x)),
                 None,
             )
             location_ok = oracle == expected
@@ -257,15 +256,13 @@ def test_criterion_6_dispute_localization(tmp_path, shipped_config):
         finally:
             thread.join(timeout=10)
             listener.close()
-        n = len(trainer_tree.leaves)
-        bound = 2 * int(np.ceil(np.log2(max(n, 2)))) + 2
         case_ok = (
             location_ok
             and report.outcome == game.DISPUTE_AT_LEAF
             and report.leaf_index == merkle.bisect(
-                trainer_tree, auditor_tree.root, lambda level, i: auditor_tree.levels[level][i]
+                trainer_tree, auditor_tree.root, children_fetch(auditor_tree)
             ).leaf_index
-            and report.node_requests <= bound
+            and report.node_requests == two_child_levels(trainer_tree, report.leaf_index)
             and game.judge_check(report, trainer_tree.root, auditor_tree.root)
         )
         ok = ok and case_ok

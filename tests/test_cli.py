@@ -675,7 +675,7 @@ class TestServeDispute:
     def test_dispute_flow(self, runner, tmp_path):
         train_tiny(runner, tmp_path)
         tree = merkle.read_tree(tmp_path / "tiny.vtmt")
-        flipped = list(tree.leaves)
+        flipped = [merkle.node(tree, 0, i) for i in range(tree.leaf_count)]
         flipped[1] = hashlib.sha256(b"tampered").digest()
         merkle.write_tree(merkle.build(flipped), tmp_path / "other.vtmt")
         addr, thread = self._serve_in_thread(tmp_path / "other.vtmt")
@@ -759,8 +759,8 @@ class TestMalformedTrainer:
     """Malformed trainer replies end `dispute` with exit 4, never a traceback."""
 
     def _fake_trainer(self, announce, node_reply):
-        # answers the hello with ``announce`` and every node_request with
-        # ``node_reply`` until the auditor hangs up
+        # answers the hello with ``announce`` and every children_request
+        # with ``node_reply`` until the auditor hangs up
         listener = game.listen(("127.0.0.1", 0))
 
         def run():
@@ -770,7 +770,7 @@ class TestMalformedTrainer:
                     try:
                         game._recv(conn)
                         game._send(conn, announce)
-                        while game._recv(conn)["type"] == "node_request":
+                        while game._recv(conn)["type"] == "children_request":
                             game._send(conn, node_reply)
                     except OSError:
                         pass
@@ -782,9 +782,11 @@ class TestMalformedTrainer:
     @pytest.mark.parametrize("announce, node_reply", [
         ({"type": "root_announce", "root": "ab" * 32}, None),
         (dict(ANNOUNCE, leaf_count="x"), None),
-        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0}),
-        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0, "digest": "zz" * 32}),
-        (ANNOUNCE, {"type": "node_response", "level": 1, "index": 0, "digest": "cd" * 32}),
+        (ANNOUNCE, {"type": "children_response", "level": 2, "index": 0, "left": "cd" * 32}),
+        (ANNOUNCE, {"type": "children_response", "level": 2, "index": 0,
+                    "left": "zz" * 32, "right": "cd" * 32}),
+        (ANNOUNCE, {"type": "children_response", "level": 2, "index": 0,
+                    "left": "cd" * 32, "right": "cd" * 32}),
     ], ids=["no-leaf-count", "leaf-count-not-int", "no-digest", "digest-not-hex",
             "nodes-miss-root"])
     def test_protocol_error(self, runner, tmp_path, announce, node_reply):
@@ -976,11 +978,11 @@ class TestKeepCheckpoints:
         assert result.exit_code == 0, result.output
         tree = merkle.read_tree(tmp_path / "tiny.vtmt")
         files = sorted(tmp_path.glob("tiny.ckpt*.weights"))
-        assert len(files) == len(tree.leaves)
+        assert len(files) == tree.leaf_count
         # each snapshot hashes to its leaf
-        for ckpt, leaf in zip(files, tree.leaves):
+        for i, ckpt in enumerate(files):
             tensors = cli.load_weights(ckpt)
-            assert merkle.hash_weights(tensors) == leaf
+            assert merkle.hash_weights(tensors) == merkle.node(tree, 0, i)
 
 
 class TestServeCommand:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import random
 import socket
 import threading
@@ -12,6 +13,8 @@ from click.testing import CliRunner
 
 from vtrain import game, merkle
 from vtrain.cli import main
+
+from harness import children_fetch, two_child_levels
 
 
 def leaf(i: int) -> bytes:
@@ -72,8 +75,25 @@ class TestChallenge:
         report = game.challenge(auditor, addr, timeout=5)
         assert report.outcome == game.DISPUTE_AT_LEAF
         assert report.leaf_index == 5
-        assert report.node_requests <= 2 * int(np.ceil(np.log2(8))) + 2
+        assert report.node_requests == 3
         assert game.judge_check(report, trainer.root, auditor.root)
+
+    @pytest.mark.parametrize("n, flip", [(2, 1), (5, 4), (8, 5), (13, 12), (70, 64), (4096, 77)])
+    def test_one_children_request_per_level(self, served, n, flip):
+        addr, launch = served
+        trainer = tree_of(n, flips=(flip,))
+        launch(trainer)
+        report = game.challenge(tree_of(n), addr, timeout=5)
+        assert report.leaf_index == flip
+        sent = [e["msg"] for e in report.transcript if e["dir"] == "send"]
+        requests = [m for m in sent if m["type"] == "children_request"]
+        # one round trip per level whose on-path node has two children, top down
+        assert len(requests) == report.node_requests == two_child_levels(trainer, flip)
+        assert [m["level"] for m in requests] == sorted({m["level"] for m in requests},
+                                                        reverse=True)
+        assert {m["type"] for m in sent} == {"hello", "children_request", "verdict_claim"}
+        received = [e["msg"]["type"] for e in report.transcript if e["dir"] == "recv"]
+        assert received == ["root_announce"] + ["children_response"] * len(requests)
 
     def test_schedule_mismatch(self, served):
         addr, launch = served
@@ -116,11 +136,11 @@ class TestChallenge:
         launch(trainer)
         report = game.challenge(auditor, addr, timeout=5)
         oracle = next(
-            i for i in range(n) if trainer.leaves[i] != auditor.leaves[i]
+            i for i in range(n) if merkle.node(trainer, 0, i) != merkle.node(auditor, 0, i)
         )
         assert report.outcome == game.DISPUTE_AT_LEAF
         assert report.leaf_index == oracle == flip
-        assert report.node_requests <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2
+        assert report.node_requests == two_child_levels(trainer, flip)
         assert game.judge_check(report, trainer.root, auditor.root)
 
     def test_multiple_flips_finds_first(self, served):
@@ -164,17 +184,22 @@ class TestServerBehavior:
         assert resp["root"] == tree.root_hex
         assert resp["leaf_count"] == 5
 
-    def test_node_request_served(self, served):
+    def test_children_request_served(self, served):
         addr, launch = served
         tree = tree_of(4)
         launch(tree)
         resps = self._talk(addr, [
             {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
-            {"type": "node_request", "level": 0, "index": 0},
+            {"type": "children_request", "level": 1, "index": 1},
+            {"type": "children_request", "level": 2, "index": 0},
         ])
         assert resps[1] == {
-            "type": "node_response", "level": 0, "index": 0,
-            "digest": tree.leaves[0].hex(),
+            "type": "children_response", "level": 1, "index": 1,
+            "left": leaf(2).hex(), "right": leaf(3).hex(),
+        }
+        assert resps[2] == {
+            "type": "children_response", "level": 2, "index": 0,
+            "left": merkle.node(tree, 1, 0).hex(), "right": merkle.node(tree, 1, 1).hex(),
         }
 
     def test_out_of_range_refused(self, served):
@@ -182,20 +207,57 @@ class TestServerBehavior:
         launch(tree_of(4))
         resps = self._talk(addr, [
             {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
-            {"type": "node_request", "level": 0, "index": 9},
+            {"type": "children_request", "level": 1, "index": 9},
         ])
-        assert resps[1]["type"] == "refuse"
+        assert resps[1] == {"type": "refuse", "reason": "node out of range"}
+
+    @pytest.mark.parametrize("level, index, reason", [
+        (0, 0, "a leaf has no children"),
+        (0, 5, "node out of range"),
+        (1, 3, "node out of range"),
+        (4, 0, "node out of range"),
+        (-1, 0, "node out of range"),
+        (1, -1, "node out of range"),
+        (1, 2, "node has one child"),
+        (2, 1, "node has one child"),
+        (1.0, 0, "node coordinates must be ints"),
+        (1, True, "node coordinates must be ints"),
+    ], ids=["leaf", "leaf-out-of-range", "inner-out-of-range", "above-root",
+            "negative-level", "negative-index", "one-child-level-1", "one-child-level-2",
+            "float-level", "bool-index"])
+    def test_childless_request_refused_and_session_goes_on(self, served, level, index, reason):
+        addr, launch = served
+        tree = tree_of(5)  # levels of 5, 3, 2 and 1 nodes
+        launch(tree)
+        resps = self._talk(addr, [
+            {"type": "hello", "protocol_version": game.PROTOCOL_VERSION},
+            {"type": "children_request", "level": level, "index": index},
+            {"type": "children_request", "level": 3, "index": 0},
+        ])
+        assert resps[1] == {"type": "refuse", "reason": reason}
+        assert resps[2]["type"] == "children_response"
+        assert resps[2]["right"] == merkle.node(tree, 2, 1).hex()
 
     def test_old_protocol_version_refused(self, served):
         addr, launch = served
         tree = tree_of(8)
-        server = launch(tree, sessions=2)
-        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": 1}])
-        assert resp == {"type": "refuse", "reason": "unsupported protocol version"}
+        server = launch(tree, sessions=3)
+        for old in (1, 2):
+            (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": old}])
+            assert resp == {"type": "refuse", "reason": "unsupported protocol version"}
         report = game.challenge(tree, addr, timeout=5)
         assert report.outcome == game.TRAINING_VERIFIED
         server.thread.join(timeout=5)
         assert not server.thread.is_alive()
+
+    @pytest.mark.parametrize("version", [float(game.PROTOCOL_VERSION), True,
+                                         str(game.PROTOCOL_VERSION), None],
+                             ids=["3.0", "true", "string", "null"])
+    def test_non_int_protocol_version_refused(self, served, version):
+        addr, launch = served
+        launch(tree_of(8))
+        (resp,) = self._talk(addr, [{"type": "hello", "protocol_version": version}])
+        assert resp == {"type": "refuse", "reason": "unsupported protocol version"}
 
     def test_unknown_type_refused(self, served):
         addr, launch = served
@@ -212,6 +274,25 @@ class TestServerBehavior:
             s.connect(addr)
             s.sendall((6).to_bytes(4, "little") + b"\xff\xfe\xfd\xfc\xfb\xfa")
             assert game._recv(s)["type"] == "refuse"
+        report = game.challenge(tree, addr, timeout=5)
+        assert report.outcome == game.TRAINING_VERIFIED
+        server.thread.join(timeout=5)
+        assert not server.thread.is_alive()
+
+    def test_capped_frame_in_small_writes_refused(self, served):
+        # a frame at the 16 MiB cap, sent 4 KiB at a time, is read whole and refused
+        addr, launch = served
+        tree = tree_of(8)
+        server = launch(tree, sessions=2)
+        body = b"\xff" * (1 << 24)
+        with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as s:
+            s.settimeout(30)
+            s.connect(addr)
+            s.sendall(len(body).to_bytes(4, "little"))
+            with memoryview(body) as view:
+                for start in range(0, len(body), 4096):
+                    s.sendall(view[start : start + 4096])
+            assert game._recv(s) == {"type": "refuse", "reason": "malformed message"}
         report = game.challenge(tree, addr, timeout=5)
         assert report.outcome == game.TRAINING_VERIFIED
         server.thread.join(timeout=5)
@@ -317,7 +398,7 @@ def test_message_bound_all_sizes_one_to_sixtyfour(served):
         report = game.challenge(auditor, addr, timeout=5)
         assert report.outcome == game.DISPUTE_AT_LEAF
         assert report.leaf_index == flip
-        assert report.node_requests <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2, n
+        assert report.node_requests == two_child_levels(trainer, flip), n
 
 
 def _frame(payload: bytes) -> bytes:
@@ -335,13 +416,12 @@ def fuzz_cases(rng: random.Random) -> list[tuple[str, bytes, list]]:
     so the server never closes with unread input.
     """
     hello = _json_frame({"type": "hello", "protocol_version": game.PROTOCOL_VERSION})
-    node_request = _json_frame({"type": "node_request", "level": 0, "index": 0})
+    request = _json_frame({"type": "children_request", "level": 1, "index": 0})
     refused = ["refuse"]
     cases = []
     for _ in range(3):
-        cases.append(("truncated header", node_request[: rng.randrange(1, 4)], []))
-        cases.append(("truncated payload", node_request[: rng.randrange(4, len(node_request))],
-                      []))
+        cases.append(("truncated header", request[: rng.randrange(1, 4)], []))
+        cases.append(("truncated payload", request[: rng.randrange(4, len(request))], []))
     for length in ((1 << 24) + 1, 2**32 - 1):
         cases.append(("oversized", length.to_bytes(4, "little"), refused))
     for doc in ([1, 2], 5, "hello", None, True):
@@ -352,20 +432,31 @@ def fuzz_cases(rng: random.Random) -> list[tuple[str, bytes, list]]:
     cases.append(("deeply nested", _frame(b"[" * 100_000), refused))
     for kind in (5, ["hello"], None, {"type": "hello"}):
         cases.append(("wrong-typed type", _json_frame({"type": kind}), refused))
-    for nonfinite in (float("nan"), float("inf"), float("-inf")):
-        doc = {"type": "hello", "protocol_version": nonfinite}
-        cases.append(("non-finite version", _json_frame(doc), refused))
-    for value in (1.0, 0.5, float("inf"), float("-inf"), float("nan"), "0", True, False,
+    for version in (float("nan"), float("inf"), float("-inf"), 3.0, True, 2, "3"):
+        doc = {"type": "hello", "protocol_version": version}
+        cases.append((f"version {version!r}", _json_frame(doc), refused))
+    for value in (0, 1.0, 0.5, float("inf"), float("-inf"), float("nan"), "0", True, False,
                   [0], None, {"level": 0}, 10**30, -(10**30), 2**64, -1):
         for coord in ("level", "index"):
-            request = {"type": "node_request", "level": 0, "index": 0, coord: value}
-            cases.append((f"{coord}={value!r}", hello + _json_frame(request),
-                          ["root_announce", "refuse"]))
-    cases.append(("request before hello", node_request + hello,
-                  ["node_response", "root_announce"]))
+            if (coord, value) == ("index", 0):
+                continue  # the node asked for
+            doc = {"type": "children_request", "level": 1, "index": 0, coord: value}
+            if isinstance(value, float) and not math.isfinite(value):
+                # not JSON: a malformed message, which ends the session
+                cases.append((f"{coord}={value!r}", hello + _json_frame(doc),
+                              ["root_announce", "refuse"]))
+                continue
+            # a refused request ends nothing: the session answers the next one
+            cases.append((f"{coord}={value!r}", hello + _json_frame(doc) + request,
+                          ["root_announce", "refuse", "children_response"]))
+    cases.append(("request before hello", request + hello,
+                  ["children_response", "root_announce"]))
     cases.append(("second hello", hello + hello, ["root_announce", "root_announce"]))
+    old_request = {"type": "node_request", "level": 0, "index": 0}  # protocol version 2
+    cases.append(("node_request", hello + _json_frame(old_request), ["root_announce", "refuse"]))
     for doc in ({"type": "root_announce", "root": "00" * 32, "leaf_count": 8},
-                {"type": "node_response", "level": 0, "index": 0, "digest": "00" * 32},
+                {"type": "children_response", "level": 1, "index": 0,
+                 "left": "00" * 32, "right": "00" * 32},
                 {"type": "refuse", "reason": "no"}):
         cases.append((f"server-only {doc['type']}", hello + _json_frame(doc),
                       ["root_announce", "refuse"]))
@@ -411,7 +502,7 @@ DROP = object()  # a field value that leaves the field out
 
 def client_fuzz_cases(rng: random.Random) -> list[tuple[str, int, object]]:
     """(label, k, edit): a trainer that answers honestly except its k-th
-    answer (0 answers the hello; i answers the i-th node_request).
+    answer (0 answers the hello; i answers the i-th children_request).
 
     A dict edit changes fields of the honest answer (``DROP`` deletes one)
     and the trainer then goes on answering; bytes are sent as they are,
@@ -419,15 +510,20 @@ def client_fuzz_cases(rng: random.Random) -> list[tuple[str, int, object]]:
     """
     bad_digests = ["zz" * 32, "ab" * 31, "ab" * 33, "", " a" * 32, 7, None, ["ab"] * 32]
     cases = []
-    for k in range(7):  # a dispute over 8 leaves makes 6 node requests
-        field = "root" if k == 0 else "digest"
-        other = "node_response" if k == 0 else "root_announce"
+    for k in range(4):  # a dispute over 8 leaves makes 3 children requests
+        fields = ["root"] if k == 0 else ["left", "right"]
+        other = "children_response" if k == 0 else "root_announce"
         edits = [
             ("wrong type", {"type": rng.choice([other, "refuse", "hello", "", 7, None, ["x"]])}),
             ("no type", {"type": DROP}),
-            (f"bad {field}", {field: rng.choice(bad_digests)}),
-            (f"no {field}", {field: DROP}),
-            (f"{field} not served", {field: rng.randbytes(32).hex()}),
+        ]
+        for field in fields:
+            edits += [
+                (f"bad {field}", {field: rng.choice(bad_digests)}),
+                (f"no {field}", {field: DROP}),
+                (f"{field} not served", {field: rng.randbytes(32).hex()}),
+            ]
+        edits += [
             ("truncated length prefix", (40).to_bytes(4, "little")[: rng.randrange(4)]),
             ("oversized length prefix",
              ((1 << 24) + rng.randrange(1, 1 << 20)).to_bytes(4, "little") + b"{}"),
@@ -452,17 +548,18 @@ def _fake_trainer(listener, served: merkle.MerkleTree, cases) -> None:
         with conn:
             conn.settimeout(5)
             try:
-                for i in range(8):  # a hello, 6 node requests, the verdict claim
+                for i in range(5):  # a hello, 3 children requests, the verdict claim
                     msg = game._recv(conn)
-                    if msg["type"] not in ("hello", "node_request"):  # the verdict claim
+                    if msg["type"] not in ("hello", "children_request"):  # the verdict claim
                         break
                     if msg["type"] == "hello":
                         doc = {"type": "root_announce", "root": served.root_hex,
-                               "leaf_count": len(served.leaves)}
+                               "leaf_count": served.leaf_count}
                     else:
                         level, index = msg["level"], msg["index"]
-                        doc = {"type": "node_response", "level": level, "index": index,
-                               "digest": merkle.node(served, level, index).hex()}
+                        left, right = children_fetch(served)(level, index)
+                        doc = {"type": "children_response", "level": level, "index": index,
+                               "left": left.hex(), "right": right.hex()}
                     if i != k:
                         game._send(conn, doc)
                     elif isinstance(edit, bytes):

@@ -7,6 +7,8 @@ import pytest
 
 from vtrain import merkle
 
+from harness import children_fetch, two_child_levels
+
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
 
 
@@ -29,16 +31,38 @@ def reference_levels(leaves):
     return levels
 
 
+def assert_nodes(t, want):
+    """``t`` holds exactly the levels ``want`` lists, node by node."""
+    assert len(t.levels) == len(want)
+    for level, row in enumerate(want):
+        assert [merkle.node(t, level, i) for i in range(len(row))] == row, level
+        with pytest.raises(IndexError):
+            merkle.node(t, level, len(row))
+
+
+# SHA-256 of the .vtmt file of leaf(0..n-1), as the list-per-level tree wrote it
+VTMT_SHA256 = {
+    13: "b80aea1546e38242e454431ef503ae3b9c1200f2540eb3a10ba7160a444eb1e4",
+    70: "76defad0bf4881997633f3f2533714fbb1f8025478c0975932b59939f6aa698f",
+}
+
+
 class TestBuildOracle:
     @pytest.mark.parametrize("n", list(range(1, 71)) + [4095, 4096, 4097])
     def test_levels_match_reference(self, tmp_path, n):
         leaves = [leaf(i) for i in range(n)]
         want = reference_levels(leaves)
         t = merkle.build(leaves)
-        assert t.levels == want
+        assert_nodes(t, want)
         p = tmp_path / "t.vtmt"
         merkle.write_tree(t, p)
-        assert merkle.read_tree(p).levels == want
+        assert_nodes(merkle.read_tree(p), want)
+
+    @pytest.mark.parametrize("n", sorted(VTMT_SHA256))
+    def test_file_bytes_unchanged(self, tmp_path, n):
+        p = tmp_path / "t.vtmt"
+        merkle.write_tree(merkle.build([leaf(i) for i in range(n)]), p)
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == VTMT_SHA256[n]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 4096])
     def test_hash_calls_are_one_per_internal_node(self, tmp_path, monkeypatch, n):
@@ -89,9 +113,10 @@ class TestBuild:
     def test_leaves_are_the_first_level(self):
         given = [leaf(i) for i in range(5)]
         t = merkle.build(given)
-        assert t.leaves is t.levels[0]
+        assert t.levels[0] == b"".join(given)
+        assert t.leaf_count == 5
         given[0] = leaf(99)  # the tree keeps its own row, not the caller's list
-        assert t.leaves[0] == leaf(0)
+        assert merkle.node(t, 0, 0) == leaf(0)
 
     @pytest.mark.parametrize("bad", [
         bytearray(leaf(0)), leaf(0)[:31], leaf(0) + b"\0", "x" * 32,
@@ -167,7 +192,7 @@ class TestFirstDivergence:
         a = merkle.build([leaf(i) for i in range(8)])
         b_leaves = [leaf(i) for i in range(7)] + [leaf(99)]
         b = merkle.build(b_leaves)
-        assert merkle.bisect(a, b.root, lambda level, i: b.levels[level][i]).leaf_index == 7
+        assert merkle.bisect(a, b.root, children_fetch(b)).leaf_index == 7
 
     def test_matches_linear_scan_oracle(self):
         rng = np.random.default_rng(3)
@@ -183,7 +208,7 @@ class TestFirstDivergence:
             oracle = next((i for i in range(n) if base[i] != other[i]), None)
             assert (a.root == b.root) == (oracle is None)
             if oracle is not None:
-                got = merkle.bisect(a, b.root, lambda level, i: b.levels[level][i])
+                got = merkle.bisect(a, b.root, children_fetch(b))
                 assert got.leaf_index == oracle
                 checked += 1
         assert checked > 100
@@ -195,13 +220,16 @@ class TestFirstDivergence:
         other[n - 1] = leaf(777)
         a, b = merkle.build(base), merkle.build(other)
         fetches = []
+        served = children_fetch(b)
 
         def fetch(level, index):
             fetches.append((level, index))
-            return b.levels[level][index]
+            return served(level, index)
 
         merkle.bisect(a, b.root, fetch)
-        assert len(fetches) <= 2 * int(np.ceil(np.log2(max(n, 2)))) + 2
+        # one fetch per level whose on-path node has two children, top down
+        assert len(fetches) == two_child_levels(b, n - 1)
+        assert [level for level, _ in fetches] == sorted({lv for lv, _ in fetches}, reverse=True)
 
 
 class TestHashWeights:
@@ -239,7 +267,7 @@ class TestSidecar:
         p = tmp_path / "t.vtmt"
         merkle.write_tree(t, p)
         back = merkle.read_tree(p)
-        assert back.leaves == t.leaves
+        assert back.levels == t.levels
         assert back.root == t.root
 
     def test_bad_magic(self, tmp_path):

@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from vtrain import fpround, merkle, protocol as pr
 from vtrain.protocol import TrainConfig
+
+from harness import children_fetch
 from vtrain.roundlog import LogReader, LogWriter
 from vtrain.simnet import Dense, Relu, Rng, Sigmoid, get_profile, make_dataset
 
@@ -130,13 +132,14 @@ class TestTrain:
                           learning_rate=0.1)
         assert cfg.steps == 1
         out = pr.train(cfg, tmp_path / "one.vtrl")
-        assert len(out.tree.leaves) == 1
-        assert out.root == out.tree.leaves[0]
+        assert out.tree.leaf_count == 1
+        assert out.root == merkle.node(out.tree, 0, 0)
 
     def test_zero_learning_rate_freezes_checkpoints(self, tmp_path):
         cfg = tiny_config(learning_rate=0.0)
         out = pr.train(cfg, tmp_path / "zero.vtrl")
-        assert len(set(out.tree.leaves)) == 1
+        leaves = out.tree.levels[0]
+        assert leaves == leaves[: merkle.DIGEST_LEN] * out.tree.leaf_count
         # with frozen weights even a profile change without corrections agrees
         for profile in ("pairwise", "reversed", "chunked7"):
             nr = pr.audit_without_corrections(cfg, profile)
@@ -297,8 +300,7 @@ class TestAudit:
         tampered = pr.train(cfg, tmp_path / "t.vtrl", tamper=flip)
         # first checkpoint at or after the tampered step (ceil(s/k), 0-based)
         want = -(-s // cfg.checkpoint_interval) - 1
-        got = merkle.bisect(honest.tree, tampered.tree.root,
-                            lambda level, i: tampered.tree.levels[level][i])
+        got = merkle.bisect(honest.tree, tampered.tree.root, children_fetch(tampered.tree))
         assert got.leaf_index == want
 
 
@@ -442,9 +444,9 @@ class TestNegativeControlMechanics:
         cfg = tiny_config()
         out = pr.train(cfg, tmp_path / "log.vtrl", keep_checkpoints=True)
         assert out.checkpoints is not None
-        assert len(out.checkpoints) == len(out.tree.leaves)
+        assert len(out.checkpoints) == out.tree.leaf_count
         nr = pr.audit_without_corrections(cfg, "pairwise", keep_checkpoints=True)
-        assert len(nr.checkpoints) == len(out.tree.leaves)
+        assert len(nr.checkpoints) == out.tree.leaf_count
         for a, b in zip(out.checkpoints, nr.checkpoints):
             assert [t.shape for t in a] == [t.shape for t in b]
 
