@@ -102,14 +102,6 @@ def _path_to_wire(p: MerklePath) -> dict:
     }
 
 
-def _path_from_wire(obj: dict) -> MerklePath:
-    return MerklePath(
-        leaf_index=int(obj["leaf_index"]),
-        leaf=_digest(obj["leaf"], "leaf"),
-        siblings=[None if d is None else _digest(d, "sibling") for d in obj["siblings"]],
-    )
-
-
 @dataclass
 class VerdictReport:
     outcome: str
@@ -139,7 +131,6 @@ class GameServer:
 
     def __init__(self, tree: MerkleTree):
         self.tree = tree
-        self.last_claim: dict | None = None
 
     def handle_session(self, conn: socket.socket) -> None:
         """Answer one client; no frame it sends, no disconnect and no silence
@@ -165,10 +156,7 @@ class GameServer:
                     })
                 elif kind == "children_request":
                     _send(conn, self._children(msg.get("level"), msg.get("index")))
-                elif kind == "accept":
-                    return
-                elif kind == "verdict_claim":
-                    self.last_claim = msg
+                elif kind in ("accept", "verdict_claim"):
                     return
                 else:
                     _send(conn, {"type": "refuse", "reason": f"unexpected message {kind!r}"})

@@ -8,18 +8,20 @@ reading anything, which is the negative control: at a training precision
 ``b_tr`` below 64 it demonstrates that rounding alone does not keep two
 accumulation orders in sync.
 
-A channel's ``process(values, tau)`` returns the values that flow on and
-one count: directed entries for the trainer, corrections for the auditor,
-0 for the control. ``_forward`` is the one layer loop, for each step of
-``_run`` and for ``evaluate``. ``_run`` returns one record, ``RunOutput``,
-with a (forward, backward) pair of counts per step; ``audit`` returns it
-as is and ``train`` adds the log size, final loss and accuracy. A run that
+Every party hands the engine one function, ``process(values, slot)``,
+where ``slot`` is the ``Slot`` the tensor is logged under. It returns the
+values that flow on and one count: directed entries for the trainer, which
+rounds at ``cfg.tau_for(slot.key)``, corrections for the auditor, 0 for
+the control. ``_forward`` is the one layer loop, for each step of ``_run``
+and for ``evaluate``. ``_run`` returns one record, ``RunOutput``, with a
+(forward, backward) pair of counts per step; ``audit`` returns it as is
+and ``train`` adds the log size, final loss and accuracy. A run that
 diverges raises ``TrainingDiverged`` with the step.
 
-``threshold_search`` runs the same engine with two more channels: a
+``threshold_search`` runs the same engine with two more functions: a
 reference on the trainer's profile keeps each raw logged tensor, and a
 comparison on each other profile passes on the reference's rounded ones
-and records where its own rounding straddles them.
+and records, under the slot's key, where its own rounding straddles them.
 
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
@@ -47,7 +49,6 @@ gradients in reverse stage order, elements row-major.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -181,12 +182,16 @@ class TrainConfig:
             raise ValueError(f"supported model precision is b_m=32, got {doc['b_m']!r}")
         given = {key: doc[key] for key in ("b_r", "b_tr", "trainer_profile", "name") if key in doc}
         if "tau" in doc:  # {"policy": "fixed", "value": V} or {"policy": "adaptive", "table": T}
-            policy = doc["tau"]["policy"]
+            tau = doc["tau"]
+            policy = tau["policy"]
             if policy not in ("fixed", "adaptive"):
                 raise ValueError(f"unknown tau policy {policy!r}, want 'fixed' or 'adaptive'")
-            given["tau"] = (_finite_number("tau", doc["tau"]["value"]) if policy == "fixed" else
+            if policy == "adaptive" and not isinstance(tau["table"], dict):
+                raise ValueError("adaptive tau table must be a JSON object, "
+                                 f"got {type(tau['table']).__name__}")
+            given["tau"] = (_finite_number("tau", tau["value"]) if policy == "fixed" else
                             {key: _finite_number(f"tau of {key!r}", v)
-                             for key, v in dict(doc["tau"]["table"]).items()})
+                             for key, v in tau["table"].items()})
         ds = doc["dataset"]
         required = ("epochs", "batch_size", "learning_rate", "checkpoint_interval", "seed")
         return cls(dataset_size=ds["size"], dim=ds["dim"], classes=ds["classes"], layers=layers,
@@ -215,7 +220,7 @@ class TrainConfig:
         Forward outputs in stage order, the loss gradient, then input
         gradients in reverse stage order. The first stage's input gradient
         feeds nothing and has no slot. Past the first stage a grid-closed
-        layer's input is on the ``b_r`` grid (a channel output, or another
+        layer's input is on the ``b_r`` grid (a ``process`` output, or another
         grid-closed layer's) and stays there, so it has no slot either; a
         grid-closed first stage sees the raw batch and keeps its forward
         slot.
@@ -238,7 +243,7 @@ class RunOutput:
 
     tree: merkle.MerkleTree  # over the checkpoint digests; the last is the final weights'
     params: list[list[np.ndarray]]  # per layer, on the b_r grid
-    per_step: list[tuple[int, int]]  # the channel's (forward, backward) counts
+    per_step: list[tuple[int, int]]  # process's (forward, backward) counts
     checkpoints: list[list[np.ndarray]] | None
 
     @property
@@ -257,38 +262,33 @@ class TrainOutput(RunOutput):
     train_accuracy: float
 
 
-class _TrainerChannel:
-    """Classify, record, round; counts directed entries."""
+def _trainer(writer: LogWriter, cfg: TrainConfig):
+    """Classify at the slot's tau, record, round; counts directed entries."""
 
-    def __init__(self, writer: LogWriter, b_r: int):
-        self.writer = writer
-        self.b_r = b_r
-
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-        rounded, codes = round_and_code(values, self.b_r, tau)
-        self.writer.write_array(codes.reshape(-1))
+    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+        rounded, codes = round_and_code(values, cfg.b_r, cfg.tau_for(slot.key))
+        writer.write_array(codes.reshape(-1))
         return rounded, int(np.count_nonzero(codes != IGNORE))
 
+    return process
 
-class _AuditorChannel:
+
+def _auditor(reader: LogReader, b_r: int):
     """Read, replay; counts corrections."""
 
-    def __init__(self, reader: LogReader, b_r: int):
-        self.reader = reader
-        self.b_r = b_r
+    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+        return replay(values, b_r, reader.read_array(values.size).reshape(values.shape))
 
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-        return replay(values, self.b_r, self.reader.read_array(values.size).reshape(values.shape))
+    return process
 
 
-class _PlainChannel:
+def _plain(b_r: int):
     """Round only; the negative control. Counts nothing."""
 
-    def __init__(self, b_r: int):
-        self.b_r = b_r
+    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+        return rnd_array(values, b_r), 0
 
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-        return rnd_array(values, self.b_r), 0
+    return process
 
 
 def _loss_forward(loss_kind: str, output, labels, profile):
@@ -297,26 +297,26 @@ def _loss_forward(loss_kind: str, output, labels, profile):
     return bce_forward(output, labels, profile)
 
 
-def _slot_taus(cfg: TrainConfig) -> dict[tuple[str, int], float]:
-    """Tau per logged slot by (pass, stage): an output goes through the channel iff it has one."""
-    return {(s.pass_, s.stage): cfg.tau_for(s.key) for s in cfg.log_slots()}
+def _slot_map(cfg: TrainConfig) -> dict[tuple[str, int], Slot]:
+    """Logged slots by (pass, stage): an output goes through ``process`` iff it has one."""
+    return {(s.pass_, s.stage): s for s in cfg.log_slots()}
 
 
-def _forward(layers, params, x, profile, process, taus) -> tuple[list[np.ndarray], int]:
+def _forward(layers, params, x, profile, process, slots) -> tuple[list[np.ndarray], int]:
     """The input and every layer's output, each one with a forward slot sent
     through ``process``; and the sum of ``process``'s counts."""
     values, count = [x], 0
     for i, layer in enumerate(layers):
         out = layer.forward(values[-1], params[i], profile)
-        tau = taus.get(("forward", i))
-        if tau is not None:
-            out, n = process(out, tau)
+        slot = slots.get(("forward", i))
+        if slot is not None:
+            out, n = process(out, slot)
             count += n
         values.append(out)
     return values, count
 
 
-def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bool,
+def _run(cfg: TrainConfig, profile: DeviceProfile, process, keep_checkpoints: bool,
          tamper=None) -> tuple[RunOutput, tuple[np.ndarray, np.ndarray]]:
     """One pass of the engine; returns the record and the dataset it drew."""
     profile = replace(profile, b_tr=cfg.b_tr)
@@ -326,7 +326,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     params = [[rnd_array(p, cfg.b_r) for p in layer.init(rng)] for layer in layers]
     batch_indices = batches(cfg.dataset_size, cfg.batch_size, rng)
 
-    taus = _slot_taus(cfg)
+    slots = _slot_map(cfg)
     leaves: list[bytes] = []
     checkpoints: list[list[np.ndarray]] = []
     per_step: list[tuple[int, int]] = []
@@ -334,20 +334,20 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, channel, keep_checkpoints: bo
     t = 0
     try:
         for t, idx in zip(range(1, cfg.steps + 1), batch_indices):
-            values, forward = _forward(layers, params, X[idx], profile, channel.process, taus)
+            values, forward = _forward(layers, params, X[idx], profile, process, slots)
 
             loss_raw, grad_raw = _loss_forward(cfg.loss, values[-1], y[idx], profile)
             if not np.isfinite(loss_raw):
                 raise TrainingDiverged(t)
 
-            grad, backward = channel.process(grad_raw, taus["backward", len(layers)])
+            grad, backward = process(grad_raw, slots["backward", len(layers)])
             grads: list = [None] * len(layers)
             for i in range(len(layers) - 1, 0, -1):
                 grad, grads[i] = layers[i].backward(values[i], values[i + 1], grad, params[i],
                                                     profile)
-                tau = taus.get(("backward", i))
-                if tau is not None:
-                    grad, n = channel.process(grad, tau)
+                slot = slots.get(("backward", i))
+                if slot is not None:
+                    grad, n = process(grad, slot)
                     backward += n
             if layers:
                 grads[0] = layers[0].param_grads(values[0], grad)
@@ -389,12 +389,12 @@ def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[fl
     over all the outputs, so its sum keeps its order.
     """
     profile = replace(profile, b_tr=cfg.b_tr)
-    process, taus = _PlainChannel(cfg.b_r).process, _slot_taus(cfg)
+    process, slots = _plain(cfg.b_r), _slot_map(cfg)
     widest = max([p.size for ps in params for p in ps], default=1)
     rows = max(cfg.batch_size, _ELEMENT_BUDGET // widest)
     outputs = []
     for lo in range(0, len(X), rows):
-        values, _ = _forward(cfg.layers, params, X[lo : lo + rows], profile, process, taus)
+        values, _ = _forward(cfg.layers, params, X[lo : lo + rows], profile, process, slots)
         outputs.append(values[-1])
     out = np.concatenate(outputs)
     loss, _ = _loss_forward(cfg.loss, out, y, profile)
@@ -421,8 +421,7 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
     writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
     try:
         with writer:
-            run, (X, y) = _run(cfg, profile, _TrainerChannel(writer, cfg.b_r),
-                               keep_checkpoints, tamper)
+            run, (X, y) = _run(cfg, profile, _trainer(writer, cfg), keep_checkpoints, tamper)
     except BaseException:
         writer.path.unlink(missing_ok=True)
         raise
@@ -438,7 +437,7 @@ def audit(cfg: TrainConfig, auditor_profile: str, log_path) -> RunOutput:
     if reader.b_r != cfg.b_r:
         raise AuditFailure(f"log b_r {reader.b_r} does not match config b_r {cfg.b_r}")
     try:
-        run, _ = _run(cfg, profile, _AuditorChannel(reader, cfg.b_r), False)
+        run, _ = _run(cfg, profile, _auditor(reader, cfg.b_r), False)
     except LogExhaustedError as e:
         raise AuditFailure("operation-count mismatch") from e
     except TrainingDiverged as e:
@@ -448,12 +447,10 @@ def audit(cfg: TrainConfig, auditor_profile: str, log_path) -> RunOutput:
     return run
 
 
-def audit_without_corrections(cfg: TrainConfig, auditor_profile: str,
-                              keep_checkpoints: bool = False) -> RunOutput:
+def audit_without_corrections(cfg: TrainConfig, auditor_profile: str) -> RunOutput:
     """Replay with plain rounding and no log: the negative control."""
     try:
-        run, _ = _run(cfg, get_profile(auditor_profile), _PlainChannel(cfg.b_r),
-                      keep_checkpoints)
+        run, _ = _run(cfg, get_profile(auditor_profile), _plain(cfg.b_r), False)
     except TrainingDiverged as e:
         raise AuditFailure(str(e)) from e
     return run
@@ -491,53 +488,40 @@ def search_tau(samples, b_r: int) -> float:
     return min(upper, max(lower, math.nextafter(min(samples), 0.0)))
 
 
-class _ReferenceChannel:
-    """Round like the negative control, and keep each raw slot tensor in log order."""
-
-    def __init__(self, b_r: int):
-        self.b_r = b_r
-        self.raw: list[np.ndarray] = []
-
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-        self.raw.append(values)
-        return rnd_array(values, self.b_r), 0
-
-
-class _ComparisonChannel:
-    """Pass on the reference's rounded tensors, so the run stays synced with it.
-
-    At each straddle (the two nearest roundings differ and the raw values
-    sit on opposite sides of them: what a code resyncs) it adds to
-    ``distances``, under the slot's key, the reference's distance from its
-    grid point, ``|y1 - r1|`` over ``y1``'s exponent scale: the distance
-    the trainer's code is tested against. Counts the straddles.
-    """
-
-    def __init__(self, reference: _ReferenceChannel, keys: list[str], distances: dict):
-        self.b_r = reference.b_r
-        self.raw = iter(reference.raw)
-        self.keys = itertools.cycle(keys)
-        self.distances = distances
-
-    def process(self, values: np.ndarray, tau: float) -> tuple[np.ndarray, int]:
-        y1, key = next(self.raw), next(self.keys)
-        r1, r2 = rnd_array(y1, self.b_r), rnd_array(values, self.b_r)
-        straddle = (r1 != r2) & (((y1 > r1) & (values < r2)) | ((y1 < r1) & (values > r2)))
-        y, r = y1[straddle], r1[straddle]
-        self.distances[key].append(np.abs(y - r) / exponent_scale_array(y))
-        return r1, y.size
-
-
 def threshold_search(cfg: TrainConfig) -> dict[str, float]:
     """The adaptive tau table for a run, searched on the run itself: per
     ``log_slots`` key, ``search_tau`` of the straddles every other registered
-    profile finds against the trainer's. A diverging run raises ``TrainingDiverged``."""
-    reference = _ReferenceChannel(cfg.b_r)
+    profile finds against the trainer's. A diverging run raises ``TrainingDiverged``.
+
+    The reference run rounds like the negative control and keeps each raw
+    logged tensor. Each comparison run passes on the reference's rounded
+    tensors, so it stays synced with it. At each straddle (the two nearest
+    roundings differ and the raw values sit on opposite sides of them:
+    what a code resyncs) it records, under the slot's key, the reference's
+    distance from its grid point, ``|y1 - r1|`` over ``y1``'s exponent
+    scale: the distance the trainer's code is tested against. It counts
+    the straddles.
+    """
+    b_r, raw = cfg.b_r, []
+
+    def reference(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+        raw.append(values)
+        return rnd_array(values, b_r), 0
+
     _run(cfg, get_profile(cfg.trainer_profile), reference, False)
-    keys = [s.key for s in cfg.log_slots()]
-    distances: dict[str, list[np.ndarray]] = {key: [] for key in keys}
+    distances: dict[str, list[np.ndarray]] = {s.key: [] for s in cfg.log_slots()}
+
+    def comparison(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+        y1 = next(seen)
+        r1, r2 = rnd_array(y1, b_r), rnd_array(values, b_r)
+        straddle = (r1 != r2) & (((y1 > r1) & (values < r2)) | ((y1 < r1) & (values > r2)))
+        y, r = y1[straddle], r1[straddle]
+        distances[slot.key].append(np.abs(y - r) / exponent_scale_array(y))
+        return r1, y.size
+
     for name, profile in PROFILES.items():
         if name != cfg.trainer_profile:
-            _run(cfg, profile, _ComparisonChannel(reference, keys, distances), False)
-    return {key: search_tau(np.concatenate(found).tolist(), cfg.b_r)
+            seen = iter(raw)
+            _run(cfg, profile, comparison, False)
+    return {key: search_tau(np.concatenate(found).tolist(), b_r)
             for key, found in distances.items()}

@@ -1,11 +1,11 @@
-"""Helpers shared by the tests: fault injection, and a local tree in the
-place of a served one."""
+"""Helpers shared by the tests: fault injection, a local tree in the
+place of a served one, and reading a path back from the wire."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from vtrain import merkle
+from vtrain import game, merkle
 from vtrain import protocol as pr
 from vtrain.roundlog import LogWriter
 
@@ -62,3 +62,12 @@ def two_child_levels(tree: merkle.MerkleTree, leaf_index: int) -> int:
     a bisection to that leaf makes, one per level."""
     return sum(2 * (leaf_index >> level) + 1 < len(tree.levels[level - 1]) // merkle.DIGEST_LEN
                for level in range(1, len(tree.levels)))
+
+
+def path_from_wire(obj: dict) -> merkle.MerklePath:
+    """A path as a ``verdict_claim`` or a report carries it."""
+    return merkle.MerklePath(
+        leaf_index=int(obj["leaf_index"]),
+        leaf=game._digest(obj["leaf"], "leaf"),
+        siblings=[None if d is None else game._digest(d, "sibling") for d in obj["siblings"]],
+    )

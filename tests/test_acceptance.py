@@ -72,7 +72,7 @@ def test_criterion_2_negative_control(run_cache, shipped_config):
         for auditor_profile in PROFILE_NAMES:
             if auditor_profile == cfg.trainer_profile:
                 continue
-            plain = pr.audit_without_corrections(cfg, auditor_profile, keep_checkpoints=True)
+            plain, _ = pr._run(cfg, get_profile(auditor_profile), pr._plain(cfg.b_r), True)
             if plain.root != out.root:
                 diverged_on = (name, auditor_profile)
                 first = merkle.bisect(out.tree, plain.root, children_fetch(plain.tree)).leaf_index

@@ -19,6 +19,7 @@ from vtrain import cli, fpround, game, merkle, protocol, roundlog
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
+from harness import path_from_wire
 
 SRC_DIR = REPO_ROOT / "src"
 
@@ -365,6 +366,9 @@ BAD_CONFIGS = {
     "tau-bool": _set(("tau",), {"policy": "fixed", "value": False}),
     "adaptive-table-misses-loss": _set(("tau",), {"policy": "adaptive", "table": {
         "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU}}),
+    # README documents the table as an object; a list of [key, value] pairs is not one
+    "adaptive-table-of-pairs": _set(("tau",), {"policy": "adaptive", "table": [
+        [key, protocol.DEFAULT_TAU] for key in ("dense:8x12", "dense:12x2", "loss:softmax_xent")]}),
     "zero-hidden-width": _zero_hidden_width,
     "no-features": _no_features,
     "float-dim": _set(("dataset", "dim"), 8.0),
@@ -598,8 +602,8 @@ class TestAuditTree:
         assert doc["leaf_index"] == -(-tampered_step // cfg.checkpoint_interval) - 1
         report = game.VerdictReport(
             outcome=doc["outcome"], leaf_index=doc["leaf_index"],
-            trainer_path=game._path_from_wire(doc["trainer_path"]),
-            auditor_path=game._path_from_wire(doc["auditor_path"]))
+            trainer_path=path_from_wire(doc["trainer_path"]),
+            auditor_path=path_from_wire(doc["auditor_path"]))
         assert game.judge_check(report, trained.root, audited.root)
 
 

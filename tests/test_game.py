@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from vtrain import game, merkle
 from vtrain.cli import main
 
-from harness import children_fetch, two_child_levels
+from harness import children_fetch, path_from_wire, two_child_levels
 
 
 def leaf(i: int) -> bytes:
@@ -299,14 +299,17 @@ class TestServerBehavior:
         assert not server.thread.is_alive()
 
     def test_verdict_claim_recorded(self, served):
+        # the claim is the last message the auditor sends
         addr, launch = served
         trainer = tree_of(8, flips=(2,))
         server = launch(trainer)
         report = game.challenge(tree_of(8), addr, timeout=5)
         assert report.outcome == game.DISPUTE_AT_LEAF
         server.thread.join(timeout=5)
-        assert server.last_claim is not None
-        assert server.last_claim["first_divergent_leaf"] == 2
+        assert not server.thread.is_alive()
+        last = report.transcript[-1]
+        assert last["dir"] == "send" and last["msg"]["type"] == "verdict_claim"
+        assert last["msg"]["first_divergent_leaf"] == 2
 
 
 class TestJudge:
@@ -374,7 +377,7 @@ class TestJudge:
                 raw = bytearray(bytes.fromhex(corrupted["leaf"]))
                 raw[rng.integers(0, 32)] ^= 1 << int(rng.integers(0, 8))
                 corrupted["leaf"] = bytes(raw).hex()
-            tampered = game._path_from_wire(corrupted)
+            tampered = path_from_wire(corrupted)
             assert not merkle.verify_path(tampered, trainer.root)
 
     def test_report_json_roundtrip(self, served):
@@ -384,7 +387,7 @@ class TestJudge:
         back = json.loads(text)
         assert back["outcome"] == game.DISPUTE_AT_LEAF
         assert back["leaf_index"] == report.leaf_index
-        assert merkle.verify_path(game._path_from_wire(back["trainer_path"]), trainer.root)
+        assert merkle.verify_path(path_from_wire(back["trainer_path"]), trainer.root)
 
 
 def test_message_bound_all_sizes_one_to_sixtyfour(served):

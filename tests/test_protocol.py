@@ -203,8 +203,8 @@ class TestEvaluate:
         cfg = shipped_config(name)
         params, X, y = self._initial(cfg)
         profile = replace(get_profile("chunked7"), b_tr=cfg.b_tr)
-        values, _ = pr._forward(cfg.layers, params, X, profile,
-                                pr._PlainChannel(cfg.b_r).process, pr._slot_taus(cfg))
+        values, _ = pr._forward(cfg.layers, params, X, profile, pr._plain(cfg.b_r),
+                                pr._slot_map(cfg))
         want, _ = pr._loss_forward(cfg.loss, values[-1], y, profile)
         loss, _ = pr.evaluate(cfg, params, get_profile("chunked7"), X, y)
         assert loss.hex() == want.hex()
@@ -306,8 +306,8 @@ class TestAudit:
 
 class TestChannels:
     def test_one_bit_pass_per_tensor(self, tmp_path, monkeypatch):
-        # each channel takes rounding, codes and corrections from its one
-        # fused kernel; a second rnd_array pass would raise here
+        # the trainer and the auditor take rounding, codes and corrections
+        # from their one fused kernel; a second rnd_array pass would raise here
         ulp = 2.0**-23
         values = np.array([[1.0 + 0.6 * ulp, 1.0 + 0.4 * ulp, -3.0 - 0.7 * 2 * ulp],
                            [0.0, 1e-40, 2.5]])
@@ -318,16 +318,18 @@ class TestChannels:
         assert want_moved == 2
 
         def refuse(*args, **kwargs):
-            raise AssertionError("rnd_array called by a channel")
+            raise AssertionError("rnd_array called by a party's process")
 
         monkeypatch.setattr(fpround, "rnd_array", refuse)
         monkeypatch.setattr(pr, "rnd_array", refuse)
+        cfg = tiny_config()
+        slot = pr.Slot("forward", 0, "dense:8x12", values.size)
         with LogWriter(tmp_path / "c.vtrl", 32) as writer:
-            rounded, directed = pr._TrainerChannel(writer, 32).process(values, pr.DEFAULT_TAU)
+            rounded, directed = pr._trainer(writer, cfg)(values, slot)
         assert np.array_equal(rounded.view(np.uint64), want_rounded.view(np.uint64))
         assert directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
         reader = LogReader(tmp_path / "c.vtrl")
-        replayed, corrections = pr._AuditorChannel(reader, 32).process(seen, pr.DEFAULT_TAU)
+        replayed, corrections = pr._auditor(reader, 32)(seen, slot)
         assert np.array_equal(replayed.view(np.uint64), want_replayed.view(np.uint64))
         assert np.array_equal(replayed, rounded)
         assert corrections == 2
@@ -339,32 +341,26 @@ SHIPPED = ("tiny", "mlp", "logreg", "trend", "divergence")
 RELU_FIRST_ROOT = "7185d6feb9bc284e2280a90372e9f9e1632643f35627b382204707121dab0483"
 
 
-class _Recording:
-    """A channel wrapper that records the size and tau of every tensor it is handed."""
+def _record_slots(monkeypatch, cfg, log):
+    """Train, then audit and run the negative control on pairwise: per run,
+    the slot and the tensor size of every call its ``process`` gets."""
+    runs, run = [], pr._run
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.sizes = []
-        self.taus = []
+    def recording(cfg, profile, process, *rest):
+        calls = []
+        runs.append(calls)
 
-    def process(self, values, tau):
-        self.sizes.append(values.size)
-        self.taus.append(tau)
-        return self.inner.process(values, tau)
+        def record(values, slot):
+            calls.append((slot, values.size))
+            return process(values, slot)
 
+        return run(cfg, profile, record, *rest)
 
-def _record_all_channels(cfg, log):
-    """Run the trainer, then the auditor and the plain channel on pairwise; their recordings."""
-    with LogWriter(log, cfg.b_r) as writer:
-        trainer = _Recording(pr._TrainerChannel(writer, cfg.b_r))
-        pr._run(cfg, get_profile(cfg.trainer_profile), trainer, False)
-    reader = LogReader(log)
-    auditor = _Recording(pr._AuditorChannel(reader, cfg.b_r))
-    plain = _Recording(pr._PlainChannel(cfg.b_r))
-    for channel in (auditor, plain):
-        pr._run(cfg, get_profile("pairwise"), channel, False)
-    assert reader.remaining == 0
-    return trainer, auditor, plain
+    monkeypatch.setattr(pr, "_run", recording)
+    pr.train(cfg, log)
+    pr.audit(cfg, "pairwise", log)
+    pr.audit_without_corrections(cfg, "pairwise")
+    return runs
 
 
 def two_steps(cfg):
@@ -374,21 +370,32 @@ def two_steps(cfg):
 
 class TestLogLayout:
     @pytest.mark.parametrize("name", SHIPPED)
-    def test_every_channel_gets_exactly_step_layout(self, shipped_config, tmp_path, name):
+    def test_every_channel_gets_exactly_step_layout(self, shipped_config, tmp_path, monkeypatch,
+                                                    name):
+        # train, audit and the control each hand process log_slots once per step, in order
         cfg = two_steps(shipped_config(name))
-        want = [s.entries for s in cfg.log_slots()] * cfg.steps
-        for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
-            assert channel.sizes == want
+        runs = _record_slots(monkeypatch, cfg, tmp_path / "run.vtrl")
+        assert len(runs) == 3
+        for calls in runs:
+            assert [slot for slot, _ in calls] == cfg.log_slots() * cfg.steps
+            assert [size for _, size in calls] == [slot.entries for slot, _ in calls]
 
-    def test_every_channel_call_gets_its_slots_tau(self, tmp_path):
+    def test_every_channel_call_gets_its_slots_tau(self, tmp_path, monkeypatch):
+        # the trainer rounds each tensor at tau_for its slot's key
         lo, hi = fpround.tau_bounds(32)
         keys = ("dense:8x12", "dense:12x2", "loss:softmax_xent")
         table = {key: lo + (k + 1) * (hi - lo) / 4 for k, key in enumerate(keys)}
         cfg = two_steps(tiny_config(tau=table))
         assert len(set(table.values())) == len(keys)
-        want = [table[s.key] for s in cfg.log_slots()] * cfg.steps
-        for channel in _record_all_channels(cfg, tmp_path / "run.vtrl"):
-            assert channel.taus == want
+        taus, real = [], pr.round_and_code
+
+        def recording(values, b_r, tau):
+            taus.append(tau)
+            return real(values, b_r, tau)
+
+        monkeypatch.setattr(pr, "round_and_code", recording)
+        pr.train(cfg, tmp_path / "run.vtrl")
+        assert taus == [table[s.key] for s in cfg.log_slots()] * cfg.steps
 
     def test_first_stage_input_gradient_never_computed(self, shipped_config, tmp_path,
                                                        monkeypatch):
@@ -445,7 +452,7 @@ class TestNegativeControlMechanics:
         out = pr.train(cfg, tmp_path / "log.vtrl", keep_checkpoints=True)
         assert out.checkpoints is not None
         assert len(out.checkpoints) == out.tree.leaf_count
-        nr = pr.audit_without_corrections(cfg, "pairwise", keep_checkpoints=True)
+        nr, _ = pr._run(cfg, get_profile("pairwise"), pr._plain(cfg.b_r), True)
         assert len(nr.checkpoints) == out.tree.leaf_count
         for a, b in zip(out.checkpoints, nr.checkpoints):
             assert [t.shape for t in a] == [t.shape for t in b]
@@ -520,24 +527,37 @@ class TestThresholdSearch:
         assert table["sigmoid"] == table["loss:bce"] == hi
 
     @pytest.mark.parametrize("name", ["logreg", "divergence"])
-    def test_comparison_runs_end_on_the_trainer_root(self, tmp_path, shipped_config, name):
+    def test_comparison_runs_end_on_the_trainer_root(self, tmp_path, monkeypatch,
+                                                     shipped_config, name):
         """Each comparison run passes on the reference's tensors, so it ends
         where the trainer does; its count is the straddles it recorded."""
         cfg = shipped_config(name)
         # divergence's first epoch straddles on every profile already
         cfg = replace(cfg, b_tr=44) if name == "logreg" else replace(cfg, epochs=1)
         trained = pr.train(cfg, tmp_path / "run.vtrl")
-        reference = pr._ReferenceChannel(cfg.b_r)
-        ref_run, _ = pr._run(cfg, get_profile(cfg.trainer_profile), reference, False)
-        assert ref_run.root == trained.root
-        keys = [s.key for s in cfg.log_slots()]
-        for auditor in ("reversed", "pairwise", "chunked7"):
-            distances = {key: [] for key in keys}
-            channel = pr._ComparisonChannel(reference, keys, distances)
-            run, _ = pr._run(cfg, get_profile(auditor), channel, False)
-            assert run.root == trained.root, auditor
-            found = sum(d.size for ds in distances.values() for d in ds)
-            assert found == sum(map(sum, run.per_step)) > 0, auditor
+        runs, samples = [], []
+        run, search = pr._run, pr.search_tau
+
+        def recording_run(cfg, profile, *rest):
+            out = run(cfg, profile, *rest)
+            runs.append((profile.name, out[0]))
+            return out
+
+        def recording_search(found, b_r):
+            samples.append(len(found))
+            return search(found, b_r)
+
+        monkeypatch.setattr(pr, "_run", recording_run)
+        monkeypatch.setattr(pr, "search_tau", recording_search)
+        pr.threshold_search(cfg)
+        assert [profile for profile, _ in runs] == [
+            "sequential", "reversed", "pairwise", "chunked7"]
+        for profile, out in runs:
+            assert out.root == trained.root, profile
+        assert sum(map(sum, runs[0][1].per_step)) == 0
+        straddles = [sum(map(sum, out.per_step)) for _, out in runs[1:]]
+        assert min(straddles) > 0
+        assert sum(samples) == sum(straddles)
 
     def test_table_pastes_into_the_config(self, tmp_path, shipped_config):
         """The table has one entry per distinct slot key, ``from_dict`` takes it

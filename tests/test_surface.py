@@ -1,9 +1,10 @@
 """``src/`` holds only what the protocol runs.
 
-Every public module-level function or class in ``src/vtrain``, and every
-public method or property of such a class, must be used somewhere in
-``src/vtrain``, or be named in ``bench/*.py``, which drives the package
-from outside. A helper only the tests call belongs in ``tests/``.
+Every module-level function or class in ``src/vtrain``, public or
+private, and every public method or property of a public class, must be
+used somewhere in ``src/vtrain``, or be named in ``bench/*.py``, which
+drives the package from outside. A helper only the tests call belongs in
+``tests/``.
 Re-exports in ``__init__.py`` and bare imports do not count as uses.
 Click command callbacks run from the command line and are exempt.
 """
@@ -43,20 +44,21 @@ def _is_command(node) -> bool:
                and d.func.attr == "command" for d in node.decorator_list)
 
 
-def _public(nodes) -> list:
+def _definitions(nodes, private: bool) -> list:
     return [node for node in nodes
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and not _is_command(node)]
+            and (private or not node.name.startswith("_")) and not _is_command(node)]
 
 
-def _public_definitions(tree: ast.Module) -> list[str]:
-    """Public module-level names, and ``Class.member`` for each public class's
-    public methods and properties."""
+def _checked_definitions(tree: ast.Module) -> list[str]:
+    """Module-level names, public and private, and ``Class.member`` for each
+    public class's public methods and properties."""
     names = []
-    for node in _public(tree.body):
+    for node in _definitions(tree.body, private=True):
         names.append(node.name)
-        if isinstance(node, ast.ClassDef):
-            names += [f"{node.name}.{member.name}" for member in _public(node.body)]
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            names += [f"{node.name}.{member.name}"
+                      for member in _definitions(node.body, private=False)]
     return names
 
 
@@ -68,7 +70,7 @@ def unused_definitions() -> tuple[list[str], list[str]]:
                           for t in _trees(sorted((REPO_ROOT / "bench").glob("*.py"))).values()))
     unused, stale = [], []
     for module, tree in modules.items():
-        for name in _public_definitions(tree):
+        for name in _checked_definitions(tree):
             qualified = f"{module}.{name}"
             if name.rpartition(".")[2] not in used and qualified not in ALLOWED:
                 unused.append(qualified)
@@ -87,4 +89,4 @@ def test_allowlist_names_real_definitions():
     modules = _trees(PACKAGE.glob("*.py"))
     for qualified in ALLOWED:
         module, name = qualified.split(".", 1)
-        assert name in _public_definitions(modules[module]), qualified
+        assert name in _checked_definitions(modules[module]), qualified
