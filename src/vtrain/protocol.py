@@ -8,20 +8,18 @@ reading anything, which is the negative control: at a training precision
 ``b_tr`` below 64 it demonstrates that rounding alone does not keep two
 accumulation orders in sync.
 
-Every party hands the engine one function, ``process(values, slot)``,
-where ``slot`` is the ``Slot`` the tensor is logged under. It returns the
-values that flow on and one count: directed entries for the trainer, which
-rounds at ``cfg.tau_for(slot.key)``, corrections for the auditor, 0 for
-the control. ``_forward`` is the one layer loop, for each step of ``_run``
-and for ``evaluate``. ``_run`` returns one record, ``RunOutput``, with a
-(forward, backward) pair of counts per step; ``audit`` returns it as is
-and ``train`` adds the log size, final loss and accuracy. A run that
-diverges raises ``TrainingDiverged`` with the step.
-
-``threshold_search`` runs the same engine with two more functions: a
-reference on the trainer's profile keeps each raw logged tensor, and a
-comparison on each other profile passes on the reference's rounded ones
-and records, under the slot's key, where its own rounding straddles them.
+Every party hands the engine one function, ``process(values, slot,
+stage)``: ``slot`` is the ``Slot`` the tensor is logged under, and
+``stage(profile)`` recomputes the tensor from the inputs the engine just
+used. It returns the values that flow on and one count: directed entries
+for the trainer, which rounds at ``cfg.tau_for(slot.key)``, corrections
+for the auditor, 0 for the control. ``threshold_search`` is a fourth
+party, which rounds like the control and counts where ``stage`` on each
+other summation order straddles. ``_forward`` is the one layer loop, for
+``_run`` and ``evaluate``. ``_run`` returns one record, ``RunOutput``,
+with a (forward, backward) pair of counts per step; ``audit`` returns it
+as is and ``train`` adds the log size, final loss and accuracy. A run
+that diverges, final evaluation included, raises ``TrainingDiverged``.
 
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
@@ -52,6 +50,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -265,7 +264,7 @@ class TrainOutput(RunOutput):
 def _trainer(writer: LogWriter, cfg: TrainConfig):
     """Classify at the slot's tau, record, round; counts directed entries."""
 
-    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+    def process(values: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
         rounded, codes = round_and_code(values, cfg.b_r, cfg.tau_for(slot.key))
         writer.write_array(codes.reshape(-1))
         return rounded, int(np.count_nonzero(codes != IGNORE))
@@ -276,7 +275,7 @@ def _trainer(writer: LogWriter, cfg: TrainConfig):
 def _auditor(reader: LogReader, b_r: int):
     """Read, replay; counts corrections."""
 
-    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+    def process(values: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
         return replay(values, b_r, reader.read_array(values.size).reshape(values.shape))
 
     return process
@@ -285,16 +284,15 @@ def _auditor(reader: LogReader, b_r: int):
 def _plain(b_r: int):
     """Round only; the negative control. Counts nothing."""
 
-    def process(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
+    def process(values: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
         return rnd_array(values, b_r), 0
 
     return process
 
 
 def _loss_forward(loss_kind: str, output, labels, profile):
-    if loss_kind == "softmax_xent":
-        return softmax_xent_forward(output, labels, profile)
-    return bce_forward(output, labels, profile)
+    forward = softmax_xent_forward if loss_kind == "softmax_xent" else bce_forward
+    return forward(output, labels, profile)
 
 
 def _slot_map(cfg: TrainConfig) -> dict[tuple[str, int], Slot]:
@@ -307,10 +305,11 @@ def _forward(layers, params, x, profile, process, slots) -> tuple[list[np.ndarra
     through ``process``; and the sum of ``process``'s counts."""
     values, count = [x], 0
     for i, layer in enumerate(layers):
-        out = layer.forward(values[-1], params[i], profile)
+        stage = partial(layer.forward, values[-1], params[i])
+        out = stage(profile)
         slot = slots.get(("forward", i))
         if slot is not None:
-            out, n = process(out, slot)
+            out, n = process(out, slot, stage)
             count += n
         values.append(out)
     return values, count
@@ -336,18 +335,20 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, process, keep_checkpoints: bo
         for t, idx in zip(range(1, cfg.steps + 1), batch_indices):
             values, forward = _forward(layers, params, X[idx], profile, process, slots)
 
-            loss_raw, grad_raw = _loss_forward(cfg.loss, values[-1], y[idx], profile)
+            loss = partial(_loss_forward, cfg.loss, values[-1], y[idx])
+            loss_raw, grad_raw = loss(profile)
             if not np.isfinite(loss_raw):
                 raise TrainingDiverged(t)
 
-            grad, backward = process(grad_raw, slots["backward", len(layers)])
+            grad, backward = process(grad_raw, slots["backward", len(layers)], lambda p: loss(p)[1])
             grads: list = [None] * len(layers)
             for i in range(len(layers) - 1, 0, -1):
-                grad, grads[i] = layers[i].backward(values[i], values[i + 1], grad, params[i],
-                                                    profile)
+                # bound to the incoming gradient, which the next line overwrites
+                stage = partial(layers[i].backward, values[i], values[i + 1], grad, params[i])
+                grad, grads[i] = stage(profile)
                 slot = slots.get(("backward", i))
                 if slot is not None:
-                    grad, n = process(grad, slot)
+                    grad, n = process(grad, slot, lambda p: stage(p)[0])
                     backward += n
             if layers:
                 grads[0] = layers[0].param_grads(values[0], grad)
@@ -422,10 +423,15 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
     try:
         with writer:
             run, (X, y) = _run(cfg, profile, _trainer(writer, cfg), keep_checkpoints, tamper)
+        try:
+            final_loss, accuracy = evaluate(cfg, run.params, profile, X, y)
+        except OutOfRange as e:
+            raise TrainingDiverged(cfg.steps) from e
+        if not np.isfinite(final_loss):
+            raise TrainingDiverged(cfg.steps)
     except BaseException:
         writer.path.unlink(missing_ok=True)
         raise
-    final_loss, accuracy = evaluate(cfg, run.params, profile, X, y)
     return TrainOutput(**vars(run), entries_logged=writer.entry_count,
                        final_loss=final_loss, train_accuracy=accuracy)
 
@@ -490,38 +496,32 @@ def search_tau(samples, b_r: int) -> float:
 
 def threshold_search(cfg: TrainConfig) -> dict[str, float]:
     """The adaptive tau table for a run, searched on the run itself: per
-    ``log_slots`` key, ``search_tau`` of the straddles every other registered
-    profile finds against the trainer's. A diverging run raises ``TrainingDiverged``.
-
-    The reference run rounds like the negative control and keeps each raw
-    logged tensor. Each comparison run passes on the reference's rounded
-    tensors, so it stays synced with it. At each straddle (the two nearest
-    roundings differ and the raw values sit on opposite sides of them:
-    what a code resyncs) it records, under the slot's key, the reference's
-    distance from its grid point, ``|y1 - r1|`` over ``y1``'s exponent
-    scale: the distance the trainer's code is tested against. It counts
-    the straddles.
+    ``log_slots`` key, ``search_tau`` of the straddles each registered
+    profile with another order (strategy and chunk size) finds against the
+    trainer's, recomputing each stage on the trainer's inputs. At a
+    straddle (the two nearest roundings differ and the raw values sit on
+    opposite sides of them: what a code resyncs) the trainer's code is
+    tested against ``|y1 - r1|`` over ``y1``'s exponent scale. Only the
+    least per key is kept (inf if none: ``search_tau`` gives the upper
+    bound), so memory does not grow with the run. A diverging run raises
+    ``TrainingDiverged``.
     """
-    b_r, raw = cfg.b_r, []
+    b_r, trainer = cfg.b_r, get_profile(cfg.trainer_profile)
+    others = [replace(p, b_tr=cfg.b_tr) for p in PROFILES.values()
+              if (p.strategy, p.chunk_size) != (trainer.strategy, trainer.chunk_size)]
+    smallest = {s.key: math.inf for s in cfg.log_slots()}
 
-    def reference(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
-        raw.append(values)
-        return rnd_array(values, b_r), 0
+    def process(y1: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
+        r1, count = rnd_array(y1, b_r), 0
+        for profile in others:
+            y2 = stage(profile)
+            r2 = rnd_array(y2, b_r)
+            straddle = (r1 != r2) & (((y1 > r1) & (y2 < r2)) | ((y1 < r1) & (y2 > r2)))
+            y, r = y1[straddle], r1[straddle]
+            found = np.abs(y - r) / exponent_scale_array(y)
+            smallest[slot.key] = min(smallest[slot.key], found.min(initial=math.inf))
+            count += y.size
+        return r1, count
 
-    _run(cfg, get_profile(cfg.trainer_profile), reference, False)
-    distances: dict[str, list[np.ndarray]] = {s.key: [] for s in cfg.log_slots()}
-
-    def comparison(values: np.ndarray, slot: Slot) -> tuple[np.ndarray, int]:
-        y1 = next(seen)
-        r1, r2 = rnd_array(y1, b_r), rnd_array(values, b_r)
-        straddle = (r1 != r2) & (((y1 > r1) & (values < r2)) | ((y1 < r1) & (values > r2)))
-        y, r = y1[straddle], r1[straddle]
-        distances[slot.key].append(np.abs(y - r) / exponent_scale_array(y))
-        return r1, y.size
-
-    for name, profile in PROFILES.items():
-        if name != cfg.trainer_profile:
-            seen = iter(raw)
-            _run(cfg, profile, comparison, False)
-    return {key: search_tau(np.concatenate(found).tolist(), b_r)
-            for key, found in distances.items()}
+    _run(cfg, trainer, process, False)
+    return {key: search_tau([d], b_r) for key, d in smallest.items()}

@@ -1,5 +1,6 @@
 """Helpers shared by the tests: fault injection, a local tree in the
-place of a served one, and reading a path back from the wire."""
+place of a served one, reading a path back from the wire, and a
+four-pass threshold search to check the one-pass search against."""
 
 from __future__ import annotations
 
@@ -7,7 +8,9 @@ import numpy as np
 
 from vtrain import game, merkle
 from vtrain import protocol as pr
+from vtrain.fpround import exponent_scale_array, rnd_array
 from vtrain.roundlog import LogWriter
+from vtrain.simnet import PROFILES, get_profile
 
 
 def corrupt_one_entry(cfg, digits: np.ndarray, entry: int, path) -> None:
@@ -71,3 +74,41 @@ def path_from_wire(obj: dict) -> merkle.MerklePath:
         leaf=game._digest(obj["leaf"], "leaf"),
         siblings=[None if d is None else game._digest(d, "sibling") for d in obj["siblings"]],
     )
+
+
+def four_pass_threshold_search(cfg) -> tuple[dict[str, float], dict[str, int]]:
+    """``protocol.threshold_search`` as four whole runs, and the straddles
+    each comparison run counts, by profile name.
+
+    A reference run on the trainer's profile rounds like the negative
+    control and keeps every raw logged tensor. A comparison run on each
+    other registered profile name passes on the reference's rounded
+    tensors, in the reference's order, and records the reference's
+    distance at each straddle. Its memory grows with the run.
+    """
+    b_r, raw = cfg.b_r, []
+
+    def reference(values, slot, stage):
+        raw.append(values)
+        return rnd_array(values, b_r), 0
+
+    pr._run(cfg, get_profile(cfg.trainer_profile), reference, False)
+    distances = {s.key: [] for s in cfg.log_slots()}
+    straddles = {}
+
+    def comparison(values, slot, stage):
+        y1 = next(seen)
+        r1, r2 = rnd_array(y1, b_r), rnd_array(values, b_r)
+        straddle = (r1 != r2) & (((y1 > r1) & (values < r2)) | ((y1 < r1) & (values > r2)))
+        y, r = y1[straddle], r1[straddle]
+        distances[slot.key].append(np.abs(y - r) / exponent_scale_array(y))
+        return r1, y.size
+
+    for name, profile in PROFILES.items():
+        if name != cfg.trainer_profile:
+            seen = iter(raw)
+            run, _ = pr._run(cfg, profile, comparison, False)
+            straddles[name] = sum(map(sum, run.per_step))
+    table = {key: pr.search_tau(np.concatenate(found).tolist(), b_r)
+             for key, found in distances.items()}
+    return table, straddles

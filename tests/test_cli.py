@@ -342,6 +342,7 @@ def _float_hidden_width(doc):
 
 BAD_CONFIGS = {
     "batch-size-zero": _set(("batch_size",), 0),
+    "epochs-zero": _set(("epochs",), 0),
     "dim-not-first-dense-in": _set(("dataset", "dim"), 7),
     "dense-in-not-incoming-width": _set(("model", "layers", 2, "in"), 11),
     "unknown-layer-kind": _set(("model", "layers", 1, "kind"), "tanh"),
@@ -463,6 +464,23 @@ class TestDivergedRun:
         assert result.output.splitlines() == ["training diverged at step 4"]
         # a partial log would pass for the log of a shorter run
         assert not list(tmp_path.glob("*.vtrl"))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e6, 1e38], ids=["nan-loss", "past-the-grid"])
+    def test_final_evaluation_is_checked(self, runner, tmp_path, learning_rate):
+        # one step, whose update first diverges in the evaluation after it:
+        # a NaN loss is no JSON number, and past the grid the rounding raises
+        doc = json.loads((CONFIG_DIR / "logreg.json").read_text())
+        doc["dataset"]["size"] = doc["batch_size"] = 64
+        doc.update(epochs=1, checkpoint_interval=1, learning_rate=learning_rate)
+        path = tmp_path / "one-step.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["train", str(path), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["training diverged at step 1"]
+        assert not list(out.iterdir())
 
     @pytest.mark.parametrize("mode", [[], ["--no-corrections"]], ids=["log", "no-corrections"])
     def test_audit_is_protocol_error(self, runner, tmp_path, mode):
@@ -736,6 +754,14 @@ def trailing_bytes_tree(path):
     path.write_bytes(path.read_bytes() + b"\0")
 
 
+def next_version_tree(path):
+    leaves = [hashlib.sha256(bytes([i])).digest() for i in range(4)]
+    merkle.write_tree(merkle.build(leaves), path)
+    raw = bytearray(path.read_bytes())
+    raw[4] = merkle.TREE_VERSION + 1
+    path.write_bytes(raw)
+
+
 class TestMalformedTree:
     """A malformed ``.vtmt`` ends `serve` and `dispute` with exit 3 and one line."""
 
@@ -743,8 +769,8 @@ class TestMalformedTree:
         ["serve", "--listen", "127.0.0.1:0", "--sessions", "1"],
         ["dispute", "--connect", "127.0.0.1:9", "--timeout", "1"],
     ], ids=["serve", "dispute"])
-    @pytest.mark.parametrize("make", [zero_leaf_tree, trailing_bytes_tree],
-                             ids=["zero-leaves", "trailing-bytes"])
+    @pytest.mark.parametrize("make", [zero_leaf_tree, trailing_bytes_tree, next_version_tree],
+                             ids=["zero-leaves", "trailing-bytes", "next-version"])
     def test_io_error(self, runner, tmp_path, command, make):
         tree_path = tmp_path / "bad.vtmt"
         make(tree_path)

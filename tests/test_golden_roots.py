@@ -1,4 +1,4 @@
-"""Roots, counts and final losses pinned from a known-good build.
+"""Roots, counts, final losses and threshold tables pinned from a known-good build.
 
 Any change to rounding, replay or accumulation order that moves a bit of
 a trained model moves these roots. The shipped small configs run at
@@ -49,6 +49,19 @@ DIVERGENCE_ROOT = "435e33bb20cd8e642d0bf2d128c2824abbc3299a76f82feee01b8abac0fac
 DIVERGENCE_CORRECTIONS = {"reversed": 194, "pairwise": 176, "chunked7": 125}
 DIVERGENCE_UNCORRECTED_ROOT = "0f067625c3889d3002244080bb7644a2e54608b34b1b059b1db85308738c0443"
 
+# config -> the table ``vtrain threshold`` prints, in its key order. No
+# straddle on the b_tr = 64 configs leaves every slot at the upper bound;
+# divergence's dense slots straddle at or below the floor.
+HI, LO = 2.0**-24, 2.0**-25
+TABLES = {
+    "tiny": {"dense:8x12": HI, "dense:12x2": HI, "loss:softmax_xent": HI},
+    "mlp": {"dense:16x32": HI, "dense:32x3": HI, "loss:softmax_xent": HI},
+    "logreg": {"dense:64x1": HI, "sigmoid": HI, "loss:bce": HI},
+    "trend": {"dense:32x256": HI, "dense:256x4": HI, "loss:softmax_xent": HI},
+    "divergence": {"dense:32x256": LO, "dense:256x4": LO,
+                   "loss:softmax_xent": float.fromhex("0x1.9249fffffffffp-25")},
+}
+
 
 @pytest.mark.parametrize("trainer", PROFILES)
 @pytest.mark.parametrize("name", sorted(SMALL))
@@ -93,3 +106,9 @@ def test_divergence_roots(shipped_config, tmp_path):
         assert (auditor, result.root_hex, sum(map(sum, result.per_step))) == (
             auditor, DIVERGENCE_ROOT, corrections)
     assert pr.audit_without_corrections(cfg, "reversed").root_hex == DIVERGENCE_UNCORRECTED_ROOT
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_threshold_tables(shipped_config, name):
+    table = pr.threshold_search(shipped_config(name))
+    assert list(table.items()) == list(TABLES[name].items())

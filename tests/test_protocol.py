@@ -324,12 +324,15 @@ class TestChannels:
         monkeypatch.setattr(pr, "rnd_array", refuse)
         cfg = tiny_config()
         slot = pr.Slot("forward", 0, "dense:8x12", values.size)
+        def no_stage(profile):
+            raise AssertionError("stage called by the trainer or the auditor")
+
         with LogWriter(tmp_path / "c.vtrl", 32) as writer:
-            rounded, directed = pr._trainer(writer, cfg)(values, slot)
+            rounded, directed = pr._trainer(writer, cfg)(values, slot, no_stage)
         assert np.array_equal(rounded.view(np.uint64), want_rounded.view(np.uint64))
         assert directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
         reader = LogReader(tmp_path / "c.vtrl")
-        replayed, corrections = pr._auditor(reader, 32)(seen, slot)
+        replayed, corrections = pr._auditor(reader, 32)(seen, slot, no_stage)
         assert np.array_equal(replayed.view(np.uint64), want_replayed.view(np.uint64))
         assert np.array_equal(replayed, rounded)
         assert corrections == 2
@@ -341,18 +344,19 @@ SHIPPED = ("tiny", "mlp", "logreg", "trend", "divergence")
 RELU_FIRST_ROOT = "7185d6feb9bc284e2280a90372e9f9e1632643f35627b382204707121dab0483"
 
 
-def _record_slots(monkeypatch, cfg, log):
+def _record_calls(monkeypatch, cfg, log):
     """Train, then audit and run the negative control on pairwise: per run,
-    the slot and the tensor size of every call its ``process`` gets."""
+    for every call its ``process`` gets, the slot, the tensor and what
+    ``stage`` recomputes on the run's own profile."""
     runs, run = [], pr._run
 
     def recording(cfg, profile, process, *rest):
-        calls = []
+        calls, own = [], replace(profile, b_tr=cfg.b_tr)
         runs.append(calls)
 
-        def record(values, slot):
-            calls.append((slot, values.size))
-            return process(values, slot)
+        def record(values, slot, stage):
+            calls.append((slot, values.copy(), stage(own)))
+            return process(values, slot, stage)
 
         return run(cfg, profile, record, *rest)
 
@@ -374,11 +378,21 @@ class TestLogLayout:
                                                     name):
         # train, audit and the control each hand process log_slots once per step, in order
         cfg = two_steps(shipped_config(name))
-        runs = _record_slots(monkeypatch, cfg, tmp_path / "run.vtrl")
+        runs = _record_calls(monkeypatch, cfg, tmp_path / "run.vtrl")
         assert len(runs) == 3
         for calls in runs:
-            assert [slot for slot, _ in calls] == cfg.log_slots() * cfg.steps
-            assert [size for _, size in calls] == [slot.entries for slot, _ in calls]
+            assert [slot for slot, _, _ in calls] == cfg.log_slots() * cfg.steps
+            assert [values.size for _, values, _ in calls] == [slot.entries for slot, _, _ in calls]
+
+    @pytest.mark.parametrize("name", SHIPPED)
+    def test_stage_recomputes_the_logged_tensor(self, shipped_config, tmp_path, monkeypatch,
+                                                name):
+        # each closure is bound to the inputs its tensor came from, so on
+        # the run's own profile it gives the same bits in every party
+        cfg = two_steps(shipped_config(name))
+        for calls in _record_calls(monkeypatch, cfg, tmp_path / "run.vtrl"):
+            for slot, values, again in calls:
+                assert again.view(np.uint64).tobytes() == values.view(np.uint64).tobytes(), slot
 
     def test_every_channel_call_gets_its_slots_tau(self, tmp_path, monkeypatch):
         # the trainer rounds each tensor at tau_for its slot's key
@@ -529,35 +543,56 @@ class TestThresholdSearch:
     @pytest.mark.parametrize("name", ["logreg", "divergence"])
     def test_comparison_runs_end_on_the_trainer_root(self, tmp_path, monkeypatch,
                                                      shipped_config, name):
-        """Each comparison run passes on the reference's tensors, so it ends
-        where the trainer does; its count is the straddles it recorded."""
+        """The search is one pass on the trainer's profile, which ends where
+        the trainer does. Its count is the straddles of every other profile,
+        and it finds what four whole runs find."""
+        from harness import four_pass_threshold_search
+
         cfg = shipped_config(name)
         # divergence's first epoch straddles on every profile already
         cfg = replace(cfg, b_tr=44) if name == "logreg" else replace(cfg, epochs=1)
         trained = pr.train(cfg, tmp_path / "run.vtrl")
-        runs, samples = [], []
-        run, search = pr._run, pr.search_tau
+        runs, run = [], pr._run
 
         def recording_run(cfg, profile, *rest):
             out = run(cfg, profile, *rest)
             runs.append((profile.name, out[0]))
             return out
 
-        def recording_search(found, b_r):
-            samples.append(len(found))
-            return search(found, b_r)
+        monkeypatch.setattr(pr, "_run", recording_run)
+        table = pr.threshold_search(cfg)
+        monkeypatch.setattr(pr, "_run", run)
+        want, straddles = four_pass_threshold_search(cfg)
+        assert [profile for profile, _ in runs] == ["sequential"]
+        assert runs[0][1].root == trained.root
+        assert list(straddles) == ["reversed", "pairwise", "chunked7"]
+        assert min(straddles.values()) > 0
+        assert sum(map(sum, runs[0][1].per_step)) == sum(straddles.values())
+        assert table == want
+
+    def test_compares_orders_not_names(self, monkeypatch, shipped_config):
+        """A trainer on ``chunked:7`` sums in ``chunked7``'s order, so only the
+        three other orders are recomputed, and the table does not change."""
+        from harness import four_pass_threshold_search
+
+        cfg = replace(shipped_config("logreg"), b_tr=44, trainer_profile="chunked:7")
+        recomputed, run = set(), pr._run
+
+        def recording_run(cfg, profile, process, *rest):
+            def record(values, slot, stage):
+                def recording_stage(other):
+                    recomputed.add(other.name)
+                    return stage(other)
+
+                return process(values, slot, recording_stage)
+
+            return run(cfg, profile, record, *rest)
 
         monkeypatch.setattr(pr, "_run", recording_run)
-        monkeypatch.setattr(pr, "search_tau", recording_search)
-        pr.threshold_search(cfg)
-        assert [profile for profile, _ in runs] == [
-            "sequential", "reversed", "pairwise", "chunked7"]
-        for profile, out in runs:
-            assert out.root == trained.root, profile
-        assert sum(map(sum, runs[0][1].per_step)) == 0
-        straddles = [sum(map(sum, out.per_step)) for _, out in runs[1:]]
-        assert min(straddles) > 0
-        assert sum(samples) == sum(straddles)
+        table = pr.threshold_search(cfg)
+        monkeypatch.setattr(pr, "_run", run)
+        assert recomputed == {"sequential", "reversed", "pairwise"}
+        assert table == four_pass_threshold_search(cfg)[0]
 
     def test_table_pastes_into_the_config(self, tmp_path, shipped_config):
         """The table has one entry per distinct slot key, ``from_dict`` takes it

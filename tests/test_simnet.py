@@ -188,6 +188,10 @@ class TestReduce:
             sn.get_profile("quantum")
         with pytest.raises(ValueError):
             sn.DeviceProfile("x", "chunked", 0)
+        with pytest.raises(ValueError, match="unknown reduction strategy 'tree'"):
+            sn.DeviceProfile("x", "tree")
+        with pytest.raises(ValueError, match="pairwise strategy takes no chunk_size"):
+            sn.DeviceProfile("x", "pairwise", 7)
 
 
 def width_oracle(x: float, b_tr: int) -> float:
@@ -288,6 +292,10 @@ class TestDense:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             sn.dense_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5), SEQ)
+        with pytest.raises(ValueError, match="dense backward shape mismatch"):
+            sn.dense_input_grad(np.zeros((2, 4)), np.zeros((3, 5)), SEQ)
+        with pytest.raises(ValueError, match="dense backward shape mismatch"):
+            sn.dense_param_grads(np.zeros((2, 5)), np.zeros((3, 4)))
 
     def test_zero_grad_out(self):
         rng = np.random.default_rng(6)
