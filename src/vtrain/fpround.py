@@ -29,10 +29,14 @@ The split reads the exponent field once. Its largest value finds
 non-finite inputs and is the only reason to check a result against
 ``grid_max``; its smallest is the only reason to look for values below
 2^-126, where the grid's spacing is absolute. Above 2^-126 the ``b_r``
-grid is the accumulator grid of width ``b_r + 3`` (``round_to_width``),
-so nearest rounding is one add and one mask on the whole bit pattern, sign
-included. A replay takes the grid point truncated toward zero and adds
-one grid step to the bit pattern where it goes away from zero.
+grid is the accumulator grid of width ``b_r + 3`` (``round_to_width``).
+Nearest rounding onto it is Veltkamp's split (Dekker 1971), three flops:
+``c = x * (2^s + 1)`` with ``s = 61 - b_r``, then ``c - (c - x)`` is ``x``
+rounded to ``b_r - 8`` significant bits, to nearest with ties to even, sign
+included. ``s`` runs from 29 to 51, inside the split's valid range, and
+below 2^128 ``c`` cannot overflow. A replay takes the grid point truncated
+toward zero and adds one grid step to the bit pattern where it goes away
+from zero.
 """
 
 from __future__ import annotations
@@ -141,17 +145,18 @@ class _Grid:
 
     ``drop`` is the number of mantissa bits below the grid's last kept bit,
     ``low`` their mask and ``half`` half a grid step, all as uint64.
-    ``unit`` is the grid's spacing below 2^-126 and ``max`` is ``grid_max``.
+    ``unit`` is the grid's spacing below 2^-126, ``max`` is ``grid_max`` and
+    ``split`` is Veltkamp's factor ``2^s + 1``, ``s = 64 - (b_r + 3)``.
     """
 
     def __init__(self, b_r: int):
         drop = 52 - (b_r - 9)
-        self.b_r = b_r
         self.drop = np.uint64(drop)
         self.low = np.uint64((1 << drop) - 1)
         self.half = np.uint64(1 << (drop - 1))
         self.unit = 2.0 ** ((32 - b_r) - 149)
         self.max = grid_max(b_r)
+        self.split = np.float64(2 ** (64 - (b_r + 3)) + 1)
 
 
 _GRIDS = {b_r: _Grid(b_r) for b_r in range(MIN_B, MAX_B + 1)}
@@ -198,11 +203,11 @@ class _GridBits:
         """Nearest grid values (ties to the even kept bit), written into ``out``.
 
         ``out`` is a buffer of the values' shape with 8-byte items, which
-        the result takes over.
+        the result takes over. Veltkamp's split gives ``round_to_width(x,
+        b_r + 3)`` bit for bit; below 2^-126 the fix-up overwrites it.
         """
-        rounded = out.view(np.float64)
-        np.copyto(rounded, self.arr)
-        round_to_width(rounded, self.grid.b_r + 3)
+        rounded = np.multiply(self.arr, self.grid.split, out=out.view(np.float64))
+        np.subtract(rounded, rounded - self.arr, out=rounded)
         if self.tiny is not None:
             unit = self.grid.unit
             rounded[self.tiny] = np.rint(self.arr[self.tiny] / unit) * unit

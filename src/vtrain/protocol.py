@@ -315,6 +315,13 @@ def _forward(layers, params, x, profile, process, slots) -> tuple[list[np.ndarra
     return values, count
 
 
+# A diverging run overflows, divides by zero and makes NaNs on its way out;
+# np.isfinite and OutOfRange end it, so numpy's warnings would only repeat
+# that. Each engine pass (``_run``, ``evaluate``) enters this once, not per step.
+_QUIET = {"over": "ignore", "divide": "ignore", "invalid": "ignore"}
+
+
+@np.errstate(**_QUIET)
 def _run(cfg: TrainConfig, profile: DeviceProfile, process, keep_checkpoints: bool,
          tamper=None) -> tuple[RunOutput, tuple[np.ndarray, np.ndarray]]:
     """One pass of the engine; returns the record and the dataset it drew."""
@@ -379,6 +386,7 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, process, keep_checkpoints: bo
     ), (X, y)
 
 
+@np.errstate(**_QUIET)
 def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[float, float]:
     """Loss and accuracy of per-layer parameters over a dataset, rounded as
     the negative control rounds.

@@ -20,7 +20,10 @@ never surface because it stops at the recorded entry count. The header
 stays uncompressed either way so counts are readable without inflating.
 
 Entries go in and come out as flat ``uint8`` arrays: ``LogWriter.write_array``
-appends, ``LogReader.read_array`` takes the next ``n`` in write order.
+appends, ``LogReader.read_array`` takes the next ``n`` in write order. The
+writer copies entries into one block of ``_BLOCK`` entries and packs only
+a full block, so a write of a few dozen entries is one check and one copy.
+The payload does not depend on how the entries are split into writes.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fpround import IGNORE, MAX_B, MIN_B
+from .fpround import DOWN, IGNORE, MAX_B, MIN_B, UP
 
 MAGIC = b"VTRL"
 VERSION = 2
@@ -41,6 +44,8 @@ _WEIGHTS = np.array([1, 3, 9, 27, 81], dtype=np.uint8)
 _MAX_BYTE = 242  # 3^5 - 1
 # row b holds the five base-3 digits of byte b, lowest first
 _DIGITS = (np.arange(_MAX_BYTE + 1)[:, None] // _WEIGHTS.astype(np.int64) % 3).astype(np.uint8)
+# entries the writer buffers: a multiple of 5, so a full block packs without padding
+_BLOCK = 5 * 2**13
 
 
 class LogFormatError(ValueError):
@@ -65,13 +70,15 @@ def _unpack_block(raw: bytes) -> np.ndarray:
 
 
 class LogWriter:
-    """Sequential writer. Buffers at most four entries; bytes go straight out."""
+    """Sequential writer. Buffers one block of ``_BLOCK`` entries; a full
+    block is packed and goes straight out."""
 
     def __init__(self, path, b_r: int, compress: bool = False):
         self.path = Path(path)
         self.b_r = int(b_r)
         self.entry_count = 0
-        self._tail = np.empty(0, dtype=np.uint8)  # at most four entries
+        self._block = np.empty(_BLOCK, dtype=np.uint8)
+        self._fill = 0  # entries in the block, always fewer than _BLOCK
         self._file = open(self.path, "wb")
         self._compressor = zlib.compressobj() if compress else None
         flags = FLAG_DEFLATE if compress else 0
@@ -88,31 +95,37 @@ class LogWriter:
             raise OSError(f"log write failed at byte offset {self._file.tell()}: {e}") from e
 
     def write_array(self, directions: np.ndarray) -> None:
-        """Append an array of directions, in row-major order."""
-        d = np.asarray(directions, dtype=np.uint8).reshape(-1)
-        if d.size == 0:
-            return
-        if d.max() > 2:
+        """Append an array of directions, in row-major order.
+
+        Every value must be exactly DOWN, IGNORE or UP; anything else is
+        refused before a cast to ``uint8`` could wrap it onto a code.
+        """
+        if self._closed:
+            raise ValueError("write to a closed log")
+        d = np.asarray(directions)
+        if d.dtype != np.uint8:
+            if not np.isin(d, (DOWN, IGNORE, UP)).all():
+                raise ValueError("direction out of range")
+            d = d.astype(np.uint8)
+        elif d.size and np.maximum.reduce(d, axis=None) > UP:
             raise ValueError("direction out of range")
-        self.entry_count += int(d.size)
-        if self._tail.size:
-            take = 5 - self._tail.size
-            self._tail = np.concatenate((self._tail, d[:take]))
-            d = d[take:]
-            if self._tail.size < 5:
-                return
-            self._emit(_pack_block(self._tail))
-        full = d.size - d.size % 5
-        if full:
-            self._emit(_pack_block(d[:full]))
-        self._tail = d[full:].copy()
+        d = d.reshape(-1)
+        self.entry_count += d.size
+        while self._fill + d.size >= _BLOCK:
+            take = _BLOCK - self._fill
+            self._block[self._fill :] = d[:take]
+            self._emit(_pack_block(self._block))
+            self._fill, d = 0, d[take:]
+        self._block[self._fill : self._fill + d.size] = d
+        self._fill += d.size
 
     def close(self) -> None:
         if self._closed:
             return
-        if self._tail.size:
-            pad = np.full(5 - self._tail.size, IGNORE, dtype=np.uint8)
-            self._emit(_pack_block(np.concatenate((self._tail, pad))))
+        if self._fill:
+            end = self._fill + -self._fill % 5
+            self._block[self._fill : end] = IGNORE
+            self._emit(_pack_block(self._block[:end]))
         if self._compressor is not None:
             self._file.write(self._compressor.flush())
         self._file.seek(7)

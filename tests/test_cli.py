@@ -465,22 +465,41 @@ class TestDivergedRun:
         # a partial log would pass for the log of a shorter run
         assert not list(tmp_path.glob("*.vtrl"))
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("learning_rate", [1e6, 1e38], ids=["nan-loss", "past-the-grid"])
-    def test_final_evaluation_is_checked(self, runner, tmp_path, learning_rate):
-        # one step, whose update first diverges in the evaluation after it:
-        # a NaN loss is no JSON number, and past the grid the rounding raises
+    @staticmethod
+    def _one_step(tmp_path, learning_rate):
+        """logreg cut to one step, whose update first diverges in the evaluation after it."""
         doc = json.loads((CONFIG_DIR / "logreg.json").read_text())
         doc["dataset"]["size"] = doc["batch_size"] = 64
         doc.update(epochs=1, checkpoint_interval=1, learning_rate=learning_rate)
         path = tmp_path / "one-step.json"
         path.write_text(json.dumps(doc))
+        return str(path)
+
+    # the run's overflows, divisions by zero and NaNs raise no numpy warnings
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("learning_rate", [1e6, 1e38], ids=["nan-loss", "past-the-grid"])
+    def test_final_evaluation_is_checked(self, runner, tmp_path, learning_rate):
+        # a NaN loss is no JSON number, and past the grid the rounding raises
         out = tmp_path / "out"
-        result = runner.invoke(main, ["train", str(path), "--out", str(out)])
+        result = runner.invoke(main, ["train", self._one_step(tmp_path, learning_rate),
+                                      "--out", str(out)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == ["training diverged at step 1"]
         assert not list(out.iterdir())
+
+    def test_stderr_is_the_one_line(self, tmp_path):
+        # exp overflows, log divides by zero and the loss is NaN on the way to
+        # the check; a child process shows everything numpy would print
+        env = dict(os.environ, PYTHONWARNINGS="default", PYTHONPATH=os.pathsep.join(
+            p for p in (str(SRC_DIR), os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vtrain.cli", "train", self._one_step(tmp_path, 1e6),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "training diverged at step 1\n"
 
     @pytest.mark.parametrize("mode", [[], ["--no-corrections"]], ids=["log", "no-corrections"])
     def test_audit_is_protocol_error(self, runner, tmp_path, mode):

@@ -570,6 +570,68 @@ def test_kernels_round_to_grid_max_and_refuse_past_it(b_r):
                 kernel(np.asarray([1.0, bad]))
 
 
+def normal_cases(b_r: int, rng, n: int = 20000) -> np.ndarray:
+    """Magnitudes from 2^-126 to grid_max where nearest rounding is
+    ``round_to_width(x, b_r + 3)``: random bit patterns, ties whose kept
+    lowest bit is even and odd, values at the top of a binade that round up
+    to the next power of two, and values within one grid step below
+    grid_max."""
+    kept = b_r - 9
+    gm = fp.grid_max(b_r)
+    exponent = rng.integers(1023 - 126, 1023 + 128, n, dtype=np.uint64)
+    mantissa = rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    random = ((exponent << np.uint64(52)) | mantissa).view(np.float64)
+    step = np.exp2(rng.integers(-126, 127, n) - kept)  # grid spacing, binades below 2^127
+    ties = (rng.integers(1 << kept, 2 << kept, n) + 0.5) * step
+    top = ((2 << kept) - 1 + rng.choice([0.5, 0.75, 0.5 + 2.0 ** -20], n)) * step
+    below_max = gm - rng.integers(0, 1 << 20, n) * 2.0 ** (127 - kept - 20)
+    mags = np.concatenate([random[random <= gm], ties, top, below_max])
+    assert mags.min() >= 2.0 ** -126 and mags.max() <= gm
+    return mags
+
+
+@pytest.mark.parametrize("b_r", range(fp.MIN_B, fp.MAX_B + 1))
+def test_nearest_is_round_to_width_above_the_fp32_normal_floor(b_r):
+    mags = normal_cases(b_r, np.random.default_rng(b_r))
+    up = fp.round_to_width(mags.copy(), b_r + 3)
+    carried = ((up.view(np.uint64) & np.uint64((1 << 52) - 1)) == 0) & (up > mags)
+    assert np.count_nonzero(carried) >= 20000  # every binade-top case rounds up to 2^(e+1)
+    x = np.concatenate([mags, -mags, [0.0, -0.0]])
+    want = fp.round_to_width(x.copy(), b_r + 3)
+    assert np.array_equal(bits(fp.rnd_array(x, b_r)), bits(want))
+    assert np.array_equal(bits(fp.round_and_code(x, b_r, 0.0)[0]), bits(want))
+
+
+@pytest.mark.parametrize("b_r", range(fp.MIN_B, fp.MAX_B + 1))
+def test_nearest_near_grid_max_and_below_the_fp32_normal_floor(b_r):
+    kept = b_r - 9
+    gm, step = fp.grid_max(b_r), 2.0 ** (127 - kept)
+    # within half a grid step past grid_max, nearest is grid_max
+    near = gm + np.array([2.0 ** -20, 0.25, 0.5 - 2.0 ** -20]) * step
+    assert fp.rnd_array(np.concatenate([near, -near]), b_r).tolist() == [gm] * 3 + [-gm] * 3
+    # from the tie on, nearest is 2^128: the far side of grid_max
+    for f in (0.5, 0.75, 1.0):
+        for x in (gm + f * step, -(gm + f * step)):
+            assert abs(fp.round_to_width(np.array([x]), b_r + 3)[0]) == 2.0 ** 128
+            with pytest.raises(fp.OutOfRange, match="out of representable range"):
+                fp.rnd_array(x, b_r)
+            with pytest.raises(fp.OutOfRange, match="out of representable range"):
+                fp.round_and_code(x, b_r, 0.0)
+    # FP32-subnormal magnitudes (ties of both parities and the tie onto
+    # 2^-126 included) and FP64 subnormals take the absolute grid
+    unit = 2.0 ** ((32 - b_r) - 149)
+    rng = np.random.default_rng(50 + b_r)
+    steps = rng.integers(0, 1 << (23 - (32 - b_r)), 60)
+    tiny = np.concatenate([
+        (steps + rng.random(60)) * unit, (steps + 0.5) * unit, [2.0 ** -126 - 0.5 * unit],
+        [5e-324, 1e-310, 2.0 ** -1022 - 5e-324],
+    ])
+    x = np.concatenate([tiny, -tiny])
+    want = np.copysign([oracle_rnd(v, b_r) for v in x.tolist()], x)
+    assert np.array_equal(bits(fp.rnd_array(x, b_r)), bits(want))
+    assert np.array_equal(bits(fp.round_and_code(x, b_r, 0.0)[0]), bits(want))
+
+
 class TestKernelMemory:
     """Peak bytes the kernels allocate on a 512 x 256 tensor, in units of its size."""
 

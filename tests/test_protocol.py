@@ -164,7 +164,8 @@ class TestTrain:
             pr.train(tiny_config(learning_rate=1e12), tmp_path / "lr.vtrl")
         assert e.value.step == 4
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # isfinite ends the run; the overflow and NaN on the way raise no numpy warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_ends_the_run_at_its_step(self, tmp_path):
         cfg = tiny_config(layers=(Dense(8, 1), Sigmoid()), loss="bce")
 

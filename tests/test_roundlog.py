@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from vtrain import fpround
 from vtrain import roundlog as rl
 
+BLOCK = rl._BLOCK  # entries the writer packs at a time
+
 
 def pack5(digits) -> int:
     """Oracle for the format: five entries, little-endian base 3, one group at a time."""
@@ -56,6 +58,38 @@ class TestPack5:
             with pytest.raises(ValueError, match="direction out of range"):
                 w.write_array(np.array([0, 0, 3, 0, 0], dtype=np.uint8))
             assert w.entry_count == 0
+
+    @pytest.mark.parametrize("values", [
+        np.array([256, 257, 258]),  # a cast to uint8 would wrap these to 0, 1, 2
+        np.array([0.9, 2.7]),  # and truncate these to 0, 2
+        np.array([1, 1, -1], dtype=np.int8),
+        np.array([1.0, np.nan]),
+        np.array([2, 3], dtype=np.uint16),
+    ], ids=["wraps", "fractions", "negative", "nan", "uint16"])
+    def test_values_that_are_not_codes_are_refused(self, tmp_path, values):
+        path = tmp_path / "a.vtrl"
+        with rl.LogWriter(path, 32) as w:
+            with pytest.raises(ValueError, match="direction out of range"):
+                w.write_array(values)
+            assert w.entry_count == 0
+        assert path.stat().st_size == rl.HEADER_LEN
+
+    def test_write_after_close_is_refused(self, tmp_path):
+        path = tmp_path / "a.vtrl"
+        w = rl.LogWriter(path, 32)
+        w.write_array(np.ones(3, dtype=np.uint8))
+        w.close()
+        for n in (1, 7):  # the block would take either without emitting a byte
+            with pytest.raises(ValueError, match="closed log"):
+                w.write_array(np.zeros(n, dtype=np.uint8))
+        assert w.entry_count == rl.LogReader(path).entry_count == 3
+
+    def test_exact_codes_in_any_dtype_are_taken(self, tmp_path):
+        path = tmp_path / "a.vtrl"
+        with rl.LogWriter(path, 32) as w:
+            for values in ([0, 1, 2], np.array([2.0, 0.0]), np.array([[1], [2]], dtype=np.int64)):
+                w.write_array(values)
+        assert rl.LogReader(path).read_array(7).tolist() == [0, 1, 2, 2, 0, 1, 2]
 
     def test_unpack_examples(self, tmp_path):
         reader = hand_made_log(tmp_path / "a.vtrl", bytes([0, 121, 83]))
@@ -130,6 +164,29 @@ class TestWriterReader:
                 w.write_array(digits[lo:hi])
         assert path.read_bytes()[rl.HEADER_LEN :] == oracle_payload(digits)
         assert rl.LogReader(path).entry_count == 2003
+
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "deflate"])
+    @pytest.mark.parametrize("sizes", [
+        [0], [1], [4], [BLOCK - 1], [BLOCK], [BLOCK + 1], [3 * BLOCK - 3],
+        # the same sizes from the offsets they leave in the block
+        [0, 1, 4, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 3, 4, BLOCK + 1, 1],
+    ], ids=["0", "1", "4", "block-1", "block", "block+1", "three-blocks", "mixed"])
+    def test_block_buffer_matches_one_shot_packing(self, tmp_path, compress, sizes):
+        rng = np.random.default_rng(len(sizes) + sizes[0])
+        digits = np.where(rng.random(sum(sizes)) < 0.8, 1, rng.integers(0, 3, sum(sizes)))
+        digits = digits.astype(np.uint8)
+        path = tmp_path / "blocks.vtrl"
+        with rl.LogWriter(path, 32, compress=compress) as w:
+            for part in np.split(digits, np.cumsum(sizes)[:-1]):
+                w.write_array(part)
+        payload = rl._pack_block(np.concatenate([digits, np.ones(-digits.size % 5, np.uint8)]))
+        if compress:
+            deflate = zlib.compressobj()
+            payload = deflate.compress(payload) + deflate.flush()
+        assert path.read_bytes()[rl.HEADER_LEN :] == payload
+        reader = rl.LogReader(path)
+        assert reader.entry_count == digits.size
+        assert np.array_equal(reader.read_array(digits.size), digits)
 
     def test_roundtrip_various_lengths(self, tmp_path):
         rng = np.random.default_rng(1)
