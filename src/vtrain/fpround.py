@@ -26,17 +26,19 @@ moved off nearest rounding. ``direction_array`` and ``rev_array`` are
 views of these two kernels, and ``rnd_array`` uses the same bit split.
 
 The split reads the exponent field once. Its largest value finds
-non-finite inputs and is the only reason to check a result against
-``grid_max``; its smallest is the only reason to look for values below
-2^-126, where the grid's spacing is absolute. Above 2^-126 the ``b_r``
-grid is the accumulator grid of width ``b_r + 3`` (``round_to_width``).
-Nearest rounding onto it is Veltkamp's split (Dekker 1971), three flops:
+non-finite inputs and magnitudes of 2^128 or more, which every kernel
+refuses, and is the only reason to check a result against ``grid_max``;
+its smallest is the only reason to look for values below 2^-126, where the
+grid's spacing is absolute. Above 2^-126 the ``b_r`` grid is the
+accumulator grid of width ``b_r + 3`` (``round_to_width``). Nearest
+rounding onto it is Veltkamp's split (Dekker 1971), three flops:
 ``c = x * (2^s + 1)`` with ``s = 61 - b_r``, then ``c - (c - x)`` is ``x``
 rounded to ``b_r - 8`` significant bits, to nearest with ties to even, sign
-included. ``s`` runs from 29 to 51, inside the split's valid range, and
-below 2^128 ``c`` cannot overflow. A replay takes the grid point truncated
-toward zero and adds one grid step to the bit pattern where it goes away
-from zero.
+included. ``s`` runs from 29 to 51, inside the split's valid range. ``c``
+overflows once ``|x|`` passes about ``2^(1024 - s)`` (2^973 at ``b_r`` 10),
+and the split then gives NaN; refusing 2^128 and beyond up front keeps
+``c`` below 2^180. A replay takes the grid point truncated toward zero and
+adds one grid step to the bit pattern where it goes away from zero.
 """
 
 from __future__ import annotations
@@ -111,6 +113,7 @@ _ZERO = np.uint64(0)
 _EXPONENT = np.uint64(0x7FF << 52)
 _FLOOR = np.float64(SCALE_FLOOR).view(np.uint64)
 _BINADE_127 = np.float64(2.0 ** 127).view(np.uint64)
+_BINADE_128 = np.float64(2.0 ** 128).view(np.uint64)
 
 
 @functools.lru_cache(maxsize=None)
@@ -168,8 +171,10 @@ class _GridBits:
     This is the only code that knows the bit layout. It holds the grid's
     constants (``grid``), the values (``arr``) and their bit patterns
     (``bits``), and reads the exponent field (``exponent``) once: a
-    non-finite value raises here, ``near_max`` says whether any value
-    reaches 2^127 (only then can a result pass ``grid_max``), and ``tiny``
+    non-finite value raises here, as does a magnitude of 2^128 or more,
+    whose every grid neighbour is past ``grid_max`` and whose split would
+    overflow; ``near_max`` says whether any value reaches 2^127 (only then
+    can a result pass ``grid_max``), and ``tiny``
     marks the nonzero values below 2^-126, or is ``None`` when there are
     none. There the grid's spacing is ``grid.unit`` and the grid points are
     found by scaling, which is exact, as are floor, ceil and rint on the
@@ -192,6 +197,8 @@ class _GridBits:
         if top == _EXPONENT:
             raise OutOfRange("non-finite value")
         self.near_max = top >= _BINADE_127
+        if self.near_max and top >= _BINADE_128:
+            raise OutOfRange("out of representable range")
         self.tiny = None
         if np.minimum.reduce(self.exponent, axis=None, initial=_FLOOR) < _FLOOR:
             tiny = self.exponent < _FLOOR

@@ -1,6 +1,7 @@
 """Grid arithmetic: examples, oracle agreement, and invariants."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -453,11 +454,17 @@ def test_grid_bits_refuse_non_finite_and_past_grid_max(b_r):
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(fp.OutOfRange, match="non-finite"):
             fp._GridBits(np.array([[1.0], [bad]]), b_r)
-    past = fp.grid_max(b_r) + 0.75 * 2.0 ** (128 - (b_r - 9))  # nearest is 2^128
-    for x in (past, -past, np.array([[0.5], [past]])):
+    # below 2^128 the rounded result is checked against grid_max
+    below = fp.grid_max(b_r) + 0.75 * 2.0 ** (127 - (b_r - 9))  # nearest is 2^128
+    for x in (below, -below, np.array([[0.5], [below]])):
         g = fp._GridBits(x, b_r)
         with pytest.raises(fp.OutOfRange, match="out of representable range"):
             g.nearest(np.empty_like(g.bits))
+    # from 2^128 on the split itself refuses the values
+    past = fp.grid_max(b_r) + 0.75 * 2.0 ** (128 - (b_r - 9))
+    for x in (past, -2.0 ** 128, np.array([[0.5], [np.finfo(np.float64).max]])):
+        with pytest.raises(fp.OutOfRange, match="out of representable range"):
+            fp._GridBits(x, b_r)
 
 
 def test_kernels_keep_shape_and_checks():
@@ -568,6 +575,24 @@ def test_kernels_round_to_grid_max_and_refuse_past_it(b_r):
         for bad in (past, -past):
             with pytest.raises(fp.OutOfRange, match="out of representable range"):
                 kernel(np.asarray([1.0, bad]))
+
+
+@pytest.mark.parametrize("b_r", range(fp.MIN_B, fp.MAX_B + 1))
+def test_kernels_refuse_magnitudes_where_the_split_would_overflow(b_r):
+    # x * (2^s + 1) overflows past about 2^(1024 - s) and the split gives
+    # NaN, which no comparison with grid_max catches; every kernel refuses
+    # these magnitudes, and without a numpy warning.
+    top = np.finfo(np.float64).max
+    ones = np.ones(2, dtype=np.uint8)
+    kernels = [lambda x: fp.rnd_array(x, b_r), lambda x: fp.round_and_code(x, b_r, 0.0),
+               lambda x: fp.replay(x, b_r, ones)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kernel in kernels:
+            for big in (2.0 ** 128, 2.0 ** (1024 - (61 - b_r)), 1e300, top):
+                for bad in (big, -big):
+                    with pytest.raises(fp.OutOfRange, match="out of representable range"):
+                        kernel(np.asarray([1.0, bad]))
 
 
 def normal_cases(b_r: int, rng, n: int = 20000) -> np.ndarray:
