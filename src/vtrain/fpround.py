@@ -37,8 +37,13 @@ rounded to ``b_r - 8`` significant bits, to nearest with ties to even, sign
 included. ``s`` runs from 29 to 51, inside the split's valid range. ``c``
 overflows once ``|x|`` passes about ``2^(1024 - s)`` (2^973 at ``b_r`` 10),
 and the split then gives NaN; refusing 2^128 and beyond up front keeps
-``c`` below 2^180. A replay takes the grid point truncated toward zero and
-adds one grid step to the bit pattern where it goes away from zero.
+``c`` below 2^180.
+
+Both parties then read ``d = nearest - x``, which is exact (Sterbenz). The
+trainer compares it with ``tau`` times the exponent scale to choose a code.
+The auditor moves off nearest only where the code names the other
+neighbour, which is where ``code - 1`` and ``d`` have opposite signs; the
+move is one grid step on the bit pattern (``grid.unit`` below 2^-126).
 """
 
 from __future__ import annotations
@@ -146,17 +151,15 @@ def round_to_width(a: np.ndarray, b_tr: int) -> np.ndarray:
 class _Grid:
     """The b_r grid's constants, built once per width (``_GRIDS``).
 
-    ``drop`` is the number of mantissa bits below the grid's last kept bit,
-    ``low`` their mask and ``half`` half a grid step, all as uint64.
-    ``unit`` is the grid's spacing below 2^-126, ``max`` is ``grid_max`` and
-    ``split`` is Veltkamp's factor ``2^s + 1``, ``s = 64 - (b_r + 3)``.
+    ``step`` is one grid step on the bit pattern of a value from 2^-126 up,
+    ``1 << drop`` as int64, where ``drop`` is the number of mantissa bits
+    below the grid's last kept bit. ``unit`` is the grid's spacing below
+    2^-126, ``max`` is ``grid_max`` and ``split`` is Veltkamp's factor
+    ``2^s + 1``, ``s = 64 - (b_r + 3)``.
     """
 
     def __init__(self, b_r: int):
-        drop = 52 - (b_r - 9)
-        self.drop = np.uint64(drop)
-        self.low = np.uint64((1 << drop) - 1)
-        self.half = np.uint64(1 << (drop - 1))
+        self.step = np.int64(1 << (52 - (b_r - 9)))
         self.unit = 2.0 ** ((32 - b_r) - 149)
         self.max = grid_max(b_r)
         self.split = np.float64(2 ** (64 - (b_r + 3)) + 1)
@@ -177,9 +180,9 @@ class _GridBits:
     can a result pass ``grid_max``), and ``tiny``
     marks the nonzero values below 2^-126, or is ``None`` when there are
     none. There the grid's spacing is ``grid.unit`` and the grid points are
-    found by scaling, which is exact, as are floor, ceil and rint on the
-    scaled values (all below 2^23). Once the caller has read the exponent
-    field, its buffer is free for reuse.
+    found by scaling, which is exact, as is rint on the scaled values (all
+    below 2^23). Once the caller has read the exponent field, its buffer is
+    free for reuse.
 
     The kernels run on tensors of a few dozen elements as often as on large
     ones, so each numpy call is a direct ufunc call with uint64 constants
@@ -233,8 +236,9 @@ def rnd_array(x, b_r: int) -> np.ndarray:
     return g.nearest(g.exponent)
 
 
-def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """The trainer's pass: ``rnd_array`` and ``direction_array`` from one bit split."""
+def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """The trainer's pass: ``rnd_array``, ``direction_array`` and the number
+    of directed (not IGNORE) codes, from one bit split."""
     g = _GridBits(x, b_r)
     rounded = g.nearest(np.empty_like(g.bits))
     # r - x is exact (Sterbenz), and |r - x| > t splits into r - x > t (UP)
@@ -243,10 +247,13 @@ def round_and_code(x, b_r: int, tau: float) -> tuple[np.ndarray, np.ndarray]:
     d = rounded - g.arr
     t = np.maximum(g.exponent, _FLOOR, out=g.exponent).view(np.float64)
     t *= tau
-    codes = (d > t).view(np.uint8)
+    up = d > t
     np.negative(t, out=t)
-    codes += (d >= t).view(np.uint8)
-    return rounded, codes
+    not_down = d >= t
+    directed = int(np.count_nonzero(up) + d.size - np.count_nonzero(not_down))
+    codes = up.view(np.uint8)
+    codes += not_down.view(np.uint8)
+    return rounded, codes, directed
 
 
 def exponent_scale_array(x) -> np.ndarray:
@@ -272,49 +279,49 @@ def direction_array(x, b_r: int, tau: float) -> np.ndarray:
 def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
     """The auditor's pass: ``rev_array`` and its correction count from one bit split.
 
-    Where the code points against nearest rounding, the result is the grid
-    neighbour the code names; everywhere else it is ``rnd_array``. The count is
-    the number of elements moved off their nearest grid point.
+    The result is ``rnd_array`` except where the code names the grid
+    neighbour of x on the other side from its nearest grid point; there it
+    is that neighbour, one grid step away. The count is the number of
+    elements moved.
     """
     g = _GridBits(x, b_r)
-    grid = g.grid
     c = np.asarray(codes)
     if c.ndim == 0:
         c = c.reshape(1)
     if c.shape != g.arr.shape:
         raise ValueError(f"codes shape {c.shape} does not match values shape {g.arr.shape}")
-    # an unsigned array holds no code below DOWN
-    if c.size and (np.maximum.reduce(c, axis=None) > UP
-                   or c.dtype.kind != "u" and np.minimum.reduce(c, axis=None) < DOWN):
+    # every value must be exactly DOWN, IGNORE or UP, as LogWriter.write_array asks
+    if c.dtype != np.uint8:
+        if not np.isin(c, (DOWN, IGNORE, UP)).all():
+            raise ValueError("invalid direction code")
+        c = c.astype(np.uint8)
+    elif c.size and np.maximum.reduce(c, axis=None) > UP:
         raise ValueError("invalid direction code")
-    low = np.bitwise_and(g.bits, grid.low, out=g.exponent)
-    toward = g.bits ^ low  # the grid point truncated toward zero, signed
-    # nearest goes away from zero past half a step, and at half a step
-    # when the kept lowest bit is odd
-    up = g.bits >> grid.drop
-    up &= _ONE
-    up += low
-    up = up > grid.half
-    off = low != _ZERO  # not on the grid: the two neighbours differ
-    if g.tiny is not None:
-        steps = np.abs(g.arr[g.tiny]) / grid.unit
-        below = np.floor(steps)
-        up[g.tiny] = np.rint(steps) != below
-        off[g.tiny] = steps != below
-    # UP names the neighbour above x: away from zero when x is positive;
-    # IGNORE takes the nearest.
-    # (plain ufuncs: masked ones, ``where=``, are several times slower per element)
-    take = (c == UP) ^ np.signbit(g.arr)
-    take ^= (take ^ up) & (c == IGNORE)
-    take &= off
-    corrections = int(np.count_nonzero(take ^ up))
-    step = take.astype(np.uint64)
-    step <<= grid.drop
-    toward += step
-    replayed = toward.view(np.float64)
-    if g.tiny is not None:
-        replayed[g.tiny] = np.copysign((below + take[g.tiny]) * grid.unit, g.arr[g.tiny])
-    return g.checked(replayed), corrections
+    replayed = g.nearest(np.empty_like(g.bits))
+    # d = nearest - x is exact (Sterbenz). The code names the other
+    # neighbour exactly where code - 1 (-1, 0 or +1) and d have opposite
+    # signs, that is, where their product is negative.
+    way = np.subtract(c, 1, dtype=np.int8)
+    d = np.subtract(replayed, g.arr, out=g.exponent.view(np.float64))
+    d *= way
+    move = d < 0.0
+    corrections = int(np.count_nonzero(move))
+    if corrections:
+        # index arrays: faster than a boolean mask for the reads and the write
+        move = move.nonzero()
+        near, way = replayed[move], way[move]
+        # one grid step on the bit pattern, away from zero where the move's
+        # direction and the value's sign agree, so binade edges come out right
+        moved = np.where((way > 0) ^ np.signbit(near), g.grid.step, -g.grid.step)
+        moved += near.view(np.int64)
+        moved = moved.view(np.float64)
+        if g.tiny is not None:
+            # below 2^-126 the step is grid.unit, and a zero keeps x's sign
+            tiny = g.tiny[move]
+            near = near[tiny]
+            moved[tiny] = np.copysign(near + way[tiny] * g.grid.unit, near)
+        replayed[move] = g.checked(moved)
+    return replayed, corrections
 
 
 def rev_array(x, b_r: int, codes) -> np.ndarray:

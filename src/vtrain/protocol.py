@@ -56,7 +56,6 @@ import numpy as np
 
 from . import merkle, roundlog
 from .fpround import (
-    IGNORE,
     OutOfRange,
     check_b_tr,
     exponent_scale_array,
@@ -265,9 +264,9 @@ def _trainer(writer: LogWriter, cfg: TrainConfig):
     """Classify at the slot's tau, record, round; counts directed entries."""
 
     def process(values: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
-        rounded, codes = round_and_code(values, cfg.b_r, cfg.tau_for(slot.key))
+        rounded, codes, directed = round_and_code(values, cfg.b_r, cfg.tau_for(slot.key))
         writer.write_array(codes.reshape(-1))
-        return rounded, int(np.count_nonzero(codes != IGNORE))
+        return rounded, directed
 
     return process
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vtrain import fpround as fp
@@ -399,14 +399,17 @@ def kernel_case(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(case=kernel_case())
+# FP32-subnormal, nearest is -unit, UP names -0.0: the move keeps the sign
+@example(case=(10, [-0.75 * 2.0 ** -127], [fp.UP], 0.0))
 def test_kernels_match_oracles(case):
     b_r, xs, codes, tau = case
     x = np.asarray(xs)
     # the grid point keeps the sign of x, zero included
     nearest = np.copysign([oracle_rnd(v, b_r) for v in xs], x)
-    rounded, got_codes = fp.round_and_code(x, b_r, tau)
+    rounded, got_codes, directed = fp.round_and_code(x, b_r, tau)
     assert np.array_equal(bits(rounded), bits(nearest))
     assert got_codes.tolist() == [oracle_code(v, b_r, tau) for v in xs]
+    assert directed == int(np.count_nonzero(got_codes != fp.IGNORE))
 
     replayed, corrections = fp.replay(x, b_r, np.asarray(codes, dtype=np.uint8))
     want = np.copysign([oracle_rev(v, b_r, c) for v, c in zip(xs, codes)], x)
@@ -434,11 +437,15 @@ def test_replay_rejects_wrong_code_shape():
             fp.replay(x, 32, np.ones(shape, dtype=np.uint8))
 
 
-@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8])
+@pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint8, np.float64])
 def test_replay_refuses_codes_out_of_range_in_every_dtype(dtype):
     x = np.linspace(-2.0, 2.0, 8)
-    info = np.iinfo(dtype)
-    bad = (3, info.max) + ((-1, info.min) if info.min < 0 else ())
+    if dtype == np.float64:
+        # values that are not codes, between the codes or not numbers at all
+        bad = (0.5, 1.5, np.nan, np.inf, -np.inf, 3.0, -1.0)
+    else:
+        info = np.iinfo(dtype)
+        bad = (3, info.max) + ((-1, info.min) if info.min < 0 else ())
     for code in bad:
         codes = np.ones(8, dtype=dtype)
         codes[5] = code
@@ -469,8 +476,9 @@ def test_grid_bits_refuse_non_finite_and_past_grid_max(b_r):
 
 def test_kernels_keep_shape_and_checks():
     x = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
-    rounded, codes = fp.round_and_code(x, 26, 0.0)
+    rounded, codes, directed = fp.round_and_code(x, 26, 0.0)
     assert rounded.shape == codes.shape == (3, 4) and codes.dtype == np.uint8
+    assert directed == int(np.count_nonzero(codes != fp.IGNORE)) and type(directed) is int
     replayed, _ = fp.replay(x, 26, codes)
     assert replayed.shape == (3, 4)
     for bad_b in (9, 33):
@@ -494,7 +502,7 @@ class TestRepresentableRange:
         for b in (26, 32):
             gm = fp.grid_max(b)
             for x in (gm * (1 + 2.0**-30), -gm * (1 + 2.0**-30)):
-                rounded, codes = fp.round_and_code(x, b, self.TAU)
+                rounded, codes, _ = fp.round_and_code(x, b, self.TAU)
                 assert rounded[0] == np.copysign(gm, x)
                 replayed, corrections = fp.replay(x, b, codes)
                 assert (replayed[0], corrections) == (np.copysign(gm, x), 0)
@@ -545,9 +553,10 @@ def test_kernels_match_oracles_on_edge_values(b_r):
     tau = fp.tau_bounds(b_r)[0]
     nearest = np.copysign([oracle_rnd(v, b_r) for v in x.tolist()], x)
     assert np.array_equal(bits(fp.rnd_array(x, b_r)), bits(nearest))
-    rounded, codes = fp.round_and_code(x, b_r, tau)
+    rounded, codes, directed = fp.round_and_code(x, b_r, tau)
     assert np.array_equal(bits(rounded), bits(nearest))
     assert codes.tolist() == [oracle_code(v, b_r, tau) for v in x.tolist()]
+    assert directed == int(np.count_nonzero(codes != fp.IGNORE))
     given = np.resize([fp.DOWN, fp.IGNORE, fp.UP], x.size).astype(np.uint8)
     replayed, corrections = fp.replay(x, b_r, given)
     want = np.copysign([oracle_rev(v, b_r, c) for v, c in zip(x.tolist(), given.tolist())], x)
@@ -560,8 +569,9 @@ def test_kernels_round_to_grid_max_and_refuse_past_it(b_r):
     gm = fp.grid_max(b_r)
     for x in (gm * (1 + 2.0 ** -30), -gm * (1 + 2.0 ** -30)):  # nearest is grid_max
         assert fp.rnd_array(x, b_r).tolist() == [np.copysign(gm, x)]
-        rounded, codes = fp.round_and_code(x, b_r, fp.tau_bounds(b_r)[0])
+        rounded, codes, directed = fp.round_and_code(x, b_r, fp.tau_bounds(b_r)[0])
         assert (rounded.tolist(), codes.tolist()) == ([np.copysign(gm, x)], [fp.IGNORE])
+        assert directed == 0
         replayed, corrections = fp.replay(x, b_r, codes)
         assert (replayed.tolist(), corrections) == ([np.copysign(gm, x)], 0)
     past = fp.grid_max(b_r) + 0.75 * 2.0 ** (128 - (b_r - 9))  # nearest is 2^128
@@ -593,6 +603,62 @@ def test_kernels_refuse_magnitudes_where_the_split_would_overflow(b_r):
                 for bad in (big, -big):
                     with pytest.raises(fp.OutOfRange, match="out of representable range"):
                         kernel(np.asarray([1.0, bad]))
+
+
+
+def move_values(b_r: int) -> np.ndarray:
+    """Values off the grid, both signs, whose neighbours lie where a replay's
+    one-step move meets a special case: on either side of a power of two
+    (the move crosses the binade edge, down or up), 2^-126 included, where
+    the spacing below is absolute; the FP32-subnormal range, where a move
+    may land on +-0; and just below grid_max. Fractions of a quarter, a half
+    (ties) and three quarters of a step."""
+    kept = b_r - 9
+    unit = 2.0 ** ((32 - b_r) - 149)
+    gm = fp.grid_max(b_r)
+    fracs = np.array([0.25, 0.5, 0.75])
+    mags = []
+    for k in (-126, -125, -1, 0, 1, 127):
+        mags += list(2.0 ** k - fracs * 2.0 ** (max(k - 1, -126) - kept))
+        mags += list(2.0 ** k + fracs * 2.0 ** (k - kept))
+    for m in (0, 1, 2, 3, (1 << kept) - 1):
+        mags += list((m + fracs) * unit)
+    mags += list(gm - fracs * 2.0 ** (127 - kept))
+    mags = np.asarray(mags)
+    return np.concatenate([mags, -mags])
+
+
+@pytest.mark.parametrize("b_r", range(fp.MIN_B, fp.MAX_B + 1))
+def test_replay_moves_one_step_only_where_the_code_names_the_other_neighbour(b_r):
+    x = move_values(b_r)
+    nearest = np.copysign([oracle_rnd(v, b_r) for v in x.tolist()], x)
+    codes = np.where(nearest > x, fp.DOWN, fp.UP).astype(np.uint8)
+    below, above = grid_neighbors_array(x, b_r)
+    # the grid neighbour the code names, with x's sign when it is zero
+    want = np.copysign(np.where(codes == fp.UP, above, below), x)
+    assert np.count_nonzero(want == 0.0) == 2 and not np.any(want == nearest)
+    rows = [a.reshape(2, -1) for a in (x, codes, want)]
+    for xs, cs, ws in ((x, codes, want), rows, [a.T for a in rows]):
+        replayed, corrections = fp.replay(xs, b_r, cs)
+        assert replayed.shape == xs.shape
+        assert np.array_equal(bits(replayed), bits(ws))
+        assert corrections == x.size
+    # a move up from grid_max passes it, in either sign
+    gm = fp.grid_max(b_r)
+    past = gm + 0.25 * 2.0 ** (127 - (b_r - 9))  # nearest is grid_max
+    for xs, cs in (([past], [fp.UP]), ([-past], [fp.DOWN]),
+                   (np.append(x, past), np.append(codes, fp.UP))):
+        with pytest.raises(fp.OutOfRange, match="out of representable range"):
+            fp.replay(np.asarray(xs), b_r, np.asarray(cs, dtype=np.uint8))
+    # a value on the grid never moves, under any code
+    kept, unit = b_r - 9, 2.0 ** ((32 - b_r) - 149)
+    mags = np.array([0.0, unit, 3 * unit, 2.0 ** -126 - unit, 2.0 ** -126, 1.0,
+                     1.0 + 2.0 ** -kept, 2.0 - 2.0 ** -kept, 2.0 ** 127, gm])
+    assert is_on_grid(mags, b_r).all()
+    x = np.concatenate([mags, -mags])
+    for code in (fp.DOWN, fp.IGNORE, fp.UP):
+        replayed, corrections = fp.replay(x, b_r, np.full(x.shape, code, dtype=np.uint8))
+        assert np.array_equal(bits(replayed), bits(x)) and corrections == 0
 
 
 def normal_cases(b_r: int, rng, n: int = 20000) -> np.ndarray:
@@ -662,16 +728,18 @@ class TestKernelMemory:
 
     X = np.random.default_rng(30).normal(size=(512, 256))
     CODES = np.random.default_rng(31).integers(0, 3, size=(512, 256)).astype(np.uint8)
+    HONEST = fp.direction_array(X, 32, 2.0 ** -25)  # the trainer's own: nothing moves
 
-    @pytest.mark.parametrize("kernel, limit", [
-        (lambda x, c: fp.rnd_array(x, 32), 2.5),
-        (lambda x, c: fp.round_and_code(x, 32, 2.0 ** -25), 6.0),
-        (lambda x, c: fp.replay(x, 32, c), 5.0),
-    ], ids=["rnd_array", "round_and_code", "replay"])
-    def test_peak(self, kernel, limit):
+    @pytest.mark.parametrize("kernel, codes, limit", [
+        (lambda x, c: fp.rnd_array(x, 32), "CODES", 2.5),
+        (lambda x, c: fp.round_and_code(x, 32, 2.0 ** -25), "CODES", 6.0),
+        (lambda x, c: fp.replay(x, 32, c), "CODES", 5.0),
+        (lambda x, c: fp.replay(x, 32, c), "HONEST", 5.0),
+    ], ids=["rnd_array", "round_and_code", "replay", "replay_honest_codes"])
+    def test_peak(self, kernel, codes, limit):
         tracemalloc.start()
         try:
-            kernel(self.X, self.CODES)
+            kernel(self.X, getattr(self, codes))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

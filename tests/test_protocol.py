@@ -314,7 +314,8 @@ class TestChannels:
                            [0.0, 1e-40, 2.5]])
         seen = np.array([[1.0 + 0.4 * ulp, 1.0 + 0.4 * ulp, -3.0 - 0.4 * 2 * ulp],
                          [0.0, 1e-40, 2.5]])
-        want_rounded, want_codes = fpround.round_and_code(values, 32, pr.DEFAULT_TAU)
+        want_rounded, want_codes, want_directed = fpround.round_and_code(
+            values, 32, pr.DEFAULT_TAU)
         want_replayed, want_moved = fpround.replay(seen, 32, want_codes)
         assert want_moved == 2
 
@@ -331,7 +332,7 @@ class TestChannels:
         with LogWriter(tmp_path / "c.vtrl", 32) as writer:
             rounded, directed = pr._trainer(writer, cfg)(values, slot, no_stage)
         assert np.array_equal(rounded.view(np.uint64), want_rounded.view(np.uint64))
-        assert directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
+        assert directed == want_directed == int(np.count_nonzero(want_codes != fpround.IGNORE))
         reader = LogReader(tmp_path / "c.vtrl")
         replayed, corrections = pr._auditor(reader, 32)(seen, slot, no_stage)
         assert np.array_equal(replayed.view(np.uint64), want_replayed.view(np.uint64))
