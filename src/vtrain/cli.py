@@ -18,6 +18,13 @@ digits are usage errors, found before any file is read; so is a config that
 is not UTF-8 JSON or is nested too deep to parse. A config that cannot be
 read, or a file that cannot be written, ``dispute --transcript`` included,
 is an I/O error.
+
+Only the commands that compute load numpy and the replay engine
+(``protocol``, ``simnet``, ``fpround``, ``roundlog``): ``train``,
+``audit``, ``threshold``, ``estimate`` and ``inspect-log`` import them
+inside the command. ``serve``, ``dispute`` and ``--help`` need no more
+than ``merkle``, ``game`` and the standard library, so a challenger
+starts in about half the time of a process that loads numpy.
 """
 
 from __future__ import annotations
@@ -30,14 +37,16 @@ import re
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import game, merkle, protocol, roundlog
-from .fpround import tau_bounds
-from .protocol import TrainConfig
-from .simnet import get_profile
+from . import game, merkle
+
+if TYPE_CHECKING:  # for annotations; the commands that compute import them
+    import numpy as np
+
+    from .protocol import TrainConfig
 
 EXIT_OK = 0
 EXIT_DISPUTE = 1
@@ -59,6 +68,8 @@ def _failing(errors, code: int, prefix: str):
 
 
 def load_config(path) -> TrainConfig:
+    from .protocol import TrainConfig
+
     with _failing(OSError, EXIT_IO, "i/o error: "):
         raw = Path(path).read_bytes()
     # ValueError covers bad JSON, bad UTF-8 and an integer too long to convert
@@ -74,6 +85,8 @@ def load_config(path) -> TrainConfig:
 
 def save_weights(path, tensors) -> None:
     """Final-weights binary: magic, version, tensor count, dims, FP32 LE data."""
+    import numpy as np
+
     out = [WEIGHTS_MAGIC, bytes([1]), len(tensors).to_bytes(4, "little")]
     for t in tensors:
         arr = np.ascontiguousarray(t, dtype="<f4")
@@ -86,6 +99,8 @@ def save_weights(path, tensors) -> None:
 
 def load_weights(path) -> list[np.ndarray]:
     """Tensors of a ``save_weights`` file; ValueError unless the file is exactly one."""
+    import numpy as np
+
     raw = memoryview(Path(path).read_bytes())
     if len(raw) < 9 or raw[:4] != WEIGHTS_MAGIC or raw[4] != 1:
         raise ValueError("not a weights file")
@@ -116,6 +131,8 @@ def _artifact_paths(cfg: TrainConfig, out_dir: Path) -> dict[str, Path]:
 
 
 def _check_profile(name: str) -> None:
+    from .simnet import get_profile
+
     try:
         get_profile(name)
     except ValueError as e:
@@ -142,6 +159,8 @@ def main() -> None:
               help="Also write per-checkpoint weight files.")
 def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
     """Run training; write log, checkpoint tree, final weights, and report."""
+    from . import protocol
+
     cfg = load_config(config_path)
     if profile:
         _check_profile(profile)
@@ -201,6 +220,8 @@ def cmd_audit(config_path, profile, log_path, expect_root, out_dir, no_correctio
     Writes NAME.audit.json and the replayed tree, for dispute, as NAME.audit.vtmt.
     The negative control (--no-corrections) reads no log and reports no log_bytes.
     """
+    from . import protocol, roundlog
+
     if log_path is None and not no_corrections:
         raise click.UsageError("Missing option '--log' (required unless --no-corrections).")
     if not re.fullmatch(r"[0-9a-fA-F]{64}", expect_root):
@@ -307,6 +328,9 @@ def cmd_threshold(config_path):
     is the floor of the tau bounds gets one stderr line: a straddle there
     sits at or below the floor, so no tau in the bounds directs it.
     """
+    from . import protocol
+    from .fpround import tau_bounds
+
     cfg = load_config(config_path)
     with _failing(protocol.TrainingDiverged, EXIT_USAGE, ""):
         table = protocol.threshold_search(cfg)
@@ -322,6 +346,8 @@ def cmd_threshold(config_path):
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_inspect_log(log_path):
     """Print a rounding log's header fields and direction histogram."""
+    from . import roundlog
+
     with (_failing(roundlog.LogFormatError, EXIT_PROTOCOL, "bad log: "),
           _failing(OSError, EXIT_IO, "i/o error: ")):
         reader = roundlog.LogReader(log_path)
@@ -338,6 +364,8 @@ def cmd_inspect_log(log_path):
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_estimate(config_path):
     """Print the log-entry count and file size a config will produce."""
+    from . import protocol
+
     cfg = load_config(config_path)
     est = protocol.estimate_log_entries(cfg)
     click.echo(f"steps: {cfg.steps}")

@@ -8,8 +8,10 @@ has one child costs nothing. The walk ends at the first divergent leaf
 with the trainer's authentication path, which the auditor checks against
 the announced root before it claims; its own path comes from its tree. A
 judge can check the claim with constant work. A trainer that stops
-answering within the timeout fails the audit; one that sends a malformed
-or inconsistent reply raises ``GameProtocolError``.
+answering within the timeout, or resets or closes the connection before
+the verdict is decided, fails the audit; once it is decided, a send that
+fails does not change it. A trainer that sends a malformed or
+inconsistent reply raises ``GameProtocolError``.
 
 Wire format (protocol version 3): 4-byte little-endian length prefix,
 then a UTF-8 JSON object with a "type" field. Digests travel as lowercase
@@ -24,6 +26,7 @@ that is not an integer.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import socket
 import struct
@@ -245,7 +248,7 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
             session = _Session(sock, transcript)
             session.send({"type": "hello", "protocol_version": PROTOCOL_VERSION})
             announce = session.recv()
-        except (socket.timeout, ConnectionError, OSError):
+        except OSError:  # refused, timed out, reset or closed
             report.outcome = TRAINER_UNRESPONSIVE
             return report
         if announce["type"] != "root_announce":
@@ -259,16 +262,18 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
             report.outcome = SCHEDULE_MISMATCH
             return report
         if trainer_root == local_tree.root:
-            session.send({"type": "accept"})
+            # the verdict is decided; a trainer gone by now does not change it
+            with contextlib.suppress(OSError):
+                session.send({"type": "accept"})
             return report
 
         def fetch(level: int, index: int) -> tuple[bytes, bytes]:
-            session.send({"type": "children_request", "level": level, "index": index})
-            report.node_requests += 1
             try:
+                session.send({"type": "children_request", "level": level, "index": index})
+                report.node_requests += 1
                 resp = session.recv()
-            except (socket.timeout, ConnectionError, OSError):
-                raise TimeoutError
+            except OSError:  # timed out, reset or closed
+                raise TimeoutError from None
             if resp["type"] != "children_response":
                 raise GameProtocolError(f"expected children_response, got {resp['type']!r}")
             return _digest(resp.get("left"), "left child"), _digest(resp.get("right"), "right child")
@@ -287,15 +292,13 @@ def challenge(local_tree: MerkleTree, address: tuple[str, int],
         report.leaf_index = trainer_path.leaf_index
         report.trainer_path = trainer_path
         report.auditor_path = path(local_tree, trainer_path.leaf_index)
-        try:
+        with contextlib.suppress(OSError):
             session.send({
                 "type": "verdict_claim",
                 "first_divergent_leaf": report.leaf_index,
                 "trainer_path": _path_to_wire(trainer_path),
                 "auditor_path": _path_to_wire(report.auditor_path),
             })
-        except OSError:
-            pass
         return report
 
 

@@ -350,11 +350,11 @@ def _run(cfg: TrainConfig, profile: DeviceProfile, process, keep_checkpoints: bo
             grads: list = [None] * len(layers)
             for i in range(len(layers) - 1, 0, -1):
                 # bound to the incoming gradient, which the next line overwrites
-                stage = partial(layers[i].backward, values[i], values[i + 1], grad, params[i])
-                grad, grads[i] = stage(profile)
+                inputs = (values[i], values[i + 1], grad, params[i])
+                grad, grads[i] = layers[i].backward(*inputs, profile)
                 slot = slots.get(("backward", i))
                 if slot is not None:
-                    grad, n = process(grad, slot, lambda p: stage(p)[0])
+                    grad, n = process(grad, slot, partial(layers[i].input_grad, *inputs))
                     backward += n
             if layers:
                 grads[0] = layers[0].param_grads(values[0], grad)

@@ -27,7 +27,9 @@ profile-ordered sum that flows on to the previous layer, and
 ``dense_param_grads``, the sequential sums the weight update reads.
 ``Dense.backward`` runs both through ``dense_backward``; the engine calls
 only ``param_grads`` on the first layer, because nothing consumes its
-input gradient.
+input gradient, and only ``input_grad`` (every kind has one) when it
+recomputes a gradient on another order, because nothing there reads the
+weight gradients.
 
 Each order has one route at every width. ``sequential``, ``reversed``
 and ``chunked`` are recursive summation, a chain of adds: a sum inside
@@ -458,6 +460,9 @@ class Dense:
         grad_x, grad_W, grad_b = dense_backward(grad, x, params[0], profile)
         return grad_x, [grad_W, grad_b]
 
+    def input_grad(self, x, y, grad, params, profile: DeviceProfile) -> np.ndarray:
+        return dense_input_grad(grad, params[0], profile)
+
     def param_grads(self, x: np.ndarray, grad: np.ndarray) -> list[np.ndarray]:
         """Parameter gradients only, for a first layer whose input gradient feeds nothing."""
         return list(dense_param_grads(grad, x))
@@ -492,6 +497,9 @@ class _Elementwise:
     def init(self, rng: Rng) -> list[np.ndarray]:
         return []
 
+    def backward(self, x, y, grad, params, profile):
+        return self.input_grad(x, y, grad, params, profile), []
+
     def param_grads(self, x: np.ndarray, grad: np.ndarray) -> list[np.ndarray]:
         return []
 
@@ -504,8 +512,8 @@ class Relu(_Elementwise):
     def forward(self, x, params, profile):
         return np.maximum(x, 0.0)
 
-    def backward(self, x, y, grad, params, profile):
-        return grad * (x > 0.0), []
+    def input_grad(self, x, y, grad, params, profile):
+        return grad * (x > 0.0)
 
 
 class Sigmoid(_Elementwise):
@@ -514,9 +522,9 @@ class Sigmoid(_Elementwise):
     def forward(self, x, params, profile):
         return 1.0 / (1.0 + np.exp(-x))
 
-    def backward(self, x, y, grad, params, profile):
+    def input_grad(self, x, y, grad, params, profile):
         # from y, this layer's rounded output: the value that flowed on
-        return grad * y * (1.0 - y), []
+        return grad * y * (1.0 - y)
 
 
 LAYER_KINDS = {"dense": Dense, "relu": Relu, "sigmoid": Sigmoid}

@@ -5,6 +5,7 @@ import json
 import math
 import random
 import socket
+import struct
 import threading
 
 import numpy as np
@@ -160,6 +161,58 @@ class TestChallenge:
         r2 = game.challenge(auditor, addr, timeout=5)
         dump = lambda r: json.dumps(r.transcript, sort_keys=True)
         assert dump(r1) == dump(r2)
+
+    @pytest.mark.parametrize("flips, outcome, exit_code", [
+        ((), game.TRAINING_VERIFIED, 0),
+        ((3,), game.TRAINER_UNRESPONSIVE, 4),
+    ], ids=["roots-equal", "roots-differ"])
+    def test_trainer_reset_after_announce(self, monkeypatch, tmp_path, flips, outcome,
+                                          exit_code):
+        """The trainer announces, then resets the connection before the client
+        reads the announcement, so the client's next send fails: the
+        ``accept`` of equal roots keeps the verdict, and the first
+        ``children_request`` of differing roots ends the game unanswered."""
+        served, local = tree_of(8, flips=flips), tree_of(8)
+        merkle.write_tree(local, tmp_path / "local.vtmt")
+        listener = game.listen(("127.0.0.1", 0))
+        reset = threading.Semaphore(0)
+
+        def resetting_trainer():
+            for _ in range(2):  # one session for game.challenge, one for vtrain dispute
+                conn, _ = listener.accept()
+                game._recv(conn)  # the hello
+                game._send(conn, {"type": "root_announce", "root": served.root_hex,
+                                  "leaf_count": served.leaf_count})
+                # linger 0: close sends a reset, not a FIN
+                conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+                conn.close()
+                reset.release()
+
+        real_recv = game._Session.recv
+
+        def recv_after_reset(session):
+            assert reset.acquire(timeout=5)
+            return real_recv(session)
+
+        monkeypatch.setattr(game._Session, "recv", recv_after_reset)
+        trainer = threading.Thread(target=resetting_trainer, daemon=True)
+        trainer.start()
+        host, port = listener.getsockname()
+        try:
+            report = game.challenge(local, (host, port), timeout=5)
+            result = CliRunner().invoke(main, [
+                "dispute", str(tmp_path / "local.vtmt"), "--connect", f"{host}:{port}",
+                "--timeout", "5"])
+            trainer.join(timeout=5)
+            assert not trainer.is_alive()
+        finally:
+            listener.close()
+        assert report.outcome == outcome
+        assert report.node_requests == 0
+        assert result.exception is None or isinstance(result.exception, SystemExit), \
+            result.exception
+        assert result.exit_code == exit_code, result.output
+        assert json.loads(result.output)["outcome"] == outcome
 
 
 class TestServerBehavior:

@@ -596,6 +596,24 @@ class TestThresholdSearch:
         assert recomputed == {"sequential", "reversed", "pairwise"}
         assert table == four_pass_threshold_search(cfg)[0]
 
+    def test_recomputes_no_weight_gradients(self, monkeypatch, shipped_config, tmp_path):
+        """Another order recomputes a stage's input gradient only: the search
+        makes the weight-gradient sums of the engine's own steps and no more."""
+        from vtrain import simnet
+
+        calls, real = [], simnet.dense_param_grads
+
+        def counting(grad_out, x):
+            calls.append(x.shape)
+            return real(grad_out, x)
+
+        monkeypatch.setattr(simnet, "dense_param_grads", counting)
+        cfg = two_steps(shipped_config("trend"))
+        pr.train(cfg, tmp_path / "trend.vtrl")
+        trained, calls[:] = list(calls), []
+        pr.threshold_search(cfg)
+        assert calls == trained == [(32, 256), (32, 32)] * cfg.steps
+
     def test_table_pastes_into_the_config(self, tmp_path, shipped_config):
         """The table has one entry per distinct slot key, ``from_dict`` takes it
         as the config's tau, and honest audits of the run it tunes match."""
