@@ -176,7 +176,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
         train_seconds = time.perf_counter() - start
         merkle.write_tree(result.tree, paths["tree"])
         save_weights(paths["weights"], [p for ps in result.params for p in ps])
-        if keep_checkpoints and result.checkpoints is not None:
+        if keep_checkpoints:
             for i, snap in enumerate(result.checkpoints):
                 save_weights(out / f"{cfg.name}.ckpt{i:04d}.weights", snap)
         estimate = protocol.estimate_log_entries(cfg)

@@ -7,23 +7,24 @@ FP32 value set and smaller ``b`` coarsens the grid by a factor of two per
 step. Values are computed in FP64 and pulled onto the grid with
 ``rnd_array``.
 
-``direction_array`` classifies how a value relates to its grid point: a
-ternary code (0 = rounded down, 1 = ignore, 2 = rounded up) is produced
-only when the value sits further than ``tau`` (relative to its binary
-exponent) from the grid point. ``rev_array`` is the replay half: given a
-second, slightly perturbed computation of the same value plus the
-recorded code, it lands on the same grid point the original party chose.
+Each party splits a logged tensor into its bit fields once, in one
+kernel. The trainer's ``round_and_code`` gives the rounded tensor and a
+ternary code per element (0 = rounded down, 1 = ignore, 2 = rounded up),
+directed (not 1) only where the value sits further than ``tau``
+(relative to its binary exponent) from its grid point. The auditor's
+``replay`` takes a second, slightly perturbed computation of the same
+tensor plus the recorded codes, lands on the grid points the trainer
+chose, and counts the elements the codes moved off nearest rounding.
+``check_codes`` is the one check that codes are exactly 0, 1 or 2, for
+``replay`` and ``roundlog.LogWriter`` alike, and ``rnd_array`` uses the
+same bit split. ``direction_array`` and ``rev_array`` are the codes of
+the one kernel and the values of the other; nothing in the package
+calls them, and they stay only because ``bench/spans.py`` wraps them.
 
 Everything here is implemented on the bit representation so that results
 are identical across machines. The grid operations are array-only: they
 take anything ``np.asarray`` accepts and return ``float64`` ndarrays
 (codes as ``uint8``).
-
-Each party splits a logged tensor into its bit fields once. The trainer's
-``round_and_code`` gives the rounded tensor and its codes; the auditor's
-``replay`` gives the replayed tensor and the number of elements the codes
-moved off nearest rounding. ``direction_array`` and ``rev_array`` are
-views of these two kernels, and ``rnd_array`` uses the same bit split.
 
 The split reads the exponent field once. Its largest value finds
 non-finite inputs and magnitudes of 2^128 or more, which every kernel
@@ -82,7 +83,7 @@ def check_b_tr(b_tr: int, b_r: int, tau: float, fan_in: int) -> None:
     association orders of an ``n``-term sum differ by up to
     ``(n - 1) * 2^-(b_tr - 12)`` relative to ``sum |x|`` (Higham's
     ``gamma(n - 1)`` bound, once per order), and that must stay under
-    ``tau``. The bound is necessary, not sufficient: ``rev_array`` resyncs
+    ``tau``. The bound is necessary, not sufficient: ``replay`` resyncs
     relative to each output's own exponent scale, and cancellation puts
     ``sum |x|`` far above the output.
     """
@@ -276,6 +277,20 @@ def direction_array(x, b_r: int, tau: float) -> np.ndarray:
     return round_and_code(x, b_r, tau)[1]
 
 
+def check_codes(codes) -> np.ndarray:
+    """``codes`` as a ``uint8`` array of its shape, once every value is
+    exactly DOWN, IGNORE or UP; anything else is refused before a cast to
+    ``uint8`` could wrap it onto a code."""
+    c = np.asarray(codes)
+    if c.dtype != np.uint8:
+        if not np.isin(c, (DOWN, IGNORE, UP)).all():
+            raise ValueError("invalid direction code")
+        return c.astype(np.uint8)
+    if c.size and np.maximum.reduce(c, axis=None) > UP:
+        raise ValueError("invalid direction code")
+    return c
+
+
 def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
     """The auditor's pass: ``rev_array`` and its correction count from one bit split.
 
@@ -290,13 +305,7 @@ def replay(x, b_r: int, codes) -> tuple[np.ndarray, int]:
         c = c.reshape(1)
     if c.shape != g.arr.shape:
         raise ValueError(f"codes shape {c.shape} does not match values shape {g.arr.shape}")
-    # every value must be exactly DOWN, IGNORE or UP, as LogWriter.write_array asks
-    if c.dtype != np.uint8:
-        if not np.isin(c, (DOWN, IGNORE, UP)).all():
-            raise ValueError("invalid direction code")
-        c = c.astype(np.uint8)
-    elif c.size and np.maximum.reduce(c, axis=None) > UP:
-        raise ValueError("invalid direction code")
+    c = check_codes(c)
     replayed = g.nearest(np.empty_like(g.bits))
     # d = nearest - x is exact (Sterbenz). The code names the other
     # neighbour exactly where code - 1 (-1, 0 or +1) and d have opposite

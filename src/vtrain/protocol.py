@@ -14,12 +14,13 @@ stage)``: ``slot`` is the ``Slot`` the tensor is logged under, and
 used. It returns the values that flow on and one count: directed entries
 for the trainer, which rounds at ``cfg.tau_for(slot.key)``, corrections
 for the auditor, 0 for the control. ``threshold_search`` is a fourth
-party, which rounds like the control and counts where ``stage`` on each
-other summation order straddles. ``_forward`` is the one layer loop, for
-``_run`` and ``evaluate``. ``_run`` returns one record, ``RunOutput``,
-with a (forward, backward) pair of counts per step; ``audit`` returns it
-as is and ``train`` adds the log size, final loss and accuracy. A run
-that diverges, final evaluation included, raises ``TrainingDiverged``.
+party, which rounds like the control, counts nothing, and records where
+``stage`` on each other summation order straddles. ``_forward`` is the
+one layer loop, for ``_run`` and ``evaluate``. ``_run`` returns one
+record, ``RunOutput``, with a (forward, backward) pair of counts per
+step; ``audit`` returns it as is and ``train`` adds the log size, final
+loss and accuracy. A run that diverges, final evaluation included,
+raises ``TrainingDiverged``.
 
 Only values that hardware nondeterminism can push apart are logged: the
 outputs of profile-ordered reductions (dense outputs and input gradients,
@@ -31,8 +32,8 @@ first stage's input gradient feeds nothing, so it is not even computed.
 config validation, ``_run`` and ``estimate_log_entries`` all read that list.
 
 ``TrainConfig.from_dict`` maps a run-config JSON document; each default
-is stated once, on the dataclass. ``tau`` is a number or a table by
-``log_slots`` key, read through ``tau_for``.
+is stated once, on the dataclass. ``tau`` is a number or a table with
+exactly the ``log_slots`` keys, read through ``tau_for``.
 
 Layers (``simnet.LAYER_KINDS``) hold no weights: ``_run`` keeps a list of
 parameters per layer, and treats every parameter alike.
@@ -148,14 +149,16 @@ class TrainConfig:
         want = self.classes if self.loss == "softmax_xent" else 1
         if width != want:
             raise ValueError(f"final width {width!r} does not fit {self.loss}, which needs {want}")
+        keys = {s.key for s in slots}
+        if isinstance(self.tau, dict) and self.tau.keys() != keys:
+            raise ValueError(f"adaptive tau table keys {sorted(self.tau)} are not "
+                             f"the logged slots' keys {sorted(keys)}")
         taus = list(self.tau.values()) if isinstance(self.tau, dict) else [self.tau]
         lo, hi = tau_bounds(self.b_r)
         for tau in taus:
             if not (tau == 0.0 or lo <= tau <= hi):
                 raise ValueError(f"tau {tau!r} is neither 0.0 nor in [{lo!r}, {hi!r}]")
-        for slot in slots:
-            self.tau_for(slot.key)
-        check_b_tr(self.b_tr, self.b_r, min(taus, default=math.inf), self.max_fan_in())
+        check_b_tr(self.b_tr, self.b_r, min(taus), self.max_fan_in())
         if self.dataset_size % self.batch_size != 0:
             raise ValueError("dataset size must be a multiple of batch size")
         if self.steps < 1:
@@ -197,11 +200,7 @@ class TrainConfig:
 
     def tau_for(self, key: str) -> float:
         """The fixed tau, or the adaptive table's entry for a logged slot's key."""
-        if not isinstance(self.tau, dict):
-            return self.tau
-        if key not in self.tau:
-            raise ValueError(f"adaptive tau table has no entry for {key!r}")
-        return self.tau[key]
+        return self.tau[key] if isinstance(self.tau, dict) else self.tau
 
     @property
     def steps(self) -> int:
@@ -486,40 +485,38 @@ def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
     )
 
 
-def search_tau(samples, b_r: int) -> float:
-    """The largest threshold below every recorded straddle, clipped to ``tau_bounds``.
+def search_tau(smallest: float, b_r: int) -> float:
+    """The largest threshold below the smallest straddle distance, clipped
+    to ``tau_bounds``.
 
     The code test is strict (``d > t``), so a straddle at distance ``d``
     is directed only under a tau below ``d``: the result is the double
-    just below ``min(samples)``. With no samples it is the upper bound;
-    when the smallest sample is at or below the lower bound, it is the
-    lower bound.
+    just below ``smallest``. With no straddle (``smallest`` is inf) it is
+    the upper bound; when ``smallest`` is at or below the lower bound, it
+    is the lower bound.
     """
     lower, upper = tau_bounds(b_r)
-    if not samples:
-        return upper
-    return min(upper, max(lower, math.nextafter(min(samples), 0.0)))
+    return min(upper, max(lower, math.nextafter(smallest, 0.0)))
 
 
 def threshold_search(cfg: TrainConfig) -> dict[str, float]:
     """The adaptive tau table for a run, searched on the run itself: per
     ``log_slots`` key, ``search_tau`` of the straddles each registered
-    profile with another order (strategy and chunk size) finds against the
-    trainer's, recomputing each stage on the trainer's inputs. At a
-    straddle (the two nearest roundings differ and the raw values sit on
-    opposite sides of them: what a code resyncs) the trainer's code is
+    profile other than the trainer's (profiles are equal by order) finds
+    against the trainer's, recomputing each stage on the trainer's inputs.
+    At a straddle (the two nearest roundings differ and the raw values sit
+    on opposite sides of them: what a code resyncs) the trainer's code is
     tested against ``|y1 - r1|`` over ``y1``'s exponent scale. Only the
     least per key is kept (inf if none: ``search_tau`` gives the upper
-    bound), so memory does not grow with the run. A diverging run raises
-    ``TrainingDiverged``.
+    bound), so memory does not grow with the run, and ``process`` counts
+    nothing. A diverging run raises ``TrainingDiverged``.
     """
     b_r, trainer = cfg.b_r, get_profile(cfg.trainer_profile)
-    others = [replace(p, b_tr=cfg.b_tr) for p in PROFILES.values()
-              if (p.strategy, p.chunk_size) != (trainer.strategy, trainer.chunk_size)]
+    others = [replace(p, b_tr=cfg.b_tr) for p in PROFILES.values() if p != trainer]
     smallest = {s.key: math.inf for s in cfg.log_slots()}
 
     def process(y1: np.ndarray, slot: Slot, stage) -> tuple[np.ndarray, int]:
-        r1, count = rnd_array(y1, b_r), 0
+        r1 = rnd_array(y1, b_r)
         for profile in others:
             y2 = stage(profile)
             r2 = rnd_array(y2, b_r)
@@ -527,8 +524,7 @@ def threshold_search(cfg: TrainConfig) -> dict[str, float]:
             y, r = y1[straddle], r1[straddle]
             found = np.abs(y - r) / exponent_scale_array(y)
             smallest[slot.key] = min(smallest[slot.key], found.min(initial=math.inf))
-            count += y.size
-        return r1, count
+        return r1, 0
 
     _run(cfg, trainer, process, False)
-    return {key: search_tau([d], b_r) for key, d in smallest.items()}
+    return {key: search_tau(d, b_r) for key, d in smallest.items()}

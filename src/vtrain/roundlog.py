@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fpround import DOWN, IGNORE, MAX_B, MIN_B, UP
+from .fpround import IGNORE, MAX_B, MIN_B, check_codes
 
 MAGIC = b"VTRL"
 VERSION = 2
@@ -95,21 +95,11 @@ class LogWriter:
             raise OSError(f"log write failed at byte offset {self._file.tell()}: {e}") from e
 
     def write_array(self, directions: np.ndarray) -> None:
-        """Append an array of directions, in row-major order.
-
-        Every value must be exactly DOWN, IGNORE or UP; anything else is
-        refused before a cast to ``uint8`` could wrap it onto a code.
-        """
+        """Append an array of directions, in row-major order, after
+        ``fpround.check_codes``."""
         if self._closed:
             raise ValueError("write to a closed log")
-        d = np.asarray(directions)
-        if d.dtype != np.uint8:
-            if not np.isin(d, (DOWN, IGNORE, UP)).all():
-                raise ValueError("direction out of range")
-            d = d.astype(np.uint8)
-        elif d.size and np.maximum.reduce(d, axis=None) > UP:
-            raise ValueError("direction out of range")
-        d = d.reshape(-1)
+        d = check_codes(directions).reshape(-1)
         self.entry_count += d.size
         while self._fill + d.size >= _BLOCK:
             take = _BLOCK - self._fill

@@ -150,14 +150,16 @@ class Rng:
 
 @dataclass(frozen=True)
 class DeviceProfile:
-    """A named, deterministic accumulation order for reductions.
+    """A deterministic accumulation order for reductions, and nothing else:
+    two profiles are equal exactly when they sum in the same order at the
+    same width, whatever name looked them up (``get_profile("chunked:7")
+    == PROFILES["chunked7"]``).
 
     ``b_tr`` is the accumulator width every partial sum is rounded to; the
     registered profiles carry 64 (exact FP64 adds), and a run replaces it
     with its config's ``b_tr``.
     """
 
-    name: str
     strategy: str  # "sequential" | "reversed" | "pairwise" | "chunked"
     chunk_size: int | None = None
     b_tr: int = 64
@@ -174,13 +176,13 @@ class DeviceProfile:
             raise ValueError(f"b_tr must be an integer in [13, 64], got {self.b_tr!r}")
 
 
-SEQUENTIAL = DeviceProfile("sequential", "sequential")
+SEQUENTIAL = DeviceProfile("sequential")
 
 PROFILES: dict[str, DeviceProfile] = {
     "sequential": SEQUENTIAL,
-    "reversed": DeviceProfile("reversed", "reversed"),
-    "pairwise": DeviceProfile("pairwise", "pairwise"),
-    "chunked7": DeviceProfile("chunked7", "chunked", 7),
+    "reversed": DeviceProfile("reversed"),
+    "pairwise": DeviceProfile("pairwise"),
+    "chunked7": DeviceProfile("chunked", 7),
 }
 
 
@@ -190,7 +192,7 @@ def get_profile(name: str) -> DeviceProfile:
     if name in PROFILES:
         return PROFILES[name]
     if re.fullmatch("chunked:[1-9][0-9]*", name):
-        return DeviceProfile(name, "chunked", int(name[len("chunked:"):]))
+        return DeviceProfile("chunked", int(name[len("chunked:"):]))
     raise ValueError(f"unknown device profile {name!r}; known: {sorted(PROFILES)} "
                      "and chunked:N for N >= 1")
 
@@ -470,28 +472,18 @@ class Dense:
 
 @dataclass(frozen=True)
 class _Elementwise:
-    """A parameter-free layer that keeps its input's width; ``width``, if given, is checked."""
-
-    width: int | None = None
+    """A parameter-free layer that keeps its input's width, so it takes none."""
 
     grid_closed = False
     fan_in = 0  # sums nothing
 
-    def __post_init__(self):
-        if self.width is not None:
-            check_count(f"{self.key} layer width", self.width, 1)
-
     @classmethod
     def from_entry(cls, entry: dict) -> _Elementwise:
-        width = entry.get("in", entry.get("out"))
-        if entry.get("out", width) != width:
-            raise ValueError(f"{cls.key} layer in {width!r} and out {entry['out']!r} differ")
-        return cls(width)
+        if "in" in entry or "out" in entry:
+            raise ValueError(f"{cls.key} layer takes no in or out: it keeps its input's width")
+        return cls()
 
     def out_width(self, width: int) -> int:
-        if self.width not in (None, width):
-            raise ValueError(f"{self.key} layer width {self.width!r} does not match "
-                             f"incoming width {width!r}")
         return width
 
     def init(self, rng: Rng) -> list[np.ndarray]:
@@ -531,7 +523,7 @@ LAYER_KINDS = {"dense": Dense, "relu": Relu, "sigmoid": Sigmoid}
 
 
 def layer_from_entry(entry: dict):
-    """The layer a config entry names: ``kind`` and widths ``in``, ``out`` (either one)."""
+    """The layer a config entry names: ``kind``, and ``in`` and ``out`` for a dense layer."""
     kind = entry["kind"]
     if kind not in LAYER_KINDS:
         raise ValueError(f"unknown layer kind {kind!r}")

@@ -4,6 +4,8 @@ four-pass threshold search to check the one-pass search against."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from vtrain import game, merkle
@@ -77,14 +79,15 @@ def path_from_wire(obj: dict) -> merkle.MerklePath:
 
 
 def four_pass_threshold_search(cfg) -> tuple[dict[str, float], dict[str, int]]:
-    """``protocol.threshold_search`` as four whole runs, and the straddles
-    each comparison run counts, by profile name.
+    """``protocol.threshold_search`` as whole runs, and the straddles each
+    comparison run counts, by profile name.
 
     A reference run on the trainer's profile rounds like the negative
     control and keeps every raw logged tensor. A comparison run on each
-    other registered profile name passes on the reference's rounded
-    tensors, in the reference's order, and records the reference's
-    distance at each straddle. Its memory grows with the run.
+    registered profile other than the trainer's (profiles are equal by
+    order) passes on the reference's rounded tensors, in the reference's
+    order, and records the reference's distance at each straddle. Its
+    memory grows with the run.
     """
     b_r, raw = cfg.b_r, []
 
@@ -92,7 +95,8 @@ def four_pass_threshold_search(cfg) -> tuple[dict[str, float], dict[str, int]]:
         raw.append(values)
         return rnd_array(values, b_r), 0
 
-    pr._run(cfg, get_profile(cfg.trainer_profile), reference, False)
+    trainer = get_profile(cfg.trainer_profile)
+    pr._run(cfg, trainer, reference, False)
     distances = {s.key: [] for s in cfg.log_slots()}
     straddles = {}
 
@@ -105,10 +109,10 @@ def four_pass_threshold_search(cfg) -> tuple[dict[str, float], dict[str, int]]:
         return r1, y.size
 
     for name, profile in PROFILES.items():
-        if name != cfg.trainer_profile:
+        if profile != trainer:
             seen = iter(raw)
             run, _ = pr._run(cfg, profile, comparison, False)
             straddles[name] = sum(map(sum, run.per_step))
-    table = {key: pr.search_tau(np.concatenate(found).tolist(), b_r)
+    table = {key: pr.search_tau(min(np.concatenate(found).tolist(), default=math.inf), b_r)
              for key, found in distances.items()}
     return table, straddles

@@ -318,6 +318,12 @@ def _set(path, value):
     return edit
 
 
+def _tiny_table(key, tau):
+    """An adaptive tau document naming every slot tiny logs, ``key`` at ``tau``."""
+    table = dict.fromkeys(("dense:8x12", "dense:12x2", "loss:softmax_xent"), protocol.DEFAULT_TAU)
+    return {"policy": "adaptive", "table": {**table, key: tau}}
+
+
 def _zero_hidden_width(doc):
     doc["model"]["layers"][0]["out"] = 0
     doc["model"]["layers"][2]["in"] = 0
@@ -330,9 +336,14 @@ def _no_features(doc):
     doc["model"]["layers"] = [{"kind": "relu"}]
 
 
-def _relu_in_and_out_differ(doc):
+def _relu_gives_in_and_out(doc):
     doc["model"]["layers"][1]["in"] = 12
     doc["model"]["layers"][1]["out"] = 13
+
+
+def _sigmoid_gives_out(doc):
+    """tiny with a sigmoid hidden layer, which loads without the width."""
+    doc["model"]["layers"][1] = {"kind": "sigmoid", "out": 12}
 
 
 def _float_hidden_width(doc):
@@ -355,13 +366,10 @@ BAD_CONFIGS = {
     "learning-rate-past-float": _set(("learning_rate",), 10**400),
     "final-width-not-classes": _set(("dataset", "classes"), 3),
     "bce-final-width-not-1": _set(("model", "loss"), "bce"),
-    "adaptive-tau-one": _set(("tau",), {"policy": "adaptive", "table": {"dense:8x12": 1.0}}),
-    "adaptive-tau-negative": _set(("tau",), {"policy": "adaptive",
-                                             "table": {"dense:8x12": -1e-8}}),
-    "adaptive-tau-nan": _set(("tau",), {"policy": "adaptive",
-                                        "table": {"dense:8x12": float("nan")}}),
-    "adaptive-tau-past-float": _set(("tau",), {"policy": "adaptive",
-                                               "table": {"dense:8x12": 10**400}}),
+    "adaptive-tau-one": _set(("tau",), _tiny_table("dense:12x2", 1.0)),
+    "adaptive-tau-negative": _set(("tau",), _tiny_table("dense:12x2", -1e-8)),
+    "adaptive-tau-nan": _set(("tau",), _tiny_table("dense:12x2", float("nan"))),
+    "adaptive-tau-past-float": _set(("tau",), _tiny_table("dense:12x2", 10**400)),
     "tau-past-float": _set(("tau",), {"policy": "fixed", "value": 10**400}),
     "tau-string": _set(("tau",), {"policy": "fixed", "value": "3e-8"}),
     "tau-bool": _set(("tau",), {"policy": "fixed", "value": False}),
@@ -389,8 +397,18 @@ BAD_CONFIGS = {
     "name-int": _set(("name",), 5),
     "name-with-slash": _set(("name",), "../../x"),
     "b-m-16": _set(("b_m",), 16),
-    "relu-width-not-incoming": _set(("model", "layers", 1, "in"), 11),
-    "relu-in-and-out-differ": _relu_in_and_out_differ,
+    # an elementwise layer keeps its input's width and takes none, right or wrong
+    "relu-gives-in": _set(("model", "layers", 1, "in"), 12),
+    "relu-gives-wrong-in": _set(("model", "layers", 1, "in"), 11),
+    "relu-gives-in-and-out": _relu_gives_in_and_out,
+    "sigmoid-gives-out": _sigmoid_gives_out,
+    # a table names exactly the logged slots' keys
+    "adaptive-table-extra-key": _set(("tau",), {"policy": "adaptive", "table": {
+        "dense:8x12": protocol.DEFAULT_TAU, "dense:12x2": protocol.DEFAULT_TAU,
+        "loss:softmax_xent": protocol.DEFAULT_TAU, "relu": protocol.DEFAULT_TAU}}),
+    "adaptive-table-mistyped-key": _set(("tau",), {"policy": "adaptive", "table": {
+        "dense:8x12": protocol.DEFAULT_TAU, "dense:12x3": protocol.DEFAULT_TAU,
+        "loss:softmax_xent": protocol.DEFAULT_TAU}}),
     # 16 steps: a checkpoint every 5 leaves step 16 in no leaf
     "checkpoint-interval-not-dividing-steps": _set(("checkpoint_interval",), 5),
 }

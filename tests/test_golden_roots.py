@@ -1,12 +1,16 @@
-"""Roots, counts, final losses and threshold tables pinned from a known-good build.
+"""Roots, counts, log bytes, final losses and threshold tables pinned from
+a known-good build.
 
 Any change to rounding, replay or accumulation order that moves a bit of
 a trained model moves these roots. The shipped small configs run at
 ``b_tr = 64``, where every ordered (trainer, auditor) profile pair ends on
 the trainer's root with no corrections; ``divergence`` at ``b_tr = 50`` is
-the case that drives ``rev``'s correction path.
+the case that drives ``rev``'s correction path. Where no audit corrects
+anything, a change that moves only codes (a trainer reading the wrong
+tau, say) moves no root, so the SHA-256 of every log is pinned too.
 """
 
+import hashlib
 from dataclasses import replace
 
 import pytest
@@ -20,6 +24,15 @@ SMALL = {
     "tiny": ("bf2228d24cc3130585e0ca8c2ae48139e4c54395dba4d8c6348e6bd57abcc68d", 3584),
     "mlp": ("32d09567cdcbfdf37a31e32c70a88a3fd2204d5f060b1ed86ae31f4d655bbc5c", 143360),
     "logreg": ("be7811535b50893cdde9110d491b5fc34e3a3d7637c55c0dde1b505790f61738", 16384),
+}
+
+# run -> SHA-256 of its uncompressed .vtrl, the same for every trainer profile
+LOG_SHA256 = {
+    "tiny": "620b867c366e43c5161cfca075968642d2683d0f48c3d60acdb2e054f2236c43",
+    "mlp": "343c933663beeb710dd4bf8b34783d8ee9dcd9e5cf5c51df4a10d6bd05ce85e9",
+    "logreg": "8b9458022e542faf7f5e5249d86422b0fa5dbc1982738d71c12c4de389154551",
+    "wide": "a2456029906e5aa6b1d90a33e72576f2fcea973bca4fa0ad56f08ae5986347f0",
+    "divergence": "4f0c020c7086540898a30e5f83785f5bac35a4a9348ba34bd50ae69465910b29",
 }
 
 # config -> trainer profile -> final_loss.hex(); the loss sums in the
@@ -63,6 +76,10 @@ TABLES = {
 }
 
 
+def log_sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("trainer", PROFILES)
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_small_config_roots(shipped_config, tmp_path, name, trainer):
@@ -71,6 +88,7 @@ def test_small_config_roots(shipped_config, tmp_path, name, trainer):
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)
+    assert log_sha256(log) == LOG_SHA256[name]
     assert (out.final_loss.hex(), out.train_accuracy) == (FINAL_LOSS[name][trainer], 1.0)
     for auditor in PROFILES:
         if auditor != trainer:
@@ -88,6 +106,7 @@ def test_wide_replay_roots(shipped_config, tmp_path, trainer):
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)
+    assert log_sha256(log) == LOG_SHA256["wide"]
     assert out.final_loss.hex() == WIDE_FINAL_LOSS[trainer]
     for auditor in PROFILES:
         if auditor != trainer:
@@ -101,6 +120,7 @@ def test_divergence_roots(shipped_config, tmp_path):
     assert (cfg.b_tr, cfg.trainer_profile) == (50, "sequential")
     log = tmp_path / "run.vtrl"
     assert pr.train(cfg, log).root_hex == DIVERGENCE_ROOT
+    assert log_sha256(log) == LOG_SHA256["divergence"]
     for auditor, corrections in DIVERGENCE_CORRECTIONS.items():
         result = pr.audit(cfg, auditor, log)
         assert (auditor, result.root_hex, sum(map(sum, result.per_step))) == (

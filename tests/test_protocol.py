@@ -85,16 +85,28 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [1.0, -1e-8, float("nan"), float("inf"),
                                      0.1 * 2.0**-23, 0.6 * 2.0**-23])
     def test_every_tau_is_range_checked(self, bad):
-        # one check for a fixed tau and for every entry of an adaptive table
-        with pytest.raises(ValueError, match="tau"):
+        # one check for a fixed tau and for every entry of an adaptive table;
+        # the table names every logged slot, so only its bad entry is refused
+        with pytest.raises(ValueError, match="neither 0.0 nor in"):
             tiny_config(tau=bad)
-        table = {"dense:8x12": pr.DEFAULT_TAU, "dense:12x2": bad}
-        with pytest.raises(ValueError, match="tau"):
-            tiny_config(tau=table)
+        table = {s.key: pr.DEFAULT_TAU for s in tiny_config().log_slots()}
+        with pytest.raises(ValueError, match="neither 0.0 nor in"):
+            tiny_config(tau={**table, "dense:12x2": bad})
 
     def test_adaptive_requires_table(self):
-        with pytest.raises(ValueError, match="no entry"):
+        with pytest.raises(ValueError, match="adaptive tau table keys"):
             tiny_config(tau={})
+
+    @pytest.mark.parametrize("key, tau", [("relu", pr.DEFAULT_TAU), ("dense:32x265", 0.0)],
+                             ids=["extra", "mistyped"])
+    def test_adaptive_table_names_exactly_the_logged_slots(self, shipped_config, key, tau):
+        """On ``divergence`` an extra ``relu`` key used to load silently, and a
+        mistyped key's 0.0 used to reach ``check_b_tr``; both name the rule now."""
+        cfg = shipped_config("divergence")
+        table = {s.key: 2.0**-25 for s in cfg.log_slots()}
+        assert replace(cfg, tau=table).tau == table
+        with pytest.raises(ValueError, match="adaptive tau table keys .* are not the logged"):
+            replace(cfg, tau={**table, key: tau})
 
 
 def tiny_doc():
@@ -503,22 +515,22 @@ class TestEstimate:
 class TestThresholdSearch:
     def test_empty_samples_returns_upper(self):
         for b_r in (26, 32):
-            assert pr.search_tau([], b_r) == 0.5 * 2.0 ** (9 - b_r)
+            assert pr.search_tau(math.inf, b_r) == 0.5 * 2.0 ** (9 - b_r)
 
     def test_single_sample_is_undercut_by_one_ulp(self):
         lo, hi = fpround.tau_bounds(32)
         d = 0.4 * 2.0**-23
-        assert pr.search_tau([d], 32) == math.nextafter(d, 0.0)
-        assert pr.search_tau([hi], 32) == math.nextafter(hi, 0.0)
+        assert pr.search_tau(d, 32) == math.nextafter(d, 0.0)
+        assert pr.search_tau(hi, 32) == math.nextafter(hi, 0.0)
         # a sample above the bracket pins the search at the upper end
-        assert pr.search_tau([1.0], 32) == hi
+        assert pr.search_tau(1.0, 32) == hi
         # at or below the lower end the search returns the lower end
         for d in (lo, 0.5 * lo, 0.0):
-            assert pr.search_tau([d], 32) == lo
+            assert pr.search_tau(d, 32) == lo
 
     def test_smallest_sample_decides(self):
         d = 0.3 * 2.0**-23
-        assert pr.search_tau([0.45 * 2.0**-23, d, 1.0], 32) == math.nextafter(d, 0.0)
+        assert pr.search_tau(min([0.45 * 2.0**-23, d, 1.0]), 32) == math.nextafter(d, 0.0)
 
     def test_bracket_always_respected(self):
         rng = np.random.default_rng(1)
@@ -526,7 +538,7 @@ class TestThresholdSearch:
             lo, hi = 0.25 * 2.0**-23, 0.5 * 2.0 ** (9 - b_r)
             for _ in range(20):
                 samples = rng.uniform(0, 2 * hi, size=rng.integers(0, 6)).tolist()
-                tau = pr.search_tau(samples, b_r)
+                tau = pr.search_tau(min(samples, default=math.inf), b_r)
                 assert lo <= tau <= hi
 
     def test_search_deterministic(self, shipped_config):
@@ -546,8 +558,8 @@ class TestThresholdSearch:
     def test_comparison_runs_end_on_the_trainer_root(self, tmp_path, monkeypatch,
                                                      shipped_config, name):
         """The search is one pass on the trainer's profile, which ends where
-        the trainer does. Its count is the straddles of every other profile,
-        and it finds what four whole runs find."""
+        the trainer does. It counts nothing, while every other profile
+        straddles, and it finds what four whole runs find."""
         from harness import four_pass_threshold_search
 
         cfg = shipped_config(name)
@@ -558,32 +570,37 @@ class TestThresholdSearch:
 
         def recording_run(cfg, profile, *rest):
             out = run(cfg, profile, *rest)
-            runs.append((profile.name, out[0]))
+            runs.append((profile, out[0]))
             return out
 
         monkeypatch.setattr(pr, "_run", recording_run)
         table = pr.threshold_search(cfg)
         monkeypatch.setattr(pr, "_run", run)
         want, straddles = four_pass_threshold_search(cfg)
-        assert [profile for profile, _ in runs] == ["sequential"]
+        assert [profile for profile, _ in runs] == [pr.get_profile("sequential")]
         assert runs[0][1].root == trained.root
         assert list(straddles) == ["reversed", "pairwise", "chunked7"]
         assert min(straddles.values()) > 0
-        assert sum(map(sum, runs[0][1].per_step)) == sum(straddles.values())
+        assert sum(map(sum, runs[0][1].per_step)) == 0
         assert table == want
 
-    def test_compares_orders_not_names(self, monkeypatch, shipped_config):
+    @pytest.mark.parametrize("trainer, others", [("sequential", 3), ("chunked:7", 3),
+                                                 ("chunked:3", 4)],
+                             ids=["sequential", "chunked:7", "chunked:3"])
+    def test_compares_orders_not_names(self, monkeypatch, shipped_config, trainer, others):
         """A trainer on ``chunked:7`` sums in ``chunked7``'s order, so only the
-        three other orders are recomputed, and the table does not change."""
+        three other orders are recomputed; one on ``chunked:3`` has an order
+        of its own, so all four registered ones are. The table is what whole
+        runs on each order find."""
         from harness import four_pass_threshold_search
 
-        cfg = replace(shipped_config("logreg"), b_tr=44, trainer_profile="chunked:7")
+        cfg = replace(shipped_config("logreg"), b_tr=44, trainer_profile=trainer)
         recomputed, run = set(), pr._run
 
         def recording_run(cfg, profile, process, *rest):
             def record(values, slot, stage):
                 def recording_stage(other):
-                    recomputed.add(other.name)
+                    recomputed.add(other)
                     return stage(other)
 
                 return process(values, slot, recording_stage)
@@ -593,7 +610,9 @@ class TestThresholdSearch:
         monkeypatch.setattr(pr, "_run", recording_run)
         table = pr.threshold_search(cfg)
         monkeypatch.setattr(pr, "_run", run)
-        assert recomputed == {"sequential", "reversed", "pairwise"}
+        assert len(recomputed) == others
+        assert replace(pr.get_profile(trainer), b_tr=44) not in recomputed
+        assert recomputed <= {replace(p, b_tr=44) for p in pr.PROFILES.values()}
         assert table == four_pass_threshold_search(cfg)[0]
 
     def test_recomputes_no_weight_gradients(self, monkeypatch, shipped_config, tmp_path):
@@ -649,7 +668,7 @@ def test_search_tau_undercuts_every_straddle(case):
     unless the smallest sits at or below the bracket; no larger double does that."""
     b_r, samples = case
     lo, hi = fpround.tau_bounds(b_r)
-    tau = pr.search_tau(samples, b_r)
+    tau = pr.search_tau(min(samples), b_r)
     assert lo <= tau <= hi
     assert tau < min(samples) or tau == lo
     assert tau == hi or math.nextafter(tau, 1.0) >= min(samples)

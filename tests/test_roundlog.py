@@ -55,7 +55,7 @@ class TestPack5:
 
     def test_bad_digit(self, tmp_path):
         with rl.LogWriter(tmp_path / "a.vtrl", 32) as w:
-            with pytest.raises(ValueError, match="direction out of range"):
+            with pytest.raises(ValueError, match="invalid direction code"):
                 w.write_array(np.array([0, 0, 3, 0, 0], dtype=np.uint8))
             assert w.entry_count == 0
 
@@ -69,7 +69,7 @@ class TestPack5:
     def test_values_that_are_not_codes_are_refused(self, tmp_path, values):
         path = tmp_path / "a.vtrl"
         with rl.LogWriter(path, 32) as w:
-            with pytest.raises(ValueError, match="direction out of range"):
+            with pytest.raises(ValueError, match="invalid direction code"):
                 w.write_array(values)
             assert w.entry_count == 0
         assert path.stat().st_size == rl.HEADER_LEN

@@ -13,11 +13,14 @@ from hypothesis import strategies as st
 from vtrain import simnet as sn
 from vtrain.fpround import grid_max, rnd_array
 
-SEQ = sn.get_profile("sequential")
-REV = sn.get_profile("reversed")
-PW = sn.get_profile("pairwise")
-CH7 = sn.get_profile("chunked7")
-ALL_PROFILES = (SEQ, REV, PW, CH7)
+ALL_NAMES = ("sequential", "reversed", "pairwise", "chunked7")
+SEQ, REV, PW, CH7 = ALL_PROFILES = tuple(map(sn.get_profile, ALL_NAMES))
+
+
+def by_name(*names):
+    """Parameters: the profile each name looks up, with the name as its id."""
+    return [pytest.param(sn.get_profile(name), id=name) for name in names]
+
 
 # first outputs of the reference stream for seed 0
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -140,8 +143,8 @@ class TestReduce:
     def test_exact_integers_order_free(self):
         rng = np.random.default_rng(0)
         ints = rng.integers(-1000, 1000, size=200).astype(np.float64)
-        results = {p.name: float(sn.reduce_last_axis(ints, p)) for p in ALL_PROFILES}
-        assert len(set(results.values())) == 1
+        results = {float(sn.reduce_last_axis(ints, p)) for p in ALL_PROFILES}
+        assert len(results) == 1
 
     def test_sequential_matches_reference_fold(self):
         rng = np.random.default_rng(1)
@@ -187,11 +190,19 @@ class TestReduce:
         with pytest.raises(ValueError):
             sn.get_profile("quantum")
         with pytest.raises(ValueError):
-            sn.DeviceProfile("x", "chunked", 0)
+            sn.DeviceProfile("chunked", 0)
         with pytest.raises(ValueError, match="unknown reduction strategy 'tree'"):
-            sn.DeviceProfile("x", "tree")
+            sn.DeviceProfile("tree")
         with pytest.raises(ValueError, match="pairwise strategy takes no chunk_size"):
-            sn.DeviceProfile("x", "pairwise", 7)
+            sn.DeviceProfile("pairwise", 7)
+
+    def test_profiles_are_equal_by_order(self):
+        """A profile is its summation order: two names for one order look up
+        equal profiles, and another chunk size or width is another profile."""
+        assert sn.get_profile("chunked:7") == sn.PROFILES["chunked7"] == CH7
+        assert sn.get_profile("chunked:3") != CH7
+        assert replace(CH7, b_tr=50) != CH7
+        assert len(set(ALL_PROFILES)) == len(ALL_PROFILES)
 
 
 def width_oracle(x: float, b_tr: int) -> float:
@@ -224,8 +235,7 @@ class TestAccumulatorWidth:
         x = np.array([1 + 0.5 * step, 1 + 1.5 * step, -(1 + 0.5 * step), 2 - 0.5 * step, 0.0])
         assert sn.round_to_width(x, 50).tolist() == [1.0, 1 + 2 * step, -1.0, 2.0, 0.0]
 
-    @pytest.mark.parametrize("profile", ALL_PROFILES + (sn.get_profile("chunked:3"),),
-                             ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name(*ALL_NAMES, "chunked:3"))
     def test_fold_matches_reference(self, profile):
         rng = np.random.default_rng(21)
         a = rng.normal(size=(6, 37)) * np.exp2(rng.integers(-20, 20, size=(6, 37)))
@@ -261,7 +271,7 @@ class TestAccumulatorWidth:
     def test_bad_width(self):
         for b_tr in (12, 65, 50.0):
             with pytest.raises(ValueError):
-                sn.DeviceProfile("x", "sequential", b_tr=b_tr)
+                sn.DeviceProfile("sequential", b_tr=b_tr)
 
 
 class TestDense:
@@ -354,7 +364,7 @@ class TestDenseKernelExact:
 
     @pytest.mark.parametrize("shape", DENSE_SHAPES, ids=str)
     @pytest.mark.parametrize("b_tr", (64, 50))
-    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name(*ALL_NAMES))
     def test_matches_reference(self, profile, b_tr, shape):
         batch, n_in, n_out = shape
         rng = np.random.default_rng(batch * 1000 + n_in * 10 + n_out)
@@ -387,7 +397,7 @@ def test_empty_sums_are_positive_zero():
 
 
 class TestDenseMemory:
-    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name(*ALL_NAMES))
     def test_no_product_tensor(self, profile):
         # x (512 x 32) and W (32 x 256): the (batch, out, in) product tensor is 32 MiB
         rng = np.random.default_rng(25)
@@ -489,6 +499,14 @@ class TestElementwise:
         g = np.array([[5.0, 5.0, 5.0]])
         grad_x, grads = sn.Relu().backward(x, None, g, [], SEQ)
         assert grad_x.tolist() == [[0.0, 0.0, 5.0]] and grads == []
+
+    @pytest.mark.parametrize("kind", ["relu", "sigmoid"])
+    def test_entry_takes_no_width(self, kind):
+        """An elementwise layer keeps its input's width, so one entry spells it."""
+        assert sn.layer_from_entry({"kind": kind}) == sn.LAYER_KINDS[kind]()
+        for width in ({"in": 12}, {"out": 12}, {"in": 12, "out": 12}):
+            with pytest.raises(ValueError, match=f"{kind} layer takes no in or out"):
+                sn.layer_from_entry({"kind": kind, **width})
 
     def test_uniform_logits_loss(self):
         logits = np.zeros((8, 5))
@@ -699,7 +717,7 @@ class TestShippedDivergenceBound:
 
 # every registered order, plus chunks of 3 (a partial last chunk for most n
 # below) and of 64 (longer than most n below)
-EVERY_ORDER = ALL_PROFILES + (sn.get_profile("chunked:3"), sn.get_profile("chunked:64"))
+EVERY_ORDER = ALL_NAMES + ("chunked:3", "chunked:64")
 
 
 class TestAddSchedule:
@@ -707,7 +725,7 @@ class TestAddSchedule:
     a ``pairwise`` sum runs ``pairwise_levels``."""
 
     @pytest.mark.parametrize("b_tr", (64, 50))
-    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name(*EVERY_ORDER))
     def test_reduce_matches_reference(self, profile, b_tr):
         rng = np.random.default_rng(40)
         p = replace(profile, b_tr=b_tr)
@@ -717,7 +735,7 @@ class TestAddSchedule:
                 assert same_bits(sn.reduce_last_axis(a, p), fold_reference(a, p)), n
 
     @pytest.mark.parametrize("b_tr", (64, 50))
-    @pytest.mark.parametrize("profile", EVERY_ORDER, ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name(*EVERY_ORDER))
     def test_dense_matches_reference(self, profile, b_tr, monkeypatch):
         # under the shipped element budget every sum here is built at once;
         # under a budget of 0 a row of terms at a time, and under 3 rows'
@@ -743,7 +761,7 @@ class TestAddSchedule:
         for n in range(1, 300):
             assert len(sn.pairwise_levels(n)) == math.ceil(math.log2(n))
 
-    @pytest.mark.parametrize("profile", [PW], ids=lambda p: p.name)
+    @pytest.mark.parametrize("profile", by_name("pairwise"))
     def test_each_add_once_and_levels_independent(self, profile):
         for n in (1, 2, 5, 33, 64, 100):
             adds = []
@@ -780,7 +798,7 @@ class TestRunningSums:
                 for terms in (t, np.full(shape, -0.0), np.where(t > 0, 0.0, -0.0)):
                     got = sn._sum_terms(terms.copy(), p)
                     want = fold_reference(np.moveaxis(terms, 0, -1), p)
-                    assert same_bits(np.asarray(got), want), (p.name, p.b_tr, n)
+                    assert same_bits(np.asarray(got), want), (p, n)
 
 
 def test_kernels_leave_their_inputs_alone():
@@ -789,7 +807,7 @@ def test_kernels_leave_their_inputs_alone():
     b = rng.normal(size=32)
     arrays = (x, W, g, b)
     before = [a.copy() for a in arrays]
-    for profile in EVERY_ORDER:
+    for profile in map(sn.get_profile, EVERY_ORDER):
         for p in (profile, replace(profile, b_tr=50)):
             for a in (x[0], x, x.T, x.reshape(4, 4, 40), W[:, :3]):
                 sn.reduce_last_axis(a, p)
