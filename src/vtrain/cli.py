@@ -154,10 +154,9 @@ def main() -> None:
 @click.option("--profile", default=None, help="Execution profile (defaults to the config's).")
 @click.option("--out", "out_dir", default=".", type=click.Path(file_okay=False),
               help="Directory for artifacts.")
-@click.option("--compress-log", is_flag=True, help="DEFLATE the log payload.")
 @click.option("--keep-checkpoints", is_flag=True,
               help="Also write per-checkpoint weight files.")
-def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
+def cmd_train(config_path, profile, out_dir, keep_checkpoints):
     """Run training; write log, checkpoint tree, final weights, and report."""
     from . import protocol
 
@@ -171,8 +170,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
         out.mkdir(parents=True, exist_ok=True)
         paths = _artifact_paths(cfg, out)
         start = time.perf_counter()
-        result = protocol.train(cfg, paths["log"], keep_checkpoints=keep_checkpoints,
-                                compress_log=compress_log)
+        result = protocol.train(cfg, paths["log"], keep_checkpoints=keep_checkpoints)
         train_seconds = time.perf_counter() - start
         merkle.write_tree(result.tree, paths["tree"])
         save_weights(paths["weights"], [p for ps in result.params for p in ps])
@@ -180,6 +178,7 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
             for i, snap in enumerate(result.checkpoints):
                 save_weights(out / f"{cfg.name}.ckpt{i:04d}.weights", snap)
         estimate = protocol.estimate_log_entries(cfg)
+        log_bytes = paths["log"].stat().st_size
         report = {
             "config": cfg.name,
             "profile": cfg.trainer_profile,
@@ -190,9 +189,11 @@ def cmd_train(config_path, profile, out_dir, compress_log, keep_checkpoints):
                 result.tree, 0, result.tree.leaf_count - 1).hex(),
             "leaf_count": result.tree.leaf_count,
             "entries_logged": result.entries_logged,
-            "log_file_bytes": paths["log"].stat().st_size,
+            "directed_entries": sum(f + b for f, b in result.per_step),
+            "log_file_bytes": log_bytes,
+            "log_bits_per_entry": 8 * log_bytes / result.entries_logged,
             "estimated_entries": estimate.entries,
-            "estimated_file_bytes": estimate.file_bytes,
+            "estimated_file_bytes": estimate.file_bytes,  # an upper bound: every entry directed
             "final_loss": result.final_loss,
             "train_accuracy": result.train_accuracy,
             "train_seconds": train_seconds,
@@ -345,33 +346,35 @@ def cmd_threshold(config_path):
 @main.command("inspect-log")
 @click.argument("log_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_inspect_log(log_path):
-    """Print a rounding log's header fields and direction histogram."""
+    """Print a rounding log's header fields, direction histogram and bits per entry."""
     from . import roundlog
 
     with (_failing(roundlog.LogFormatError, EXIT_PROTOCOL, "bad log: "),
           _failing(OSError, EXIT_IO, "i/o error: ")):
         reader = roundlog.LogReader(log_path)
-    hist = reader.histogram()
+        hist = reader.histogram()
+        size = Path(log_path).stat().st_size
     click.echo(f"b_r: {reader.b_r}")
-    click.echo(f"flags: {reader.flags:#04x}")
     click.echo(f"entries: {reader.entry_count}")
     click.echo(f"down (0): {hist[0]}")
     click.echo(f"ignore (1): {hist[1]}")
     click.echo(f"up (2): {hist[2]}")
+    if reader.entry_count:
+        click.echo(f"bits/entry: {8 * size / reader.entry_count:.4f}")
 
 
 @main.command("estimate")
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def cmd_estimate(config_path):
-    """Print the log-entry count and file size a config will produce."""
+    """Print the log-entry count a config will produce, and the most bytes its log takes."""
     from . import protocol
 
     cfg = load_config(config_path)
     est = protocol.estimate_log_entries(cfg)
     click.echo(f"steps: {cfg.steps}")
     click.echo(f"entries: {est.entries}")
-    click.echo(f"payload bytes: {est.payload_bytes}")
-    click.echo(f"file bytes: {est.file_bytes}")
+    click.echo(f"payload bytes (upper bound): {est.payload_bytes}")
+    click.echo(f"file bytes (upper bound): {est.file_bytes}")
 
 
 if __name__ == "__main__":

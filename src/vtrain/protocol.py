@@ -67,7 +67,7 @@ from .fpround import (
 )
 # Not called here, but bench/spans.py traces protocol.direction_array and protocol.rev_array.
 from .fpround import direction_array, rev_array  # noqa: F401
-from .roundlog import LogExhaustedError, LogReader, LogWriter
+from .roundlog import LogReader, LogWriter
 from .simnet import (
     _ELEMENT_BUDGET,
     PROFILES,
@@ -414,7 +414,7 @@ def evaluate(cfg: TrainConfig, params, profile: DeviceProfile, X, y) -> tuple[fl
 
 
 def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
-          compress_log: bool = False, tamper=None) -> TrainOutput:
+          tamper=None) -> TrainOutput:
     """Run the trainer: produce the rounding log, checkpoints, and tree root.
 
     ``tamper(step, params)``, if given, runs after every step's update with
@@ -425,7 +425,7 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
     and would read as the log of a shorter run.
     """
     profile = get_profile(cfg.trainer_profile)
-    writer = LogWriter(log_path, cfg.b_r, compress=compress_log)
+    writer = LogWriter(log_path, cfg.b_r)
     try:
         with writer:
             run, (X, y) = _run(cfg, profile, _trainer(writer, cfg), keep_checkpoints, tamper)
@@ -443,19 +443,21 @@ def train(cfg: TrainConfig, log_path, keep_checkpoints: bool = False,
 
 
 def audit(cfg: TrainConfig, auditor_profile: str, log_path) -> RunOutput:
-    """Replay the run on the named profile, consuming the trainer's log."""
+    """Replay the run on the named profile, consuming the trainer's log.
+
+    A log whose entry count is not the config's (``estimate_log_entries``)
+    is refused before the first step, so the replay reads every entry.
+    """
     profile = get_profile(auditor_profile)
     reader = LogReader(log_path)
     if reader.b_r != cfg.b_r:
         raise AuditFailure(f"log b_r {reader.b_r} does not match config b_r {cfg.b_r}")
+    if reader.entry_count != estimate_log_entries(cfg).entries:
+        raise AuditFailure("operation-count mismatch")
     try:
         run, _ = _run(cfg, profile, _auditor(reader, cfg.b_r), False)
-    except LogExhaustedError as e:
-        raise AuditFailure("operation-count mismatch") from e
     except TrainingDiverged as e:
         raise AuditFailure(str(e)) from e
-    if reader.remaining != 0:
-        raise AuditFailure("operation-count mismatch")
     return run
 
 
@@ -476,7 +478,8 @@ class LogEstimate:
 
 
 def estimate_log_entries(cfg: TrainConfig) -> LogEstimate:
-    """Upper-bound log size from the config alone: ``log_slots`` per step."""
+    """The log's entry count from the config alone (``log_slots`` per step),
+    and the most bytes a log of that count takes: every entry directed."""
     entries = cfg.steps * sum(s.entries for s in cfg.log_slots())
     return LogEstimate(
         entries=entries,

@@ -1,51 +1,67 @@
-"""Packed on-disk format for rounding-decision streams.
+"""On-disk format for rounding-decision streams: a sparse code of the
+directed entries.
 
-Five ternary entries go into one byte in little-endian base 3
-(``d0 + 3*d1 + 9*d2 + 27*d3 + 81*d4``), 1.6 bits per entry. Layout:
+Most entries are IGNORE under a calibrated tau, so a log codes only the
+directed ones: the gap of IGNORE entries before each, in a Golomb–Rice
+code, and one sign bit each. Layout, integers little-endian:
 
     offset  size  field
     0       4     magic "VTRL"
-    4       1     version (2)
+    4       1     version (3)
     5       1     b_r
-    6       1     flags (bit 0: payload is DEFLATE-compressed)
-    7       8     entry count, little-endian unsigned
-    15      ...   payload
+    6       8     entry count
+    14      ...   blocks of _BLOCK entries, the last one shorter
 
-Version 2 entry streams hold only the slots ``protocol.TrainConfig.log_slots``
-lists: no ReLU outputs past the first stage and no first-stage input
-gradient. Version 1 logs had both, so readers reject them.
+    block:
+    0       2     d, the block's directed entries
+    2       1     k, its Rice parameter, 0 to 16
+    3       2     u, its unary bits
+    5       ...   unary quotients, u bits
+                  remainders, d * k bits
+                  signs, d bits
 
-The final partial group is padded with 1 (ignore), which a reader can
-never surface because it stops at the recorded entry count. The header
-stays uncompressed either way so counts are readable without inflating.
+Each stream is zero-padded to a byte; bits go most significant first.
+The i-th gap counts the IGNORE entries between directed entry i - 1 (or
+the block's start) and directed entry i. Its quotient ``gap >> k`` is that
+many 1 bits and a 0, its remainder the low ``k`` bits of the gap, and its
+sign bit is 1 for UP, 0 for DOWN. The writer takes the smallest ``k``
+that minimises the block's unary and remainder bytes, so a log is one
+function of its entries. With every entry directed the gaps are 0, ``k``
+is 0 and a block takes 2 bits an entry: the most any block takes
+(``payload_bytes_for``).
+
+Version 3 logs hold only the slots ``protocol.TrainConfig.log_slots``
+lists. Version 2 logs packed five entries a byte in base 3, and version 1
+logs also held slots no replay reads; readers reject both.
 
 Entries go in and come out as flat ``uint8`` arrays: ``LogWriter.write_array``
 appends, ``LogReader.read_array`` takes the next ``n`` in write order. The
-writer copies entries into one block of ``_BLOCK`` entries and packs only
-a full block, so a write of a few dozen entries is one check and one copy.
-The payload does not depend on how the entries are split into writes.
+writer copies entries into one block and codes only a full block, so a
+write of a few dozen entries is one check and one copy; the file does not
+depend on how the entries are split into writes. The reader checks every
+block header when it opens a log, so a log of the wrong length is refused
+before a replay, and then decodes one block at a time: its memory follows
+one block, not the header's entry count.
 """
 
 from __future__ import annotations
 
-import zlib
+import os
+import struct
 from pathlib import Path
 
 import numpy as np
 
-from .fpround import IGNORE, MAX_B, MIN_B, check_codes
+from .fpround import DOWN, IGNORE, MAX_B, MIN_B, UP, check_codes
 
 MAGIC = b"VTRL"
-VERSION = 2
-HEADER_LEN = 15
-FLAG_DEFLATE = 0x01
+VERSION = 3
+HEADER_LEN = 14
 
-_WEIGHTS = np.array([1, 3, 9, 27, 81], dtype=np.uint8)
-_MAX_BYTE = 242  # 3^5 - 1
-# row b holds the five base-3 digits of byte b, lowest first
-_DIGITS = (np.arange(_MAX_BYTE + 1)[:, None] // _WEIGHTS.astype(np.int64) % 3).astype(np.uint8)
-# entries the writer buffers: a multiple of 5, so a full block packs without padding
-_BLOCK = 5 * 2**13
+_BLOCK = 5 * 2**13  # entries per block: a multiple of 8, and below 2^16, so d and u fit 2 bytes
+_HEAD = struct.Struct("<HBH")  # d, k, u
+_MAX_K = 16
+_SIGN_CODES = np.array([DOWN, UP], dtype=np.uint8)  # by sign bit
 
 
 class LogFormatError(ValueError):
@@ -56,41 +72,109 @@ class LogExhaustedError(RuntimeError):
     """More directions were requested than the log contains."""
 
 
-def _pack_block(digits: np.ndarray) -> bytes:
-    """Pack a multiple-of-5-length uint8 digit array into bytes."""
-    groups = digits.reshape(-1, 5)
-    return (groups * _WEIGHTS).sum(axis=1, dtype=np.uint16).astype(np.uint8).tobytes()
+def _block_sizes(entries: int):
+    """Entries in each block of a log of ``entries``."""
+    for lo in range(0, entries, _BLOCK):
+        yield min(_BLOCK, entries - lo)
 
 
-def _unpack_block(raw: bytes) -> np.ndarray:
-    data = np.frombuffer(raw, dtype=np.uint8)
-    if data.size and data.max() > _MAX_BYTE:
-        raise LogFormatError("corrupt log byte")
-    return _DIGITS[data].reshape(-1)
+def _rice_parameter(gaps: np.ndarray) -> int:
+    """The smallest k in 0 to ``_MAX_K`` that minimises a block's unary and
+    remainder bytes."""
+    # sum(gaps >> k) is the sum over j >= 1 of how many gaps reach j * 2^k;
+    # past the largest gap's bit length a larger k only adds remainder bits
+    reach = np.cumsum(np.bincount(gaps)[::-1])[::-1]
+    k = np.arange(min(_MAX_K, reach.size.bit_length()) + 1)
+    quotients = np.array([reach[1 << j :: 1 << j].sum() for j in k], dtype=np.int64)
+    return int(np.argmin(-(-(gaps.size + quotients) // 8) + -(-(gaps.size * k) // 8)))
+
+
+def _encode_block(entries: np.ndarray) -> bytes:
+    at = np.flatnonzero(entries != IGNORE)
+    gaps = np.diff(at, prepend=-1) - 1
+    k = _rice_parameter(gaps)
+    # quotient i ends at the zero after the quotients before it and i zeros;
+    # at k = 0 that is the directed entry's own position
+    ends = np.cumsum(gaps >> k) + np.arange(at.size) if k else at
+    unary = np.ones(ends[-1] + 1 if ends.size else 0, dtype=np.uint8)
+    unary[ends] = 0
+    low = np.empty((at.size, k), dtype=np.uint8)
+    for j in range(k):  # a column at a time: k is small, d is not
+        low[:, j] = (gaps >> (k - 1 - j)) & 1
+    return b"".join((_HEAD.pack(at.size, k, unary.size), np.packbits(unary).tobytes(),
+                     np.packbits(low).tobytes(), np.packbits(entries[at] == UP).tobytes()))
+
+
+def _read_head(f, n: int) -> tuple[int, int, int]:
+    """A block header's ``(d, k, u)``, once they fit a block of ``n`` entries."""
+    raw = f.read(_HEAD.size)
+    if len(raw) < _HEAD.size:
+        raise LogFormatError("truncated rounding log")
+    d, k, u = _HEAD.unpack(raw)
+    if d > n:
+        raise LogFormatError(f"block of {n} entries claims {d} directed")
+    if k > _MAX_K:
+        raise LogFormatError(f"Rice parameter {k} above {_MAX_K}")
+    # d zeros end the quotients, and the gaps sum to at most n - d
+    if not d <= u <= d + ((n - d) >> k):
+        raise LogFormatError(f"{u} unary bits for {d} directed entries of {n}")
+    return d, k, u
+
+
+def _stream_bytes(d: int, k: int, u: int) -> int:
+    return -(-u // 8) + -(-(d * k) // 8) + -(-d // 8)
+
+
+def _bits(f, count: int) -> np.ndarray:
+    """The next ``count`` bits of a zero-padded stream."""
+    raw = f.read(-(-count // 8))
+    if len(raw) * 8 < count:
+        raise LogFormatError("truncated rounding log")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[count:].any():
+        raise LogFormatError("nonzero padding bits")
+    return bits[:count]
+
+
+def _decode_block(f, n: int) -> np.ndarray:
+    d, k, u = _read_head(f, n)
+    unary, low, signs = _bits(f, u), _bits(f, d * k), _bits(f, d)
+    ends = np.flatnonzero(unary == 0)
+    if ends.size != d or (u and unary[-1]):
+        raise LogFormatError(f"unary stream does not end {d} quotients")
+    # directed entry i follows i directed entries and the gaps up to its
+    # own: the quotients before its zero, shifted, and the remainders
+    at = ends
+    if k:
+        rem = np.zeros(d, dtype=np.int64)
+        for column in low.reshape(d, k).T:
+            rem = rem << 1 | column
+        i = np.arange(d)
+        at = ((ends - i) << k) + i + np.cumsum(rem)
+    if d and at[-1] >= n:
+        raise LogFormatError(f"directed entry at {at[-1]} past a block of {n}")
+    entries = np.full(n, IGNORE, dtype=np.uint8)
+    entries[at] = _SIGN_CODES[signs]
+    return entries
 
 
 class LogWriter:
     """Sequential writer. Buffers one block of ``_BLOCK`` entries; a full
-    block is packed and goes straight out."""
+    block is coded and goes straight out."""
 
-    def __init__(self, path, b_r: int, compress: bool = False):
+    def __init__(self, path, b_r: int):
         self.path = Path(path)
         self.b_r = int(b_r)
         self.entry_count = 0
         self._block = np.empty(_BLOCK, dtype=np.uint8)
         self._fill = 0  # entries in the block, always fewer than _BLOCK
         self._file = open(self.path, "wb")
-        self._compressor = zlib.compressobj() if compress else None
-        flags = FLAG_DEFLATE if compress else 0
-        header = MAGIC + bytes([VERSION, self.b_r, flags]) + (0).to_bytes(8, "little")
-        self._file.write(header)
+        self._file.write(MAGIC + bytes([VERSION, self.b_r]) + (0).to_bytes(8, "little"))
         self._closed = False
 
-    def _emit(self, payload: bytes) -> None:
-        if self._compressor is not None:
-            payload = self._compressor.compress(payload)
+    def _emit(self, entries: np.ndarray) -> None:
         try:
-            self._file.write(payload)
+            self._file.write(_encode_block(entries))
         except OSError as e:
             raise OSError(f"log write failed at byte offset {self._file.tell()}: {e}") from e
 
@@ -104,7 +188,7 @@ class LogWriter:
         while self._fill + d.size >= _BLOCK:
             take = _BLOCK - self._fill
             self._block[self._fill :] = d[:take]
-            self._emit(_pack_block(self._block))
+            self._emit(self._block)
             self._fill, d = 0, d[take:]
         self._block[self._fill : self._fill + d.size] = d
         self._fill += d.size
@@ -113,12 +197,8 @@ class LogWriter:
         if self._closed:
             return
         if self._fill:
-            end = self._fill + -self._fill % 5
-            self._block[self._fill : end] = IGNORE
-            self._emit(_pack_block(self._block[:end]))
-        if self._compressor is not None:
-            self._file.write(self._compressor.flush())
-        self._file.seek(7)
+            self._emit(self._block[: self._fill])
+        self._file.seek(6)
         self._file.write(self.entry_count.to_bytes(8, "little"))
         self._file.close()
         self._closed = True
@@ -144,35 +224,28 @@ class LogReader:
             self.b_r = header[5]
             if not MIN_B <= self.b_r <= MAX_B:
                 raise LogFormatError(f"log b_r {self.b_r} outside [{MIN_B}, {MAX_B}]")
-            self.flags = header[6]
-            if self.flags & ~FLAG_DEFLATE:
-                raise LogFormatError(f"unknown log flags 0x{self.flags:02x}")
-            self.entry_count = int.from_bytes(header[7:15], "little")
-            payload = f.read()
-        expected = payload_bytes_for(self.entry_count)
-        if self.flags & FLAG_DEFLATE:
-            inflater = zlib.decompressobj()
-            try:
-                # one byte past the header's claim shows a longer stream, so
-                # memory follows the header, not what the stream inflates to
-                payload = inflater.decompress(payload, expected + 1)
-            except zlib.error as e:
-                raise LogFormatError(f"corrupt compressed payload: {e}") from e
-            if len(payload) > expected:
-                raise LogFormatError("bytes after the rounding log's payload: the compressed "
-                                     f"payload inflates past {expected} bytes")
-            if not inflater.eof:
-                raise LogFormatError("corrupt compressed payload: incomplete or truncated stream")
-            if inflater.unused_data:
-                raise LogFormatError(f"{len(inflater.unused_data)} bytes after the "
-                                     "compressed payload")
-        extra = len(payload) - expected
+            self.entry_count = int.from_bytes(header[6:HEADER_LEN], "little")
+            for n in _block_sizes(self.entry_count):
+                f.seek(_stream_bytes(*_read_head(f, n)), os.SEEK_CUR)
+            extra = os.fstat(f.fileno()).st_size - f.tell()
         if extra < 0:
             raise LogFormatError("truncated rounding log")
         if extra > 0:
             raise LogFormatError(f"{extra} bytes after the rounding log's payload")
-        self._digits = _unpack_block(payload)
+        self._stream = self._blocks()
+        self._block = np.empty(0, dtype=np.uint8)
+        self._at = 0  # entries of the current block already read
         self._pos = 0
+
+    def _blocks(self):
+        """Each block's entries in turn; the file is open only while one is decoded."""
+        offset = HEADER_LEN
+        for n in _block_sizes(self.entry_count):
+            with open(self.path, "rb") as f:
+                f.seek(offset)
+                entries = _decode_block(f, n)
+                offset = f.tell()
+            yield entries
 
     @property
     def remaining(self) -> int:
@@ -180,23 +253,40 @@ class LogReader:
 
     def read_array(self, n: int) -> np.ndarray:
         """Next n directions as a uint8 array."""
-        if self._pos + n > self.entry_count:
+        if n > self.remaining:
             raise LogExhaustedError("log exhausted")
-        out = self._digits[self._pos : self._pos + n]
         self._pos += n
-        return out
+        out = self._block[self._at : self._at + n]
+        self._at += out.size
+        if out.size == n:
+            return out
+        parts, n = [out], n - out.size
+        while n:
+            self._block = next(self._stream)
+            parts.append(self._block[:n])
+            self._at = parts[-1].size
+            n -= self._at
+        return np.concatenate(parts)
 
     def histogram(self) -> dict[int, int]:
         """Direction counts over the whole log."""
-        counts = np.bincount(self._digits[: self.entry_count], minlength=3)
+        counts = np.zeros(3, dtype=np.int64)
+        for entries in self._blocks():
+            counts += np.bincount(entries, minlength=3)
         return {0: int(counts[0]), 1: int(counts[1]), 2: int(counts[2])}
 
 
+def _block_bound(n: int) -> int:
+    return _HEAD.size + 2 * -(-n // 8)
+
+
 def payload_bytes_for(entries: int) -> int:
-    """Packed payload size for a given entry count (uncompressed)."""
-    return (entries + 4) // 5
+    """The most bytes the blocks of a log of ``entries`` take: every entry
+    directed (``k = 0``, 2 bits an entry, and the block headers)."""
+    full, rest = divmod(entries, _BLOCK)
+    return full * _block_bound(_BLOCK) + (_block_bound(rest) if rest else 0)
 
 
 def file_bytes_for(entries: int) -> int:
-    """Total uncompressed file size for a given entry count."""
+    """The most bytes a log of ``entries`` takes, header included."""
     return HEADER_LEN + payload_bytes_for(entries)

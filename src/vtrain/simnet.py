@@ -285,7 +285,8 @@ def _sum_terms(t: np.ndarray, profile: DeviceProfile) -> np.ndarray:
     if t[0].size > 1:
         sums = np.add.reduce(chunks, axis=1, initial=-0.0)
         total = np.add.reduce(sums, axis=0, initial=-0.0)
-        total += np.add.reduce(t[whole:], axis=0, initial=-0.0)  # -0.0 if none
+        if whole < n:
+            total += np.add.reduce(t[whole:], axis=0, initial=-0.0)
         return total
     total = np.add.accumulate(np.add.accumulate(chunks, axis=1)[:, -1], axis=0)[-1, ...]
     if whole < n:

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 import warnings
-import zlib
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ from vtrain import cli, fpround, game, merkle, protocol, roundlog
 from vtrain.cli import main
 
 from conftest import CONFIG_DIR, REPO_ROOT
-from harness import path_from_wire
+from harness import DAMAGE, damaged_log, path_from_wire
 
 SRC_DIR = REPO_ROOT / "src"
 
@@ -46,7 +45,11 @@ class TestTrain:
         report = json.loads((tmp_path / "tiny.report.json").read_text())
         assert report["root"] == root
         assert report["entries_logged"] == report["estimated_entries"]
-        assert report["log_file_bytes"] == report["estimated_file_bytes"]
+        assert report["log_file_bytes"] <= report["estimated_file_bytes"]
+        assert report["directed_entries"] == sum(
+            s["forward_directed"] + s["backward_directed"] for s in report["per_step"])
+        assert report["log_bits_per_entry"] == (
+            8 * report["log_file_bytes"] / report["entries_logged"])
 
     def test_missing_config_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["train", str(tmp_path / "nope.json")])
@@ -207,10 +210,13 @@ class TestNegativeControl:
 
 
 class TestDamagedCompressedLog:
+    """The log is a Golomb-Rice code: a cut log, or one with a byte of its
+    unary stream flipped, is refused."""
+
     @pytest.mark.parametrize("command", ["audit", "inspect-log"])
     @pytest.mark.parametrize("damage", ["truncated", "flipped"])
     def test_is_protocol_error(self, runner, tmp_path, damage, command):
-        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path), "--compress-log"])
+        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         root = result.output.split()[-1]
         log = tmp_path / "tiny.vtrl"
@@ -236,13 +242,13 @@ class TestDamagedCompressedLog:
 
 class TestLogTrailingBytes:
     @pytest.mark.parametrize("command", ["audit", "inspect-log"])
-    @pytest.mark.parametrize("compress", [[], ["--compress-log"]], ids=["plain", "deflate"])
-    def test_is_protocol_error(self, runner, tmp_path, compress, command):
-        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)] + compress)
+    @pytest.mark.parametrize("trailing", [bytes(3), b"\xff" * 3], ids=["plain", "nonzero"])
+    def test_is_protocol_error(self, runner, tmp_path, trailing, command):
+        result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
         root = result.output.split()[-1]
         log = tmp_path / "tiny.vtrl"
-        log.write_bytes(log.read_bytes() + bytes(3))
+        log.write_bytes(log.read_bytes() + trailing)
         if command == "audit":
             args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
                     "--expect-root", root, "--out", str(tmp_path)]
@@ -253,35 +259,40 @@ class TestLogTrailingBytes:
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"{prefix} 3 bytes after the "
-                                              + ("compressed payload" if compress
-                                                 else "rounding log's payload")]
+        assert result.output.splitlines() == [f"{prefix} 3 bytes after the rounding log's payload"]
+
+
+class TestDamagedLog:
+    """Each way ``harness.DAMAGE`` lists of breaking the format, made from
+    tiny's log by a seeded generator, ends either command with exit 4."""
 
     @pytest.mark.parametrize("command", ["audit", "inspect-log"])
-    def test_inflating_past_the_header_is_protocol_error(self, runner, tmp_path, command):
-        # a header claiming 7 entries over a stream that inflates to 8 MiB
+    @pytest.mark.parametrize("case", sorted(DAMAGE))
+    def test_is_protocol_error(self, runner, tmp_path, case, command):
+        root = train_tiny(runner, tmp_path)
         log = tmp_path / "tiny.vtrl"
-        header = (roundlog.MAGIC + bytes([roundlog.VERSION, 32, roundlog.FLAG_DEFLATE])
-                  + (7).to_bytes(8, "little"))
-        log.write_bytes(header + zlib.compress(bytes(8 << 20), 9))
+        reader = roundlog.LogReader(log)
+        codes = reader.read_array(reader.entry_count)
+        log.write_bytes(damaged_log(case, codes, np.random.default_rng(len(case))))
         if command == "audit":
             args = ["audit", TINY, "--profile", "pairwise", "--log", str(log),
-                    "--expect-root", "0" * 64, "--out", str(tmp_path)]
+                    "--expect-root", root, "--out", str(tmp_path)]
             prefix = "audit failed:"
         else:
             args = ["inspect-log", str(log)]
             prefix = "bad log:"
         result = runner.invoke(main, args)
         assert result.exit_code == 4, result.output
-        assert result.output.startswith(f"{prefix} bytes after the rounding log's payload")
+        assert isinstance(result.exception, SystemExit)
+        lines = [line for line in result.output.splitlines() if line.startswith(prefix)]
+        assert len(lines) == 1 and DAMAGE[case] in lines[0], result.output
 
 
 class TestLogHeader:
     @pytest.mark.parametrize("command", ["audit", "inspect-log"])
     @pytest.mark.parametrize("offset, value, message", [
-        (6, 0x06, "unknown log flags 0x06"),
         (5, 200, "log b_r 200 outside [10, 32]"),
-    ], ids=["flags", "b_r"])
+    ], ids=["b_r"])
     def test_is_protocol_error(self, runner, tmp_path, command, offset, value, message):
         result = runner.invoke(main, ["train", TINY, "--out", str(tmp_path)])
         assert result.exit_code == 0, result.output
@@ -982,6 +993,27 @@ class TestInspectEstimate:
         total = int(fields["down (0)"]) + int(fields["ignore (1)"]) + int(fields["up (2)"])
         assert total == int(fields["entries"])
 
+    def test_inspect_prints_bits_per_entry(self, runner, tmp_path):
+        train_tiny(runner, tmp_path)
+        log = tmp_path / "tiny.vtrl"
+        result = runner.invoke(main, ["inspect-log", str(log)])
+        assert result.exit_code == 0, result.output
+        fields = dict(line.split(": ") for line in result.output.strip().splitlines())
+        assert list(fields) == ["b_r", "entries", "down (0)", "ignore (1)", "up (2)", "bits/entry"]
+        assert fields["bits/entry"] == f"{8 * log.stat().st_size / int(fields['entries']):.4f}"
+
+    @pytest.mark.parametrize("ulps", [0.25, 0.40, 0.45, 0.49])
+    @pytest.mark.parametrize("name", ["tiny", "mlp", "logreg", "trend", "divergence"])
+    def test_estimate_bounds_the_log(self, runner, tmp_path, name, ulps):
+        doc = json.loads((CONFIG_DIR / f"{name}.json").read_text())
+        doc["tau"] = {"policy": "fixed", "value": ulps * 2.0 ** (9 - doc.get("b_r", 32))}
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["train", str(config), "--out", str(tmp_path)])
+        assert result.exit_code == 0, result.output
+        report = json.loads((tmp_path / f"{doc['name']}.report.json").read_text())
+        assert report["log_file_bytes"] <= report["estimated_file_bytes"]
+
     def test_inspect_rejects_garbage(self, runner, tmp_path):
         bad = tmp_path / "junk.vtrl"
         bad.write_bytes(b"not a log at all")
@@ -1002,7 +1034,7 @@ class TestInspectEstimate:
         result = runner.invoke(main, ["estimate", TINY])
         assert result.exit_code == 0
         fields = dict(line.split(": ") for line in result.output.strip().splitlines())
-        assert int(fields["file bytes"]) == (tmp_path / "tiny.vtrl").stat().st_size
+        assert int(fields["file bytes (upper bound)"]) >= (tmp_path / "tiny.vtrl").stat().st_size
 
 
 class TestWeightsFile:

@@ -7,7 +7,8 @@ a trained model moves these roots. The shipped small configs run at
 the trainer's root with no corrections; ``divergence`` at ``b_tr = 50`` is
 the case that drives ``rev``'s correction path. Where no audit corrects
 anything, a change that moves only codes (a trainer reading the wrong
-tau, say) moves no root, so the SHA-256 of every log is pinned too.
+tau, say) moves no root, so the SHA-256 of every log is pinned too, and
+of the code stream it decodes to, which a change of file format keeps.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from dataclasses import replace
 import pytest
 
 from vtrain import protocol as pr
+from vtrain.roundlog import LogReader
 
 PROFILES = ("sequential", "reversed", "pairwise", "chunked7")
 
@@ -26,13 +28,24 @@ SMALL = {
     "logreg": ("be7811535b50893cdde9110d491b5fc34e3a3d7637c55c0dde1b505790f61738", 16384),
 }
 
-# run -> SHA-256 of its uncompressed .vtrl, the same for every trainer profile
+# run -> SHA-256 of its .vtrl, the same for every trainer profile
 LOG_SHA256 = {
-    "tiny": "620b867c366e43c5161cfca075968642d2683d0f48c3d60acdb2e054f2236c43",
-    "mlp": "343c933663beeb710dd4bf8b34783d8ee9dcd9e5cf5c51df4a10d6bd05ce85e9",
-    "logreg": "8b9458022e542faf7f5e5249d86422b0fa5dbc1982738d71c12c4de389154551",
-    "wide": "a2456029906e5aa6b1d90a33e72576f2fcea973bca4fa0ad56f08ae5986347f0",
-    "divergence": "4f0c020c7086540898a30e5f83785f5bac35a4a9348ba34bd50ae69465910b29",
+    "tiny": "b2ced50c050d8f5bb18d706b097d6de2e3ee5a9b7c8889214234e17e7e90f8c1",
+    "mlp": "562d247d582aaaa2c4ab495ea55e73520288dc9648a8db3755061b5ce7ebc2df",
+    "logreg": "9a082cfd5ef733adc93881e9ef6fa6acb9ac0cbeda157433a73b327fade16d05",
+    "wide": "258bf9a9bbfb22ce0589c2b5d8fe87e96b5872302c93e8991e8e6306ff24f690",
+    "divergence": "ca5b6f56350f1738a172b99a97482948693b48d9d4db5f3c84aa2131de045f12",
+}
+
+# run -> SHA-256 of its code stream, one byte an entry as ``LogReader``
+# returns it: what the log holds, whatever its file format. Pinned from
+# the version-2 logs; a format change moves LOG_SHA256 and not these.
+CODES_SHA256 = {
+    "tiny": "8bba747ba1069197e484dbb1f09df594d6505f0dbcb5c17ea7f3ba74af912539",
+    "mlp": "ce142c1c738d445c10a8d15f1fbb85addd68656d6eaa589e2e0eb2a61df39d17",
+    "logreg": "c7c7033c30eb369ba89a0ff2d5f5ed4bdb5eb826b89b0e47dda1fdffc382d767",
+    "wide": "b3624293aef552907f04caf9cfebeeea1ba237b49325010eb135ca6d16b849f1",
+    "divergence": "6daee1baf25de4fb27a2e4e3976c01c787610b9c71a5fbbeed4055b5f1666b13",
 }
 
 # config -> trainer profile -> final_loss.hex(); the loss sums in the
@@ -80,6 +93,13 @@ def log_sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def check_log(path, name: str) -> None:
+    assert log_sha256(path) == LOG_SHA256[name]
+    reader = LogReader(path)
+    codes = reader.read_array(reader.entry_count)
+    assert hashlib.sha256(codes.tobytes()).hexdigest() == CODES_SHA256[name]
+
+
 @pytest.mark.parametrize("trainer", PROFILES)
 @pytest.mark.parametrize("name", sorted(SMALL))
 def test_small_config_roots(shipped_config, tmp_path, name, trainer):
@@ -88,7 +108,7 @@ def test_small_config_roots(shipped_config, tmp_path, name, trainer):
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)
-    assert log_sha256(log) == LOG_SHA256[name]
+    check_log(log, name)
     assert (out.final_loss.hex(), out.train_accuracy) == (FINAL_LOSS[name][trainer], 1.0)
     for auditor in PROFILES:
         if auditor != trainer:
@@ -106,7 +126,7 @@ def test_wide_replay_roots(shipped_config, tmp_path, trainer):
     log = tmp_path / "run.vtrl"
     out = pr.train(cfg, log)
     assert (out.root_hex, out.entries_logged) == (root, entries)
-    assert log_sha256(log) == LOG_SHA256["wide"]
+    check_log(log, "wide")
     assert out.final_loss.hex() == WIDE_FINAL_LOSS[trainer]
     for auditor in PROFILES:
         if auditor != trainer:
@@ -120,7 +140,7 @@ def test_divergence_roots(shipped_config, tmp_path):
     assert (cfg.b_tr, cfg.trainer_profile) == (50, "sequential")
     log = tmp_path / "run.vtrl"
     assert pr.train(cfg, log).root_hex == DIVERGENCE_ROOT
-    assert log_sha256(log) == LOG_SHA256["divergence"]
+    check_log(log, "divergence")
     for auditor, corrections in DIVERGENCE_CORRECTIONS.items():
         result = pr.audit(cfg, auditor, log)
         assert (auditor, result.root_hex, sum(map(sum, result.per_step))) == (

@@ -169,7 +169,7 @@ class TestTrain:
         out = pr.train(cfg, tmp_path / "est.vtrl")
         est = pr.estimate_log_entries(cfg)
         assert out.entries_logged == est.entries
-        assert (tmp_path / "est.vtrl").stat().st_size == est.file_bytes
+        assert (tmp_path / "est.vtrl").stat().st_size <= est.file_bytes
 
     def test_weights_past_the_grid_end_the_run_at_their_step(self, tmp_path):
         with pytest.raises(pr.TrainingDiverged, match="^training diverged at step 4$") as e:
@@ -275,6 +275,18 @@ class TestAudit:
             writer.write_array(reader.read_array(reader.entry_count - 10))
         with pytest.raises(pr.AuditFailure, match="operation-count mismatch"):
             pr.audit(cfg, "sequential", tmp_path / "short.vtrl")
+
+    def test_wrong_length_log_is_refused_before_the_replay(self, tmp_path, monkeypatch,
+                                                           shipped_config):
+        tiny = shipped_config("tiny")
+        pr.train(tiny, tmp_path / "tiny.vtrl")
+
+        def no_replay(*args, **kwargs):
+            raise AssertionError("the replay ran")
+
+        monkeypatch.setattr(pr, "_run", no_replay)
+        with pytest.raises(pr.AuditFailure, match="^operation-count mismatch$"):
+            pr.audit(shipped_config("mlp"), "pairwise", tmp_path / "tiny.vtrl")
 
     def test_leftover_entries(self, tmp_path):
         cfg = tiny_config()
@@ -497,7 +509,8 @@ class TestEstimate:
         est = pr.estimate_log_entries(cfg)
         # 12 forward and 12 loss gradient; the only input gradient is the first stage's
         assert est.entries == 24
-        assert est.payload_bytes == 5
+        # one block: a 5-byte header, and 2 bits an entry with every entry directed
+        assert est.payload_bytes == 5 + 6
 
     def test_doubling_epochs_doubles_entries(self):
         one = pr.estimate_log_entries(tiny_config(epochs=2))

@@ -1,7 +1,7 @@
-"""Packed ternary log: codec, streaming, size law, compression."""
+"""Sparse rounding log: codec, streaming, size bound, refusal of damaged logs."""
 
+import struct
 import tracemalloc
-import zlib
 
 import numpy as np
 import pytest
@@ -11,19 +11,20 @@ from hypothesis import strategies as st
 from vtrain import fpround
 from vtrain import roundlog as rl
 
-BLOCK = rl._BLOCK  # entries the writer packs at a time
+from harness import DAMAGE, Block, damaged_log, log_bytes
 
-
-def pack5(digits) -> int:
-    """Oracle for the format: five entries, little-endian base 3, one group at a time."""
-    assert len(digits) == 5
-    return sum(int(d) * 3**i for i, d in enumerate(digits))
+BLOCK = rl._BLOCK  # entries the writer codes at a time
 
 
 def oracle_payload(digits) -> bytes:
-    """The payload the format specifies: groups of five, the last padded with 1."""
-    digits = list(digits) + [1] * (-len(digits) % 5)
-    return bytes(pack5(digits[i : i + 5]) for i in range(0, len(digits), 5))
+    """The payload the format specifies: ``Block`` of each run of ``BLOCK`` entries."""
+    digits = list(digits)
+    return b"".join(Block.of(digits[i : i + BLOCK]).to_bytes()
+                    for i in range(0, len(digits), BLOCK))
+
+
+def head(d: int, k: int, u: int) -> bytes:
+    return struct.pack("<HBH", d, k, u)
 
 
 def written(path, digits) -> bytes:
@@ -33,25 +34,33 @@ def written(path, digits) -> bytes:
     return path.read_bytes()[rl.HEADER_LEN :]
 
 
-def hand_made_log(path, payload: bytes) -> rl.LogReader:
-    """A reader over a log whose payload bytes are given directly."""
-    header = rl.MAGIC + bytes([rl.VERSION, 32, 0]) + (5 * len(payload)).to_bytes(8, "little")
-    path.write_bytes(header + payload)
+def hand_made_log(path, count: int, payload: bytes) -> rl.LogReader:
+    """A reader over a log of ``count`` entries whose payload bytes are given directly."""
+    path.write_bytes(rl.MAGIC + bytes([rl.VERSION, 32]) + count.to_bytes(8, "little") + payload)
     return rl.LogReader(path)
 
 
+def mix(rng, n: int, directed: float) -> np.ndarray:
+    """``n`` codes, each directed (UP or DOWN alike) with probability ``directed``."""
+    codes = np.where(rng.random(n) < directed, 2 * rng.integers(0, 2, n), 1)
+    return codes.astype(np.uint8)
+
+
 class TestPack5:
+    """What a write of a few entries codes to, and which values a write takes."""
+
     def test_all_zero(self, tmp_path):
-        assert written(tmp_path / "a.vtrl", [0, 0, 0, 0, 0]) == bytes([0])
+        # five gaps of 0 at k = 0: five unary zeros, five DOWN signs
+        assert written(tmp_path / "a.vtrl", [0, 0, 0, 0, 0]) == head(5, 0, 5) + bytes([0, 0])
 
     def test_all_ignore(self, tmp_path):
-        assert written(tmp_path / "a.vtrl", [1, 1, 1, 1, 1]) == bytes([121])
+        assert written(tmp_path / "a.vtrl", [1, 1, 1, 1, 1]) == head(0, 0, 0)
 
     def test_mixed(self, tmp_path):
-        assert written(tmp_path / "a.vtrl", [2, 0, 0, 0, 1]) == bytes([83])
+        assert written(tmp_path / "a.vtrl", [2, 0, 0, 0, 1]) == head(4, 0, 4) + bytes([0, 0x80])
 
     def test_max(self, tmp_path):
-        assert written(tmp_path / "a.vtrl", [2, 2, 2, 2, 2]) == bytes([242])
+        assert written(tmp_path / "a.vtrl", [2, 2, 2, 2, 2]) == head(5, 0, 5) + bytes([0, 0xF8])
 
     def test_bad_digit(self, tmp_path):
         with rl.LogWriter(tmp_path / "a.vtrl", 32) as w:
@@ -92,42 +101,48 @@ class TestPack5:
         assert rl.LogReader(path).read_array(7).tolist() == [0, 1, 2, 2, 0, 1, 2]
 
     def test_unpack_examples(self, tmp_path):
-        reader = hand_made_log(tmp_path / "a.vtrl", bytes([0, 121, 83]))
-        assert reader.read_array(15).tolist() == [0] * 5 + [1] * 5 + [2, 0, 0, 0, 1]
+        # gaps 3 and 5 at k = 1, which the writer would not pick: quotients
+        # 1 and 2 ("10", "110"), remainders 1 and 1, signs UP then DOWN
+        payload = head(2, 1, 5) + bytes([0b10110000, 0b11000000, 0b10000000])
+        reader = hand_made_log(tmp_path / "a.vtrl", 10, payload)
+        assert reader.read_array(10).tolist() == [1, 1, 1, 2, 1, 1, 1, 1, 1, 0]
 
     def test_unpack_out_of_range(self, tmp_path):
-        with pytest.raises(rl.LogFormatError, match="corrupt log byte"):
-            hand_made_log(tmp_path / "a.vtrl", bytes([242, 243]))
+        with pytest.raises(rl.LogFormatError, match="block of 10 entries claims 11 directed"):
+            hand_made_log(tmp_path / "a.vtrl", 10, head(11, 0, 11) + bytes(2 + 2))
 
     def test_every_byte_decodes(self, tmp_path):
-        reader = hand_made_log(tmp_path / "a.vtrl", bytes(range(243)))
-        digits = reader.read_array(5 * 243).reshape(243, 5)
-        assert [pack5(row) for row in digits.tolist()] == list(range(243))
+        # 2048 directed entries at k = 0: the sign stream is bytes 0 to 255
+        payload = head(2048, 0, 2048) + bytes(256) + bytes(range(256))
+        reader = hand_made_log(tmp_path / "a.vtrl", 2048, payload)
+        digits = reader.read_array(2048).reshape(256, 8)
+        assert np.array_equal(digits, 2 * np.unpackbits(np.arange(256, dtype=np.uint8)[:, None],
+                                                         axis=1))
 
     @settings(deadline=None)
     @given(st.lists(st.sampled_from((0, 1, 2)), min_size=5, max_size=5))
     def test_bijection(self, tmp_path_factory, digits):
         path = tmp_path_factory.mktemp("b") / "b.vtrl"
-        assert written(path, digits) == bytes([pack5(digits)])
+        assert written(path, digits) == Block.of(digits).to_bytes()
         assert rl.LogReader(path).read_array(5).tolist() == digits
 
 
 class TestWriterReader:
-    def test_five_entries_single_byte(self, tmp_path):
+    def test_five_ignore_entries_are_one_block_header(self, tmp_path):
         path = tmp_path / "a.vtrl"
         with rl.LogWriter(path, 32) as w:
             w.write_array(np.ones(5, dtype=np.uint8))
         raw = path.read_bytes()
-        assert raw[: rl.HEADER_LEN][:4] == b"VTRL"
-        assert raw[rl.HEADER_LEN :] == bytes([121])
+        assert raw[:6] == b"VTRL" + bytes([3, 32])
+        assert raw[rl.HEADER_LEN :] == head(0, 0, 0)
         reader = rl.LogReader(path)
         assert reader.entry_count == 5
+        assert reader.read_array(5).tolist() == [1] * 5
 
-    def test_padding_with_ignore(self, tmp_path):
+    def test_streams_are_zero_padded(self, tmp_path):
         path = tmp_path / "b.vtrl"
-        payload = written(path, [0, 0, 0, 0, 0, 2])
-        # 2 followed by four pad-1s: 2 + 3 + 9 + 27 + 81
-        assert list(payload) == [0, 122]
+        # six unary zeros in one byte, then the signs 000001 in another
+        assert written(path, [0, 0, 0, 0, 0, 2]) == head(6, 0, 6) + bytes([0, 0b00000100])
         reader = rl.LogReader(path)
         assert reader.entry_count == 6
         assert reader.read_array(6).tolist() == [0, 0, 0, 0, 0, 2]
@@ -154,10 +169,9 @@ class TestWriterReader:
             rl.LogReader(path)
 
     def test_write_array_matches_scalar_writes(self, tmp_path):
-        # split writes, some shorter than a group, against the oracle's
-        # one-group-at-a-time packing
-        rng = np.random.default_rng(0)
-        digits = rng.integers(0, 3, size=2003).astype(np.uint8)
+        # split writes, some of a single entry, against the oracle's
+        # one-entry-at-a-time coding
+        digits = mix(np.random.default_rng(0), 2003, 0.6)
         path = tmp_path / "v.vtrl"
         with rl.LogWriter(path, 32) as w:
             for lo, hi in ((0, 2), (2, 3), (3, 7), (7, 1500), (1500, 1501), (1501, 2003)):
@@ -165,25 +179,19 @@ class TestWriterReader:
         assert path.read_bytes()[rl.HEADER_LEN :] == oracle_payload(digits)
         assert rl.LogReader(path).entry_count == 2003
 
-    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "deflate"])
+    @pytest.mark.parametrize("directed", [0.2, 0.01], ids=["plain", "sparse"])
     @pytest.mark.parametrize("sizes", [
         [0], [1], [4], [BLOCK - 1], [BLOCK], [BLOCK + 1], [3 * BLOCK - 3],
         # the same sizes from the offsets they leave in the block
         [0, 1, 4, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK - 3, 4, BLOCK + 1, 1],
     ], ids=["0", "1", "4", "block-1", "block", "block+1", "three-blocks", "mixed"])
-    def test_block_buffer_matches_one_shot_packing(self, tmp_path, compress, sizes):
-        rng = np.random.default_rng(len(sizes) + sizes[0])
-        digits = np.where(rng.random(sum(sizes)) < 0.8, 1, rng.integers(0, 3, sum(sizes)))
-        digits = digits.astype(np.uint8)
+    def test_block_buffer_matches_one_shot_packing(self, tmp_path, directed, sizes):
+        digits = mix(np.random.default_rng(len(sizes) + sizes[0]), sum(sizes), directed)
         path = tmp_path / "blocks.vtrl"
-        with rl.LogWriter(path, 32, compress=compress) as w:
+        with rl.LogWriter(path, 32) as w:
             for part in np.split(digits, np.cumsum(sizes)[:-1]):
                 w.write_array(part)
-        payload = rl._pack_block(np.concatenate([digits, np.ones(-digits.size % 5, np.uint8)]))
-        if compress:
-            deflate = zlib.compressobj()
-            payload = deflate.compress(payload) + deflate.flush()
-        assert path.read_bytes()[rl.HEADER_LEN :] == payload
+        assert path.read_bytes()[rl.HEADER_LEN :] == oracle_payload(digits)
         reader = rl.LogReader(path)
         assert reader.entry_count == digits.size
         assert np.array_equal(reader.read_array(digits.size), digits)
@@ -198,32 +206,45 @@ class TestWriterReader:
             back = rl.LogReader(path).read_array(n)
             assert np.array_equal(back, digits)
 
-    def test_size_law(self, tmp_path):
-        for n in (5, 100, 100000):
-            path = tmp_path / f"z{n}.vtrl"
-            with rl.LogWriter(path, 32) as w:
-                w.write_array(np.ones(n, dtype=np.uint8))
-            assert path.stat().st_size == rl.HEADER_LEN + (n + 4) // 5
-            assert rl.file_bytes_for(n) == path.stat().st_size
-
-    def test_deflate_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        digits = rng.integers(0, 3, size=50000).astype(np.uint8)
-        path = tmp_path / "defl.vtrl"
-        with rl.LogWriter(path, 32, compress=True) as w:
+    def test_reads_across_blocks(self, tmp_path):
+        digits = mix(np.random.default_rng(3), 3 * BLOCK + 17, 0.3)
+        path = tmp_path / "x.vtrl"
+        with rl.LogWriter(path, 32) as w:
             w.write_array(digits)
         reader = rl.LogReader(path)
-        assert reader.flags & rl.FLAG_DEFLATE
-        assert np.array_equal(reader.read_array(50000), digits)
+        cuts = [0, 5, BLOCK - 3, BLOCK + 4, 2 * BLOCK, 3 * BLOCK + 17]
+        for lo, hi in zip(cuts, cuts[1:]):
+            assert np.array_equal(reader.read_array(hi - lo), digits[lo:hi])
+        assert reader.remaining == 0
+
+    def test_size_law(self, tmp_path):
+        for n in (5, 100, 100000):
+            blocks = -(-n // BLOCK)
+            for code, size in ((1, rl.HEADER_LEN + 5 * blocks), (2, rl.file_bytes_for(n))):
+                path = tmp_path / f"z{n}-{code}.vtrl"
+                with rl.LogWriter(path, 32) as w:
+                    w.write_array(np.full(n, code, dtype=np.uint8))
+                assert path.stat().st_size == size
+        # every entry directed: 2 bits an entry and a 5-byte header per block
+        assert rl.file_bytes_for(100000) == rl.HEADER_LEN + 3 * 5 + 2 * 100000 // 8
+
+    def test_size_never_passes_the_bound(self, tmp_path):
+        rng = np.random.default_rng(4)
+        for n in (1, 7, 9, 30, 1000, BLOCK + 9):
+            for directed in (0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0):
+                path = tmp_path / "s.vtrl"
+                with rl.LogWriter(path, 32) as w:
+                    w.write_array(mix(rng, n, directed))
+                assert path.stat().st_size <= rl.file_bytes_for(n), (n, directed)
 
     def test_corrupt_byte_detected(self, tmp_path):
         path = tmp_path / "corrupt.vtrl"
         with rl.LogWriter(path, 32) as w:
             w.write_array(np.zeros(10, dtype=np.uint8))
         raw = bytearray(path.read_bytes())
-        raw[rl.HEADER_LEN] = 250
+        raw[rl.HEADER_LEN] = 250  # d, in a block of 10
         path.write_bytes(bytes(raw))
-        with pytest.raises(rl.LogFormatError, match="corrupt log byte"):
+        with pytest.raises(rl.LogFormatError, match="claims 250 directed"):
             rl.LogReader(path)
 
     def test_histogram(self, tmp_path):
@@ -231,7 +252,9 @@ class TestWriterReader:
         digits = np.array([0, 0, 1, 2, 2, 2, 1], dtype=np.uint8)
         with rl.LogWriter(path, 32) as w:
             w.write_array(digits)
-        hist = rl.LogReader(path).histogram()
+        reader = rl.LogReader(path)
+        reader.read_array(3)
+        hist = reader.histogram()  # the whole log, wherever the reader is
         assert hist == {0: 2, 1: 2, 2: 3}
         assert sum(hist.values()) == 7
 
@@ -249,16 +272,30 @@ def test_roundtrip_property(tmp_path_factory, digits):
     assert reader.remaining == 0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 3000), min_size=0, max_size=300))
+def test_rice_parameter_is_the_smallest_best(gaps):
+    def size(k):
+        return -(-(len(gaps) + sum(g >> k for g in gaps)) // 8) + -(-len(gaps) * k // 8)
+
+    best = min(range(17), key=size)
+    assert rl._rice_parameter(np.array(gaps, dtype=np.int64)) == best
+
+
 def test_compressibility_monotonic(tmp_path):
-    """Ignore-heavy logs never DEFLATE larger than uniform ones."""
+    """Ignore-heavy logs never code larger than uniform ones."""
     n = 50000
     for seed in range(10):
         rng = np.random.default_rng(seed)
         uniform = rng.integers(0, 3, size=n).astype(np.uint8)
         skewed = np.where(rng.random(n) < 0.9, 1, rng.integers(0, 3, size=n)).astype(np.uint8)
-        packed_u = rl._pack_block(uniform)
-        packed_s = rl._pack_block(skewed)
-        assert len(zlib.compress(packed_s)) <= len(zlib.compress(packed_u))
+        sizes = []
+        for codes in (uniform, skewed):
+            path = tmp_path / f"{len(sizes)}.vtrl"
+            with rl.LogWriter(path, 32) as w:
+                w.write_array(codes)
+            sizes.append(path.stat().st_size)
+        assert sizes[1] <= sizes[0]
 
 
 def test_version_mismatch_rejected(tmp_path):
@@ -268,17 +305,6 @@ def test_version_mismatch_rejected(tmp_path):
     raw[4] = 9
     path.write_bytes(bytes(raw))
     with pytest.raises(rl.LogFormatError, match="version"):
-        rl.LogReader(path)
-
-
-@pytest.mark.parametrize("flags", [0x06, 0x02, 0x81])
-def test_unknown_flag_bits_rejected(tmp_path, flags):
-    path = tmp_path / "flags.vtrl"
-    written(path, [1])
-    raw = bytearray(path.read_bytes())
-    raw[6] = flags
-    path.write_bytes(bytes(raw))
-    with pytest.raises(rl.LogFormatError, match=f"unknown log flags 0x{flags:02x}"):
         rl.LogReader(path)
 
 
@@ -303,50 +329,79 @@ def test_truncated_payload_rejected(tmp_path):
         rl.LogReader(path)
 
 
-@pytest.mark.parametrize("compress", [False, True], ids=["plain", "deflate"])
-def test_bytes_after_payload_rejected(tmp_path, compress):
+@pytest.mark.parametrize("entries", [7, 2 * BLOCK + 7], ids=["plain", "blocks"])
+def test_bytes_after_payload_rejected(tmp_path, entries):
     path = tmp_path / "extra.vtrl"
-    with rl.LogWriter(path, 32, compress=compress) as w:
-        w.write_array(np.ones(7, dtype=np.uint8))
+    with rl.LogWriter(path, 32) as w:
+        w.write_array(mix(np.random.default_rng(5), entries, 0.5))
     path.write_bytes(path.read_bytes() + bytes(3))
     with pytest.raises(rl.LogFormatError, match="3 bytes after"):
         rl.LogReader(path)
 
 
-def _deflate_log(path, entry_count: int, payload: bytes) -> None:
-    """A DEFLATE log whose header claims ``entry_count`` over ``payload``."""
-    header = rl.MAGIC + bytes([rl.VERSION, 32, rl.FLAG_DEFLATE]) + entry_count.to_bytes(8, "little")
-    path.write_bytes(header + zlib.compress(payload, 9))
+def test_largest_entry_count_is_truncated(tmp_path):
+    path = tmp_path / "huge.vtrl"
+    path.write_bytes(log_bytes([1] * 5, count=2**64 - 1))
+    with pytest.raises(rl.LogFormatError, match="truncated"):
+        rl.LogReader(path)
 
 
-def test_inflation_bounded_by_the_header(tmp_path):
-    """A stream that inflates far past the header's claim is refused while
-    memory still follows the claim, not the inflated size."""
-    path = tmp_path / "bomb.vtrl"
-    inflated = 32 << 20
-    _deflate_log(path, 7, bytes(inflated))
-    assert path.stat().st_size < inflated // 500
+def test_claimed_count_does_not_set_memory(tmp_path):
+    """A header claiming 2^40 entries over one block is refused while memory
+    follows the block, not the claim."""
+    path = tmp_path / "claim.vtrl"
+    path.write_bytes(log_bytes(mix(np.random.default_rng(6), BLOCK, 0.5), count=2**40))
     tracemalloc.start()
     try:
-        with pytest.raises(rl.LogFormatError, match="bytes after the rounding log's payload"):
+        with pytest.raises(rl.LogFormatError, match="truncated"):
             rl.LogReader(path)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < inflated // 64, f"peak {peak / 2**20:.2f} MiB"
+    assert peak < 1 << 20, f"peak {peak / 2**20:.2f} MiB"
 
 
-@pytest.mark.parametrize("extra", [1, 2])
-def test_inflation_past_the_payload_by_a_few_bytes(tmp_path, extra):
-    path = tmp_path / "long.vtrl"
-    _deflate_log(path, 10, bytes(2 + extra))
-    with pytest.raises(rl.LogFormatError, match="bytes after the rounding log's payload"):
-        rl.LogReader(path)
+def test_reader_memory_follows_one_block(tmp_path):
+    """Reading a log a few thousand entries at a time peaks at the same
+    traced memory for 2 blocks as for 20."""
+    peaks = []
+    for blocks in (2, 20):
+        path = tmp_path / f"{blocks}.vtrl"
+        with rl.LogWriter(path, 32) as w:
+            w.write_array(mix(np.random.default_rng(7), blocks * BLOCK, 0.5))
+        tracemalloc.start()
+        try:
+            reader = rl.LogReader(path)
+            while reader.remaining:
+                reader.read_array(min(4096, reader.remaining))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # the 20-block log decoded whole would take 20 * BLOCK bytes more
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
-def test_largest_entry_count_on_deflate_is_truncated(tmp_path):
-    # the inflate limit, payload_bytes_for(2^64 - 1) + 1, still fits a C ssize_t
-    path = tmp_path / "huge.vtrl"
-    _deflate_log(path, 2**64 - 1, bytes(5))
-    with pytest.raises(rl.LogFormatError, match="truncated"):
-        rl.LogReader(path)
+def fuzz_codes(seed: int) -> np.ndarray:
+    """One or two blocks of a random mix, each with a directed first and last entry."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(0, 2)) * BLOCK + int(rng.integers(100, BLOCK + 1))
+    codes = mix(rng, n, float(rng.uniform(0.02, 0.9)))
+    codes[::BLOCK] = 0
+    codes[np.minimum(np.arange(BLOCK - 1, n + BLOCK - 1, BLOCK), n - 1)] = 2
+    return codes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("case", sorted(DAMAGE))
+def test_damaged_log_is_refused(tmp_path, case, seed):
+    rng = np.random.default_rng(1000 * seed + sorted(DAMAGE).index(case))
+    codes = fuzz_codes(seed)
+    path = tmp_path / "damaged.vtrl"
+    path.write_bytes(damaged_log(case, codes, rng))
+    message = DAMAGE[case]
+    with pytest.raises(rl.LogFormatError, match=message):
+        reader = rl.LogReader(path)
+        reader.read_array(reader.entry_count)
+    with pytest.raises(rl.LogFormatError, match=message):
+        rl.LogReader(path).histogram()
+
